@@ -10,7 +10,6 @@ clique, whose coordinates follow in closed form.
 from .edm_core import (
     EigenPair,
     RankTolerance,
-    best_psd_rank_r,
     full_rank_factor,
     kappa,
     kappa_adjoint,
@@ -45,7 +44,6 @@ from .instance import (
     build_partial_edm,
     generate_instance,
     half_range_cliques,
-    neighbor_set,
     read_problem,
     write_problem,
 )

@@ -1,4 +1,4 @@
-"""Experiment harness: batches of random trials, CSV rows, scatter dumps.
+"""Experiment harness: batches of random trials and CSV rows.
 
 Each experiment runs a number of independent random instances of one
 configuration and aggregates them into a single table row.  Error columns
@@ -35,7 +35,6 @@ __all__ = [
     "TableRow",
     "run_experiment",
     "emit_csv",
-    "emit_scatter",
     "main",
 ]
 
@@ -168,15 +167,6 @@ def emit_csv(rows, path) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow(row.as_record())
-
-
-def emit_scatter(solution: dict[int, np.ndarray], truth: np.ndarray, path) -> None:
-    """Per-sensor `x_true... x_est...` lines for external plotting."""
-    with open(path, "w") as fh:
-        for i in sorted(solution):
-            true_part = " ".join(f"{x:.17g}" for x in truth[i])
-            est_part = " ".join(f"{x:.17g}" for x in np.asarray(solution[i]))
-            fh.write(f"{true_part} {est_part}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:

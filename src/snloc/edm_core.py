@@ -28,7 +28,6 @@ __all__ = [
     "kappa_adjoint",
     "kappa_pinv",
     "eigh_descending",
-    "best_psd_rank_r",
     "full_rank_factor",
 ]
 
@@ -119,26 +118,6 @@ def significant_rank(values: np.ndarray, tol: RankTolerance = DEFAULT_TOL) -> in
         return 0
     cut = tol.relative_cut * max(values[0], np.finfo(float).eps)
     return int(np.count_nonzero(values > cut))
-
-
-def best_psd_rank_r(
-    B: np.ndarray, r: int, tol: RankTolerance = DEFAULT_TOL
-) -> tuple[EigenPair, np.ndarray]:
-    """Closest PSD matrix of rank at most r, in Frobenius norm.
-
-    Keeps the r largest eigenvalues clipped at zero:
-    approx = sum_{i<=r} max(lambda_i, 0) u_i u_i^T.  The returned EigenPair
-    holds only the kept eigenvalues that clear the relative cutoff, so an
-    all-negative spectrum yields an empty pair and a zero approximation.
-    """
-    if r < 1:
-        raise ValueError(f"rank bound must be positive, got {r}")
-    eig = eigh_descending(B)
-    kept = min(r, significant_rank(eig.values, tol))
-    vals = eig.values[:kept]
-    vecs = eig.vectors[:, :kept]
-    approx = (vecs * vals) @ vecs.T
-    return EigenPair(values=vals, vectors=vecs), 0.5 * (approx + approx.T)
 
 
 def full_rank_factor(

@@ -109,13 +109,10 @@ class ExtendedFaceRep:
     """Rank-deficient merge result: one extra basis column, two candidates.
 
     basis is k-by-(r+2), column-orthonormal, last column e/sqrt(k).
-    null_dirs holds the unit null vectors (u1, u2) of the two common row
-    blocks that witnessed the rank deficiency.
     """
 
     nodes: np.ndarray
     basis: np.ndarray
-    null_dirs: tuple[np.ndarray, np.ndarray]
 
     def rows(self, nodes) -> np.ndarray:
         return np.searchsorted(self.nodes, np.asarray(nodes))
@@ -309,4 +306,4 @@ def intersect_faces_nonrigid(
     struct = np.column_stack([struct, extra])
     struct_nodes = np.concatenate([only1, common, only2])
     nodes, basis = _assemble(struct_nodes, struct, r)
-    return ExtendedFaceRep(nodes=nodes, basis=basis, null_dirs=(u1, u2))
+    return ExtendedFaceRep(nodes=nodes, basis=basis)

@@ -13,6 +13,7 @@ points, and results are reproducible across platforms (PCG64).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,6 @@ __all__ = [
     "generate_instance",
     "build_partial_edm",
     "half_range_cliques",
-    "neighbor_set",
     "average_degree",
     "read_problem",
     "write_problem",
@@ -87,8 +87,10 @@ class PartialEDM:
     def add_pair(self, i: int, j: int, d2: float) -> None:
         if i == j:
             raise InvalidConfig("self distances are not stored")
-        if d2 < 0:
-            raise InvalidConfig(f"negative squared distance for pair ({i}, {j})")
+        if not 0.0 <= d2 < math.inf:
+            raise InvalidConfig(
+                f"squared distance for pair ({i}, {j}) must be finite and >= 0, got {d2}"
+            )
         self.adj[i][j] = d2
         self.adj[j][i] = d2
 
@@ -104,9 +106,6 @@ class PartialEDM:
             for j, d2 in nbrs.items():
                 if i < j:
                     yield i, j, d2
-
-    def num_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj) // 2
 
     def submatrix(self, nodes) -> np.ndarray:
         """Dense squared-distance matrix of a node subset.
@@ -237,11 +236,6 @@ def half_range_cliques(pedm: PartialEDM, radio_range: float | None = None) -> li
     return seeds
 
 
-def neighbor_set(pedm: PartialEDM, j: int) -> set[int]:
-    """All nodes with a known distance to j."""
-    return set(pedm.adj[j])
-
-
 def average_degree(pedm: PartialEDM) -> float:
     """Mean number of known neighbors per node, anchor-anchor edges included."""
     if pedm.n == 0:
@@ -314,6 +308,8 @@ def read_problem(path) -> tuple[PartialEDM, np.ndarray]:
                 raise ParseError(f"malformed pair line {text!r}", lineno) from None
             if not (1 <= i < j <= n):
                 raise ParseError(f"pair indices out of order or range: {text!r}", lineno)
+            if pedm.is_known(i - 1, j - 1):
+                raise ParseError(f"duplicate pair ({i}, {j})", lineno)
             pedm.add_pair(i - 1, j - 1, d2)
         else:
             parts = text.split()

@@ -49,9 +49,6 @@ class Completion:
     def rows(self, nodes) -> np.ndarray:
         return np.searchsorted(self.nodes, np.asarray(nodes))
 
-    def as_dict(self) -> dict[int, np.ndarray]:
-        return {int(u): self.coords[i] for i, u in enumerate(self.nodes)}
-
 
 @dataclass(eq=False)
 class SolveReport:
@@ -275,7 +272,9 @@ def align_to_anchors(
 
     Least-squares over translations and orthogonal maps (reflections
     allowed): centroids are matched, then the polar factor of the anchor
-    cross-covariance supplies the rotation.
+    cross-covariance supplies the rotation.  Raises DegenerateAnchors when
+    that matrix has rank below r (affinely dependent anchors): the
+    reflection across the anchors' flat is then undetermined.
     """
     anchors = np.asarray(anchors, dtype=float)
     anchor_indices = np.asarray(sorted(int(a) for a in anchor_indices))
@@ -286,8 +285,8 @@ def align_to_anchors(
     cA = anchors.mean(axis=0)
     H = (X - cX).T @ (anchors - cA)
     U, s, Vt = np.linalg.svd(H)
-    if r >= 2 and s[r - 2] <= 1e-12 * max(s[0], np.finfo(float).eps):
-        raise DegenerateAnchors("anchor cross-covariance rank below r-1")
+    if s[r - 1] <= 1e-12 * max(s[0], np.finfo(float).eps):
+        raise DegenerateAnchors("anchor cross-covariance rank below r")
     Q = U @ Vt
     coords = (comp.coords - cX) @ Q + cA
     return Completion(

@@ -9,18 +9,26 @@ in priority order:
   3. singular clique union   -- two cliques sharing exactly r nodes
   4. singular node absorption-- a node adjacent to exactly r clique nodes
 
-The singular steps produce two candidate realizations and commit only when
-exactly one survives the feasibility test against the known distances.
+A node absorption is a union with the temporary clique of the node and its
+neighbors beta in the clique, so each step is a thin front end that checks
+its precondition and builds the partner face, over one of two kernels:
+rigid (closed-form face intersection) or singular (two candidate
+realizations, committed only when exactly one survives the feasibility test
+against the known distances).  A singular absorption needs the range bounds
+(``Tolerances.use_range_bounds``) to decide: the node's measured distances
+into the union all go to beta, and both mirror placements keep them.
 
 The loop processes cliques by ascending id.  The clique under consideration
 (the "grower") keeps incremental overlap counters: cnt[l] is the number of
 shared nodes with clique l, acnt[w] the number of grower nodes adjacent to
 the outside node w, both updated as nodes arrive, so candidate search never
-rescans the whole family.  Partner choice is by descending overlap, ties by
-ascending id.  Failed attempts are remembered together with the counter
-value they failed at and retried only after it changes.  Merged ids forward
-to their absorber through an alias table so membership sets can be cleaned
-lazily.
+rescans the whole family.  One table gives the steps in priority order;
+each scans cnt (unions) or acnt (absorptions) for an overlap >= r+1
+(rigid) or exactly r (singular), by descending overlap, ties by ascending
+id.  Failed attempts are remembered with the counter value they failed at
+(singular steps: and the grower's size) and retried only after it changes.
+Merged ids forward to their absorber through an alias table so membership
+sets can be cleaned lazily.
 """
 
 from __future__ import annotations
@@ -70,7 +78,7 @@ class StepLevel(IntEnum):
     L1 = 1  # rigid clique unions only
     L2 = 2  # + rigid node absorption
     L3 = 3  # + singular clique union
-    L4 = 4  # + singular node absorption
+    L4 = 4  # + singular node absorption (decides only with range bounds)
 
 
 _MISSING = object()
@@ -171,15 +179,6 @@ class CliqueFamily:
             return 0
         return len(self.cliques[cid]) - self.pedm.m
 
-    def check_consistency(self) -> None:
-        """Assert the membership index inverts the clique map (test helper)."""
-        inverse = [set() for _ in range(self.pedm.n)]
-        for cid in self.active:
-            for u in self.cliques[cid]:
-                inverse[u].add(cid)
-        for u in range(self.pedm.n):
-            assert self.node_cliques(u) == inverse[u], f"membership broken at {u}"
-
 
 def init_family(pedm, seeds, m: int) -> CliqueFamily:
     """Family from clique seeds, deduplicated, plus the anchor clique.
@@ -229,127 +228,36 @@ def grow_cliques(family: CliqueFamily, pedm, max_size: int) -> None:
             cand &= pedm.adj[j].keys()
 
 
-# -- the four reduction steps ---------------------------------------------
+# -- the merge kernels, their commit, and the four reduction steps --------
 
 
-def rigid_clique_union(family: CliqueFamily, i: int, j: int, tol: Tolerances) -> bool:
-    """Merge cliques i and j when their overlap spans full dimension.
-
-    On success the union keeps id i, j forwards to i, and i's face becomes
-    the intersection of the two faces.  Any failure (degenerate overlap,
-    mismatched subspaces, missing face) leaves the family untouched.
-    """
-    i, j = family.find(i), family.find(j)
-    if i == j or i not in family.active or j not in family.active:
+def _commit(family: CliqueFamily, i: int, face, new_nodes, step: str, dead=None) -> bool:
+    """Grow clique i by new_nodes under the merged face, forward a united
+    clique ``dead`` to i, and count the step.  A None face is a rejected
+    merge: nothing changes and the result is False."""
+    if face is None:
         return False
-    r = family.dim
-    Ci, Cj = family.cliques[i], family.cliques[j]
-    small, big = (Ci, Cj) if len(Ci) <= len(Cj) else (Cj, Ci)
-    overlap = sum(1 for u in small if u in big)
-    if overlap < r + 1:
-        return False
-    if overlap == len(Cj):
-        # Cj adds no nodes; keep i's face untouched
-        family._kill_into(j, i)
-        family.step_counts[STEP_RIGID_UNION] += 1
-        return True
-    if overlap == len(Ci):
-        # i is contained in j: adopt j's node set and face state
-        face_j = family.faces.pop(j, _MISSING)
-        Ci.update(Cj)
-        family._kill_into(j, i)
-        self_faces = family.faces
-        if face_j is _MISSING:
-            self_faces.pop(i, None)
-        else:
-            self_faces[i] = face_j
-        family._comp_cache.pop(i, None)
-        family.step_counts[STEP_RIGID_UNION] += 1
-        return True
+    family.cliques[i].update(new_nodes)
+    family.faces[i] = face
+    if dead is None:
+        for u in new_nodes:
+            family.membership[u].add(i)
+    else:
+        family._kill_into(dead, i)
+    family.step_counts[step] += 1
+    return True
+
+
+def _rigid_merge(family: CliqueFamily, i: int, f2, tol: Tolerances):
+    """Rigid kernel: clique i's face intersected with the partner face f2, or
+    None when a face is missing or the overlap is degenerate or inconsistent."""
     f1 = family.face_of(i, tol)
-    f2 = family.face_of(j, tol)
     if f1 is None or f2 is None:
-        return False
+        return None
     try:
-        merged = intersect_faces_rigid(f1, f2, tol)
+        return intersect_faces_rigid(f1, f2, tol)
     except (IntersectionRankLoss, RangeMismatch):
-        return False
-    Ci.update(Cj)
-    family.faces[i] = merged
-    family._kill_into(j, i)
-    family.step_counts[STEP_RIGID_UNION] += 1
-    return True
-
-
-def _mixed_submatrix(family: CliqueFamily, cid: int, nodes: list, tol: Tolerances):
-    """Dense squared distances over ``nodes``: measured entries where known,
-    synthesized from clique cid's point representation otherwise.
-
-    Synthesized values are ephemeral; they are never written back into the
-    measured data.  Returns None when a missing pair cannot be synthesized.
-    """
-    pedm = family.pedm
-    k = len(nodes)
-    D = np.zeros((k, k))
-    missing = []
-    for a in range(k):
-        row = pedm.adj[nodes[a]]
-        for b in range(a + 1, k):
-            v = row.get(nodes[b])
-            if v is None:
-                missing.append((a, b))
-            else:
-                D[a, b] = D[b, a] = v
-    if missing:
-        Ci = family.cliques[cid]
-        if any(nodes[a] not in Ci or nodes[b] not in Ci for a, b in missing):
-            return None
-        comp = family.completion_of(cid, tol)
-        if comp is None:
-            return None
-        inside = np.asarray(sorted(u for u in nodes if u in Ci))
-        pos = dict(zip(inside.tolist(), comp.coords[comp.rows(inside)]))
-        for a, b in missing:
-            diff = pos[nodes[a]] - pos[nodes[b]]
-            D[a, b] = D[b, a] = float(diff @ diff)
-    return D
-
-
-def rigid_node_absorption(family: CliqueFamily, i: int, j: int, tol: Tolerances) -> bool:
-    """Absorb node j into clique i when j is adjacent to >= r+1 of its nodes.
-
-    The adjacent nodes plus j form a temporary clique (missing distances
-    among them are synthesized from i's point representation); its face is
-    intersected with i's face exactly like a rigid union.
-    """
-    i = family.find(i)
-    if i not in family.active:
-        return False
-    pedm = family.pedm
-    r = family.dim
-    Ci = family.cliques[i]
-    if j in Ci:
-        return False
-    beta = sorted(u for u in pedm.adj[j] if u in Ci)
-    if len(beta) < r + 1:
-        return False
-    f1 = family.face_of(i, tol)
-    if f1 is None:
-        return False
-    temp_nodes = sorted(beta + [j])
-    D = _mixed_submatrix(family, i, temp_nodes, tol)
-    if D is None:
-        return False
-    try:
-        f2 = face_from_gram(np.asarray(temp_nodes), kappa_pinv(D), r, tol)
-        merged = intersect_faces_rigid(f1, f2, tol)
-    except (RankDeficient, IntersectionRankLoss, RangeMismatch):
-        return False
-    Ci.add(j)
-    family.faces[i] = merged
-    family.membership[j].add(i)
-    family.step_counts[STEP_RIGID_ABSORB] += 1
-    return True
+        return None
 
 
 def _pick_delta(comp, beta: list, r: int, tol: Tolerances):
@@ -359,8 +267,10 @@ def _pick_delta(comp, beta: list, r: int, tol: Tolerances):
     distance to the nodes already chosen (ties to the smaller id), until the
     subset's Gram matrix has rank r; about r+2 extras are targeted when the
     clique has that many to spare.  Returns (sorted delta, its dense
-    squared-distance matrix) or None.
+    squared-distance matrix) or None, also when there are no coordinates.
     """
+    if comp is None:
+        return None
     beta_set = set(beta)
     mask = np.array([int(u) not in beta_set for u in comp.nodes])
     others = comp.nodes[mask].astype(int)
@@ -424,122 +334,212 @@ def _is_feasible(comp, pedm, tol: Tolerances) -> bool:
     return True
 
 
-def nonrigid_clique_union(
-    family: CliqueFamily, i: int, j: int, pedm, tol: Tolerances
-) -> bool:
+def _singular_merge(family: CliqueFamily, i: int, f2, beta: list, partner_delta, tol: Tolerances):
+    """Singular kernel: the face of clique i merged with partner face f2
+    across the r shared nodes beta when exactly one branch is feasible, else
+    None.  ``partner_delta()`` gives the partner's (delta, squared distances)
+    or None; it runs only after the intersection and clique i's delta exist.
+    """
+    f1 = family.face_of(i, tol)
+    if f1 is None or f2 is None:
+        return None
+    try:
+        ext = intersect_faces_nonrigid(f1, f2, tol)
+    except (IntersectionRankLoss, RangeMismatch):
+        return None
+    sel1 = _pick_delta(family.completion_of(i, tol), beta, family.dim, tol)
+    sel2 = None if sel1 is None else partner_delta()
+    if sel2 is None:
+        return None
+    pedm = family.pedm
+    try:
+        cands = two_completions(
+            ext, pedm, sel1[0], sel2[0], tol, d1=sel1[1], d2=sel2[1]
+        )
+    except (RankDeficient, NoRealBranch, NotAClique):
+        return None
+    feasible = [c for c in cands if _is_feasible(c, pedm, tol)]
+    if len(feasible) != 1:
+        return None
+    try:
+        return face_from_points(ext.nodes, feasible[0].coords, tol)
+    except RankDeficient:
+        return None
+
+
+def _union_pair(family: CliqueFamily, i: int, j: int):
+    """Canonical ids of two distinct active cliques and their common nodes."""
+    i, j = family.find(i), family.find(j)
+    if i == j or i not in family.active or j not in family.active:
+        return None
+    Ci, Cj = family.cliques[i], family.cliques[j]
+    small, big = (Ci, Cj) if len(Ci) <= len(Cj) else (Cj, Ci)
+    return i, j, [u for u in small if u in big]
+
+
+def _neighbors_in(family: CliqueFamily, i: int, j: int):
+    """Canonical id of clique i and node j's sorted neighbors in it, or None."""
+    i = family.find(i)
+    if i not in family.active or j in family.cliques[i]:
+        return None
+    Ci = family.cliques[i]
+    return i, sorted(u for u in family.pedm.adj[j] if u in Ci)
+
+
+def _mixed_submatrix(family: CliqueFamily, cid: int, nodes: list, tol: Tolerances):
+    """Dense squared distances over ``nodes``: measured entries where known,
+    synthesized from clique cid's point representation otherwise.
+
+    Synthesized values are ephemeral; they are never written back into the
+    measured data.  Returns None when a missing pair cannot be synthesized.
+    """
+    pedm = family.pedm
+    k = len(nodes)
+    D = np.zeros((k, k))
+    missing = []
+    for a in range(k):
+        row = pedm.adj[nodes[a]]
+        for b in range(a + 1, k):
+            v = row.get(nodes[b])
+            if v is None:
+                missing.append((a, b))
+            else:
+                D[a, b] = D[b, a] = v
+    if missing:
+        Ci = family.cliques[cid]
+        if any(nodes[a] not in Ci or nodes[b] not in Ci for a, b in missing):
+            return None
+        comp = family.completion_of(cid, tol)
+        if comp is None:
+            return None
+        inside = np.asarray(sorted(u for u in nodes if u in Ci))
+        pos = dict(zip(inside.tolist(), comp.coords[comp.rows(inside)]))
+        for a, b in missing:
+            diff = pos[nodes[a]] - pos[nodes[b]]
+            D[a, b] = D[b, a] = float(diff @ diff)
+    return D
+
+
+def _temp_face(family: CliqueFamily, i: int, nodes: list, tol: Tolerances):
+    """Squared distances and face of the temporary clique ``nodes``, or None."""
+    D = _mixed_submatrix(family, i, nodes, tol)
+    if D is None:
+        return None
+    try:
+        return D, face_from_gram(np.asarray(nodes), kappa_pinv(D), family.dim, tol)
+    except RankDeficient:
+        return None
+
+
+def rigid_clique_union(family: CliqueFamily, i: int, j: int, tol: Tolerances) -> bool:
+    """Merge cliques i and j when their overlap spans full dimension.
+
+    On success the union keeps id i, j forwards to i, and i's face becomes
+    the intersection of the two faces.  Any failure (degenerate overlap,
+    mismatched subspaces, missing face) leaves the family untouched.
+    """
+    pair = _union_pair(family, i, j)
+    if pair is None or len(pair[2]) < family.dim + 1:
+        return False
+    i, j, common = pair
+    Ci, Cj = family.cliques[i], family.cliques[j]
+    if len(common) == len(Cj):
+        # Cj adds no nodes; keep i's face untouched
+        family._kill_into(j, i)
+        family.step_counts[STEP_RIGID_UNION] += 1
+        return True
+    if len(common) == len(Ci):
+        # i is contained in j: adopt j's node set and face state
+        face_j = family.faces.pop(j, _MISSING)
+        Ci.update(Cj)
+        family._kill_into(j, i)
+        if face_j is _MISSING:
+            family.faces.pop(i, None)
+        else:
+            family.faces[i] = face_j
+        family._comp_cache.pop(i, None)
+        family.step_counts[STEP_RIGID_UNION] += 1
+        return True
+    merged = _rigid_merge(family, i, family.face_of(j, tol), tol)
+    return _commit(family, i, merged, Cj, STEP_RIGID_UNION, dead=j)
+
+
+def rigid_node_absorption(family: CliqueFamily, i: int, j: int, tol: Tolerances) -> bool:
+    """Absorb node j into clique i when j is adjacent to >= r+1 of its nodes.
+
+    The adjacent nodes plus j form a temporary clique (missing distances
+    among them are synthesized from i's point representation); its face is
+    intersected with i's face exactly like a rigid union.
+    """
+    found = _neighbors_in(family, i, j)
+    if found is None or len(found[1]) < family.dim + 1:
+        return False
+    i, beta = found
+    temp = _temp_face(family, i, sorted(beta + [j]), tol)
+    merged = None if temp is None else _rigid_merge(family, i, temp[1], tol)
+    return _commit(family, i, merged, [j], STEP_RIGID_ABSORB)
+
+
+def nonrigid_clique_union(family: CliqueFamily, i: int, j: int, tol: Tolerances) -> bool:
     """Merge cliques sharing exactly r nodes, when the branch is unique.
 
     Builds the widened intersection face, computes the two candidate point
     sets, and commits only if exactly one reproduces all known distances
     among the union.  The committed face is rebuilt from the feasible points.
     """
-    i, j = family.find(i), family.find(j)
-    if i == j or i not in family.active or j not in family.active:
-        return False
+    pair = _union_pair(family, i, j)
     r = family.dim
-    Ci, Cj = family.cliques[i], family.cliques[j]
-    small, big = (Ci, Cj) if len(Ci) <= len(Cj) else (Cj, Ci)
-    beta = sorted(u for u in small if u in big)
-    if len(beta) != r:
+    if pair is None or len(pair[2]) != r:
         return False
-    f1 = family.face_of(i, tol)
-    f2 = family.face_of(j, tol)
-    if f1 is None or f2 is None:
-        return False
-    try:
-        ext = intersect_faces_nonrigid(f1, f2, tol)
-    except (IntersectionRankLoss, RangeMismatch):
-        return False
-    comp_i = family.completion_of(i, tol)
-    comp_j = family.completion_of(j, tol)
-    if comp_i is None or comp_j is None:
-        return False
-    sel1 = _pick_delta(comp_i, beta, r, tol)
-    sel2 = _pick_delta(comp_j, beta, r, tol)
-    if sel1 is None or sel2 is None:
-        return False
-    try:
-        cands = two_completions(
-            ext, pedm, sel1[0], sel2[0], tol, d1=sel1[1], d2=sel2[1]
-        )
-    except (RankDeficient, NoRealBranch, NotAClique):
-        return False
-    feasible = [c for c in cands if _is_feasible(c, pedm, tol)]
-    if len(feasible) != 1:
-        return False
-    try:
-        newface = face_from_points(ext.nodes, feasible[0].coords, tol)
-    except RankDeficient:
-        return False
-    Ci.update(Cj)
-    family.faces[i] = newface
-    family._kill_into(j, i)
-    family.step_counts[STEP_NONRIGID_UNION] += 1
-    return True
+    i, j, common = pair
+    beta = sorted(common)
+    merged = _singular_merge(
+        family, i, family.face_of(j, tol), beta,
+        lambda: _pick_delta(family.completion_of(j, tol), beta, r, tol), tol,
+    )
+    return _commit(family, i, merged, family.cliques[j], STEP_NONRIGID_UNION, dead=j)
 
 
-def nonrigid_node_absorption(
-    family: CliqueFamily, i: int, j: int, pedm, tol: Tolerances
-) -> bool:
+def nonrigid_node_absorption(family: CliqueFamily, i: int, j: int, tol: Tolerances) -> bool:
     """Absorb node j adjacent to exactly r nodes of clique i, if unambiguous.
 
     The r neighbors span only r-1 dimensions, so j has two mirror-image
     placements; j is absorbed when exactly one is consistent with the known
-    distances (and the range bounds, when enabled).
+    distances and the range bounds.
     """
-    i = family.find(i)
-    if i not in family.active:
+    # j's only measured distances into the union go to beta, and both mirror
+    # placements keep them: without the range bounds no data can decide
+    if not tol.use_range_bounds:
         return False
+    found = _neighbors_in(family, i, j)
     r = family.dim
-    Ci = family.cliques[i]
-    if j in Ci:
+    if found is None or len(found[1]) != r:
         return False
-    beta = sorted(u for u in pedm.adj[j] if u in Ci)
-    if len(beta) != r:
-        return False
-    f1 = family.face_of(i, tol)
-    if f1 is None:
-        return False
+    i, beta = found
     temp_nodes = sorted(beta + [j])
-    Dtemp = _mixed_submatrix(family, i, temp_nodes, tol)
-    if Dtemp is None:
+    temp = _temp_face(family, i, temp_nodes, tol)
+    if temp is None:
         return False
+    Dtemp, f2 = temp
     bpos = [temp_nodes.index(u) for u in beta]
     Bbeta = kappa_pinv(Dtemp[np.ix_(bpos, bpos)])
     if significant_rank(eigh_descending(Bbeta).values, tol.rank) != r - 1:
         return False
-    try:
-        f2 = face_from_gram(np.asarray(temp_nodes), kappa_pinv(Dtemp), r, tol)
-        ext = intersect_faces_nonrigid(f1, f2, tol)
-    except (RankDeficient, IntersectionRankLoss, RangeMismatch):
-        return False
-    comp_i = family.completion_of(i, tol)
-    if comp_i is None:
-        return False
-    sel1 = _pick_delta(comp_i, beta, r, tol)
-    if sel1 is None:
-        return False
-    try:
-        cands = two_completions(
-            ext, pedm, sel1[0], temp_nodes, tol, d1=sel1[1], d2=Dtemp
-        )
-    except (RankDeficient, NoRealBranch, NotAClique):
-        return False
-    feasible = [c for c in cands if _is_feasible(c, pedm, tol)]
-    if len(feasible) != 1:
-        return False
-    try:
-        newface = face_from_points(ext.nodes, feasible[0].coords, tol)
-    except RankDeficient:
-        return False
-    Ci.add(j)
-    family.faces[i] = newface
-    family.membership[j].add(i)
-    family.step_counts[STEP_NONRIGID_ABSORB] += 1
-    return True
+    merged = _singular_merge(family, i, f2, beta, lambda: (temp_nodes, Dtemp), tol)
+    return _commit(family, i, merged, [j], STEP_NONRIGID_ABSORB)
 
 
 # -- the reduction loop -----------------------------------------------------
+
+# (name, counter key, absorb, singular) in priority order; row k is enabled
+# from level k+1.  Steps are looked up by name at call time, so that
+# wrappers installed on this module see every call.
+_STEPS = (
+    ("rigid_clique_union", STEP_RIGID_UNION, False, False),
+    ("rigid_node_absorption", STEP_RIGID_ABSORB, True, False),
+    ("nonrigid_clique_union", STEP_NONRIGID_UNION, False, True),
+    ("nonrigid_node_absorption", STEP_NONRIGID_ABSORB, True, True),
+)
 
 
 def _exhaust_grower(family, gid, level, tol, trace) -> bool:
@@ -559,21 +559,12 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
             if c != gid:
                 cnt[c] = cnt.get(c, 0) + 1
     acnt: dict[int, int] | None = None
-    failed_u: dict[int, int] = {}
-    failed_a: dict[int, int] = {}
-    failed_nu: dict[int, tuple[int, int]] = {}
-    failed_na: dict[int, tuple[int, int]] = {}
+    # per row, partner -> key of its last failed attempt; singular keys add the
+    # grower's size, as a larger grower can measure what tells branches apart
+    failed = {(absorb, singular): {} for _, _, absorb, singular in _STEPS}
     changed = False
 
-    def log(step, other):
-        if trace is not None:
-            trace.write(
-                f"step={step} i={gid} j={other} |C|={len(family.active)} "
-                f"positioned={family.positioned_count()}\n"
-            )
-
     def register_nodes(new_nodes):
-        nonlocal acnt
         for u in new_nodes:
             for c in family.node_cliques(u):
                 if c != gid:
@@ -585,99 +576,40 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
                         acnt[w] = acnt.get(w, 0) + 1
 
     while True:
-        # 1: rigid clique union
-        best = None
-        for l, c in cnt.items():
-            if c >= r + 1 and failed_u.get(l) != c:
-                key = (c, -l)
-                if best is None or key > best[0]:
-                    best = (key, l)
-        if best is not None:
-            l = best[1]
-            new_nodes = [u for u in family.cliques[l] if u not in Ci]
-            if rigid_clique_union(family, gid, l, tol):
-                for cache in (failed_u, failed_nu):
-                    cache.pop(l, None)
-                cnt.pop(l, None)
+        for name, step, absorb, singular in _STEPS[:level]:
+            if absorb and acnt is None:
+                acnt = {}
+                for u in Ci:
+                    for w in pedm.adj[u]:
+                        if w not in Ci:
+                            acnt[w] = acnt.get(w, 0) + 1
+            tried = failed[absorb, singular]
+            size = len(Ci)
+            best = None
+            for l, c in (acnt if absorb else cnt).items():
+                if c == r if singular else c > r:
+                    key = (c, size) if singular else c
+                    if tried.get(l) != key and (best is None or (c, -l) > best[0]):
+                        best = ((c, -l), l, key)
+            if best is None:
+                continue
+            _, l, key = best
+            new_nodes = [l] if absorb else [u for u in family.cliques[l] if u not in Ci]
+            if globals()[name](family, gid, l, tol):
+                failed[absorb, False].pop(l, None)
+                failed[absorb, True].pop(l, None)
+                if not absorb:
+                    cnt.pop(l, None)
                 register_nodes(new_nodes)
                 changed = True
-                log(STEP_RIGID_UNION, l)
+                if trace is not None:
+                    trace.write(f"step={step} i={gid} j={l} |C|={len(family.active)} "
+                                f"positioned={family.positioned_count()}\n")
             else:
-                failed_u[l] = cnt[l]
-            continue
-        # 2: rigid node absorption
-        if level >= StepLevel.L2:
-            if acnt is None:
-                acnt = {}
-                for u in Ci:
-                    for w in pedm.adj[u]:
-                        if w not in Ci:
-                            acnt[w] = acnt.get(w, 0) + 1
-            best = None
-            for w, c in acnt.items():
-                if c >= r + 1 and failed_a.get(w) != c:
-                    key = (c, -w)
-                    if best is None or key > best[0]:
-                        best = (key, w)
-            if best is not None:
-                w = best[1]
-                if rigid_node_absorption(family, gid, w, tol):
-                    failed_a.pop(w, None)
-                    failed_na.pop(w, None)
-                    register_nodes([w])
-                    changed = True
-                    log(STEP_RIGID_ABSORB, w)
-                else:
-                    failed_a[w] = acnt[w]
-                continue
-        # 3: singular clique union
-        if level >= StepLevel.L3:
-            best = None
-            size = len(Ci)
-            for l, c in cnt.items():
-                if c == r and failed_nu.get(l) != (c, size):
-                    if best is None or l < best:
-                        best = l
-            if best is not None:
-                l = best
-                new_nodes = [u for u in family.cliques[l] if u not in Ci]
-                if nonrigid_clique_union(family, gid, l, pedm, tol):
-                    for cache in (failed_u, failed_nu):
-                        cache.pop(l, None)
-                    cnt.pop(l, None)
-                    register_nodes(new_nodes)
-                    changed = True
-                    log(STEP_NONRIGID_UNION, l)
-                else:
-                    failed_nu[l] = (cnt[l], size)
-                continue
-        # 4: singular node absorption
-        if level >= StepLevel.L4:
-            if acnt is None:
-                acnt = {}
-                for u in Ci:
-                    for w in pedm.adj[u]:
-                        if w not in Ci:
-                            acnt[w] = acnt.get(w, 0) + 1
-            best = None
-            size = len(Ci)
-            for w, c in acnt.items():
-                if c == r and failed_na.get(w) != (c, size):
-                    if best is None or w < best:
-                        best = w
-            if best is not None:
-                w = best
-                if nonrigid_node_absorption(family, gid, w, pedm, tol):
-                    failed_a.pop(w, None)
-                    failed_na.pop(w, None)
-                    register_nodes([w])
-                    changed = True
-                    log(STEP_NONRIGID_ABSORB, w)
-                else:
-                    failed_na[w] = (acnt[w], size)
-                continue
-        break
-    return changed
+                tried[l] = key
+            break
+        else:
+            return changed
 
 
 def _run_to_fixed_point(family, level, tol, trace) -> None:

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from .errors import DegenerateAnchors, NoRigidSeed, RankDeficient
+from .errors import DegenerateAnchors, InvalidConfig, NoRigidSeed, RankDeficient
 from .faces import Tolerances
 from .instance import PartialEDM, half_range_cliques
 from .recovery import SolveReport, align_to_anchors, metrics, points_from_face
@@ -31,9 +31,15 @@ def localize(
     contains the anchors, and aligns them to the anchor positions.  The
     reported time covers everything from seeding through alignment; instance
     generation and error evaluation are outside it.  A solve is successful
-    when at least one sensor was positioned.
+    when at least one sensor was positioned.  anchors must be an (m, r)
+    array (InvalidConfig otherwise, raised before any work).
     """
     r = pedm.dim
+    anchors = np.asarray(anchors, dtype=float)
+    if anchors.shape != (pedm.m, r):
+        raise InvalidConfig(
+            f"anchor array shape {anchors.shape} does not match m={pedm.m}, r={r}"
+        )
     if tol is None:
         tol = Tolerances.for_noise(pedm.noise_factor)
     t0 = time.perf_counter()

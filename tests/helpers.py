@@ -53,6 +53,16 @@ def face_of_points(nodes, P: np.ndarray, r: int, tol: Tolerances | None = None) 
     return face_from_gram(nodes, B, r, tol)
 
 
+def check_consistency(family) -> None:
+    """Assert that a clique family's membership index inverts its clique map."""
+    inverse = [set() for _ in range(family.pedm.n)]
+    for cid in family.active:
+        for u in family.cliques[cid]:
+            inverse[u].add(cid)
+    for u in range(family.pedm.n):
+        assert family.node_cliques(u) == inverse[u], f"membership broken at {u}"
+
+
 def orth_columns(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis of the column space (SVD, rank by relative cut)."""
     U, s, _ = np.linalg.svd(A, full_matrices=False)

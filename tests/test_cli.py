@@ -7,7 +7,6 @@ from snloc.cli import (
     CSV_FIELDS,
     ExperimentConfig,
     emit_csv,
-    emit_scatter,
     main,
     run_experiment,
 )
@@ -89,18 +88,6 @@ def test_emit_csv_header_only(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1
     assert lines[0].split(",") == CSV_FIELDS
-
-
-def test_emit_scatter(tmp_path):
-    inst = generate_instance(**{k: TINY[k] for k in ("n", "m", "r")}, seed=3,
-                             radio_range=TINY["radio_range"])
-    pedm = build_partial_edm(inst)
-    report = localize(pedm, inst.anchors, level=StepLevel.L2)
-    path = tmp_path / "scatter.txt"
-    emit_scatter(report.positioned, inst.points, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == len(report.positioned)
-    assert all(len(ln.split()) == 4 for ln in lines)
 
 
 def test_main_experiment_with_csv(tmp_path, capsys):

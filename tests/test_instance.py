@@ -10,7 +10,6 @@ from snloc.instance import (
     build_partial_edm,
     generate_instance,
     half_range_cliques,
-    neighbor_set,
     read_problem,
     read_solution,
     write_problem,
@@ -141,22 +140,6 @@ def test_half_range_pairwise_known():
                 assert pedm.is_known(members[a], members[b])
 
 
-def test_neighbor_set():
-    empty = PartialEDM(n=3, m=0, dim=2, radio_range=1.0)
-    assert neighbor_set(empty, 0) == set()
-    k4 = complete_pedm(np.random.default_rng(0).random((4, 2)))
-    assert neighbor_set(k4, 1) == {0, 2, 3}
-    inst = generate_instance(60, 0, 2, seed=8, radio_range=0.3)
-    pedm = build_partial_edm(inst)
-    for j in range(0, 60, 7):
-        brute = {
-            i
-            for i in range(60)
-            if i != j and np.linalg.norm(inst.points[i] - inst.points[j]) < 0.3
-        }
-        assert neighbor_set(pedm, j) == brute
-
-
 def test_average_degree():
     k4 = complete_pedm(np.random.default_rng(0).random((4, 2)))
     assert average_degree(k4) == pytest.approx(3.0)
@@ -164,7 +147,7 @@ def test_average_degree():
     assert average_degree(path3) == pytest.approx(4.0 / 3.0)
     inst = generate_instance(80, 4, 2, seed=4, radio_range=0.3)
     pedm = build_partial_edm(inst)
-    brute = sum(len(neighbor_set(pedm, j)) for j in range(80)) / 80
+    brute = sum(len(pedm.adj[j]) for j in range(80)) / 80
     assert average_degree(pedm) == pytest.approx(brute)
 
 
@@ -206,6 +189,22 @@ def test_problem_file_malformed_line(tmp_path):
     with pytest.raises(ParseError) as err:
         read_problem(path)
     assert err.value.line == 3
+
+
+def test_problem_file_duplicate_pair(tmp_path):
+    path = tmp_path / "dup.snl"
+    path.write_text("snl v1 4 1 2 0.5 0\n1 2 0.25\n2 3 0.1\n1 2 0.3\nanchors\n0.1 0.2\n")
+    with pytest.raises(ParseError) as err:
+        read_problem(path)
+    assert err.value.line == 4
+
+
+def test_add_pair_rejects_non_finite_and_negative():
+    pedm = PartialEDM(n=3, m=0, dim=2, radio_range=1.0)
+    for bad in (float("nan"), float("inf"), -float("inf"), -0.5):
+        with pytest.raises(InvalidConfig):
+            pedm.add_pair(0, 1, bad)
+    assert not pedm.is_known(0, 1)
 
 
 def test_problem_file_bad_header(tmp_path):

@@ -20,8 +20,15 @@ from snloc.reducer import (
     rigid_node_absorption,
     run,
 )
+from snloc.solver import localize
 
-from helpers import complete_pedm, edm_of, pedm_from_pairs, principal_angles
+from helpers import (
+    check_consistency,
+    complete_pedm,
+    edm_of,
+    pedm_from_pairs,
+    principal_angles,
+)
 
 TOL = Tolerances()
 RNG = np.random.default_rng(4242)
@@ -42,7 +49,7 @@ def test_init_family_singletons_no_anchors():
     pedm, fam = family_for_points(P)
     assert len(fam.active) == 3
     assert fam.anchor_clique_id is None
-    fam.check_consistency()
+    check_consistency(fam)
 
 
 def test_init_family_anchor_clique():
@@ -51,7 +58,7 @@ def test_init_family_anchor_clique():
     fam = init_family(pedm, singleton_seeds(6), 3)
     assert fam.anchor_clique_id is not None
     assert fam.cliques[fam.anchor_clique_id] == {3, 4, 5}
-    fam.check_consistency()
+    check_consistency(fam)
 
 
 def test_init_family_covers_uncovered_nodes_and_dedupes():
@@ -75,7 +82,7 @@ def test_grow_cliques_complete_graph():
     pedm, fam = family_for_points(P)
     grow_cliques(fam, pedm, 5)
     assert all(len(fam.cliques[cid]) == 5 for cid in fam.active)
-    fam.check_consistency()
+    check_consistency(fam)
 
 
 def test_grow_cliques_no_edges():
@@ -112,7 +119,7 @@ def test_rigid_union_merges_and_updates_state():
     ids = sorted(fam.active)
     assert rigid_clique_union(fam, ids[0], ids[1], TOL)
     assert len(fam.active) == 1
-    fam.check_consistency()
+    check_consistency(fam)
     survivor = fam.find(ids[1])
     assert fam.cliques[survivor] == {0, 1, 2, 3, 4}
     comp = points_from_face(fam.faces[survivor], pedm, TOL)
@@ -148,7 +155,7 @@ def test_rigid_union_rejects_collinear_overlap():
     before = {cid: set(fam.cliques[cid]) for cid in fam.active}
     assert not rigid_clique_union(fam, ids[0], ids[1], TOL)
     assert {cid: set(fam.cliques[cid]) for cid in fam.active} == before
-    fam.check_consistency()
+    check_consistency(fam)
 
 
 def test_rigid_absorption_positions_node():
@@ -163,7 +170,7 @@ def test_rigid_absorption_positions_node():
     assert 5 in fam.cliques[cid]
     comp = points_from_face(fam.faces[cid], pedm, TOL)
     assert np.max(np.abs(edm_of(comp.coords) - edm_of(P))) <= 1e-9
-    fam.check_consistency()
+    check_consistency(fam)
     # absorbing again is a no-op
     assert not rigid_node_absorption(fam, cid, 5, TOL)
 
@@ -225,18 +232,18 @@ def butterfly_family(rng, cross=False):
 def test_nonrigid_union_resolves_with_cross_distance():
     P, pedm, fam = butterfly_family(RNG, cross=True)
     ids = sorted(fam.active)
-    assert nonrigid_clique_union(fam, ids[0], ids[1], pedm, TOL)
+    assert nonrigid_clique_union(fam, ids[0], ids[1], TOL)
     cid = fam.find(ids[0])
     assert fam.cliques[cid] == set(range(6))
     comp = points_from_face(fam.faces[cid], pedm, TOL)
     assert np.max(np.abs(edm_of(comp.coords) - edm_of(P))) <= 1e-7
-    fam.check_consistency()
+    check_consistency(fam)
 
 
 def test_nonrigid_union_rejects_ambiguous_butterfly():
     P, pedm, fam = butterfly_family(RNG, cross=False)
     ids = sorted(fam.active)
-    assert not nonrigid_clique_union(fam, ids[0], ids[1], pedm, TOL)
+    assert not nonrigid_clique_union(fam, ids[0], ids[1], TOL)
     assert len(fam.active) == 2
 
 
@@ -250,7 +257,7 @@ def test_nonrigid_union_dispatch_requires_overlap_r():
     fam = init_family(pedm, seeds, 0)
     ids = sorted(fam.active)
     # overlap is 3 = r+1: the singular path must decline
-    assert not nonrigid_clique_union(fam, ids[0], ids[1], pedm, TOL)
+    assert not nonrigid_clique_union(fam, ids[0], ids[1], TOL)
 
 
 def test_nonrigid_absorption_with_range_bounds():
@@ -278,7 +285,7 @@ def test_nonrigid_absorption_with_range_bounds():
     tol_bounds = Tolerances(use_range_bounds=True)
     fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3))], 0)
     cid = next(iter(fam.active))
-    assert nonrigid_node_absorption(fam, cid, 4, pedm, tol_bounds)
+    assert nonrigid_node_absorption(fam, cid, 4, tol_bounds)
     assert 4 in fam.cliques[cid]
     comp = points_from_face(fam.faces[cid], pedm, tol_bounds)
     assert np.max(np.abs(edm_of(comp.coords) - edm_of(P))) <= 1e-7
@@ -299,7 +306,7 @@ def test_nonrigid_absorption_ambiguous_without_bounds():
     pedm = pedm_from_pairs(P, pairs, radio_range=0.72)
     fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3))], 0)
     cid = next(iter(fam.active))
-    assert not nonrigid_node_absorption(fam, cid, 4, pedm, TOL)
+    assert not nonrigid_node_absorption(fam, cid, 4, TOL)
 
 
 def test_nonrigid_absorption_dispatch_rank():
@@ -310,7 +317,9 @@ def test_nonrigid_absorption_dispatch_rank():
     pedm = pedm_from_pairs(P, pairs)
     fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3))], 0)
     cid = next(iter(fam.active))
-    assert not nonrigid_node_absorption(fam, cid, 4, pedm, TOL)
+    # with the bounds on, the step gets past its early exit to the
+    # neighbor-count check
+    assert not nonrigid_node_absorption(fam, cid, 4, Tolerances(use_range_bounds=True))
 
 
 def test_run_single_clique_fixed_point():
@@ -346,7 +355,7 @@ def test_run_trilateration_chain():
     assert fam.cliques[cid] == set(range(n))
     comp = points_from_face(fam.faces[cid], pedm, TOL)
     assert np.max(np.abs(edm_of(comp.coords) - edm_of(P))) <= 1e-9
-    fam.check_consistency()
+    check_consistency(fam)
 
 
 def test_run_disconnected_component_stays_apart():
@@ -383,7 +392,7 @@ def test_run_reaches_fixed_point_and_is_deterministic():
     sets1 = sorted(tuple(sorted(fam1.cliques[c])) for c in fam1.active)
     sets2 = sorted(tuple(sorted(fam2.cliques[c])) for c in fam2.active)
     assert sets1 == sets2
-    fam1.check_consistency()
+    check_consistency(fam1)
 
 
 def test_run_soundness_known_distances_reproduced():
@@ -432,3 +441,31 @@ def test_face_range_preserved_by_subset_merge():
     face_before = fam.face_of(big, TOL)
     assert rigid_clique_union(fam, big, small, TOL)
     assert np.max(principal_angles(fam.faces[big].basis, face_before.basis)) <= 1e-12
+
+
+GOLDEN_R = 0.04 * np.sqrt(2004 / 354)  # the Table 3 degree at n=354
+
+
+@pytest.mark.parametrize(
+    "n, m, R, level, tol, counts, positioned",
+    [
+        (354, 8, GOLDEN_R, StepLevel.L4, None,
+         {"nonrigid_union": 3, "rigid_absorb": 74, "rigid_union": 259}, 291),
+        # the only case here that exercises the fourth step end to end
+        (354, 8, GOLDEN_R, StepLevel.L4, Tolerances(use_range_bounds=True),
+         {"nonrigid_absorb": 8, "nonrigid_union": 9, "rigid_absorb": 70,
+          "rigid_union": 262}, 317),
+        (200, 4, 0.16, StepLevel.L1, None, {"rigid_union": 151}, 98),
+        (200, 4, 0.16, StepLevel.L2, None,
+         {"rigid_absorb": 19, "rigid_union": 160}, 196),
+    ],
+    ids=["L4", "L4-range-bounds", "L1", "L2"],
+)
+def test_golden_step_counts(n, m, R, level, tol, counts, positioned):
+    # pins the reduction loop's step decisions: refactoring must move
+    # neither the per-step counts nor the positioned totals
+    inst = generate_instance(n, m, 2, seed=0, radio_range=R)
+    pedm = build_partial_edm(inst)
+    rep = localize(pedm, inst.anchors, level=level, tol=tol, truth=inst.points)
+    assert rep.step_counts == counts
+    assert len(rep.positioned) == positioned

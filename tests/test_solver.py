@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from snloc.errors import InvalidConfig
 from snloc.instance import build_partial_edm, generate_instance
 from snloc.reducer import StepLevel
 from snloc.solver import localize
@@ -74,3 +76,23 @@ def test_localize_trace_lines(tmp_path):
         assert ln.startswith("step=")
         fields = dict(part.split("=", 1) for part in ln.split())
         assert {"step", "i", "j", "|C|", "positioned"} <= set(fields)
+
+
+def test_localize_rejects_wrong_anchor_shape():
+    inst = generate_instance(40, 4, 2, seed=2, radio_range=0.5)
+    pedm = build_partial_edm(inst)
+    for bad in (inst.anchors[:3], inst.anchors.T, inst.anchors.ravel()):
+        with pytest.raises(InvalidConfig):
+            localize(pedm, bad, level=StepLevel.L2)
+
+
+def test_localize_fails_on_collinear_anchors():
+    # three anchors on one line leave the reflection across it undetermined;
+    # some seeds used to come out mirrored (RMSD ~0.6) with success=True
+    for seed in range(6):
+        inst = generate_instance(300, 3, 2, seed=seed, radio_range=0.3)
+        inst.points[-3:] = [[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]]
+        pedm = build_partial_edm(inst)
+        report = localize(pedm, inst.anchors, level=StepLevel.L2, truth=inst.points)
+        assert not report.success
+        assert report.positioned == {}
