@@ -4,9 +4,13 @@ A clique of k nodes with a full set of squared distances pins the centered
 Gram matrix of those nodes down to a known rank-r matrix B, so any global
 Gram matrix consistent with the data lives in the face of the PSD cone whose
 subspace is spanned by the top-r eigenvectors of B together with the all-ones
-direction.  A :class:`FaceRep` stores that k-by-(r+1) subspace basis.  We
-keep it column-orthonormal with the last column equal to e/sqrt(k) at all
-times; every algorithm downstream relies on this normalization.
+direction.  A :class:`FaceRep` holds that (r+1)-dimensional subspace in two
+forms.  The stored form is r coordinate columns V, one row per node, plus an
+implicit all-ones column that is therefore exact, and the Gram matrix of
+[V, e]; rows are only appended, in merge order.  The materialized form,
+built on first use and cached, is a k-by-(r+1) basis over the sorted node
+ids with orthonormal columns, the last equal to e/sqrt(k); recovery and the
+singular intersection read that form and rely on this normalization.
 
 Merging two cliques reduces to intersecting their (padded) subspaces.  When
 the common nodes span r dimensions the intersection again has r+1 columns
@@ -15,7 +19,10 @@ r-1 dimensions the intersection picks up one extra column
 (:func:`intersect_faces_nonrigid`) and the union has exactly two candidate
 realizations, resolved later by a feasibility test.  Both intersections are
 computed from closed forms on the row blocks, not from a generic SVD of the
-padded subspaces; the generic route serves as a test oracle only.
+padded subspaces; the generic route serves as a test oracle only.  The rigid
+one works on the stored form and costs O(partner * r^2) per merge: it keeps
+the grower's rows and appends the partner's new ones, so a chain of merges
+into one growing clique costs time linear in its final size.
 """
 
 from __future__ import annotations
@@ -83,25 +90,182 @@ class Tolerances:
         return cls(**overrides)
 
 
-@dataclass(eq=False)
-class FaceRep:
-    """Subspace basis of the PSD-cone face carried by one clique.
+class _RowStore:
+    """Append-only coordinate rows shared by the faces of one merge chain.
 
-    nodes is the sorted list of node ids; basis is k-by-(r+1) with
-    orthonormal columns, the last of which is alpha * e (alpha = 1/sqrt(k)).
+    Row a holds the r stored coordinates of node ids[a], and index maps a
+    node id to its row.  Rows are written once and never changed, so a face
+    that owns the first ``size`` rows stays valid while a merged face
+    appends behind it.  Capacity doubles as rows arrive.
     """
 
-    nodes: np.ndarray
-    basis: np.ndarray
-    alpha: float
+    __slots__ = ("coords", "ids", "size", "index")
+
+    def __init__(self, coords: np.ndarray, ids: np.ndarray, size: int, index: dict):
+        self.coords, self.ids, self.size, self.index = coords, ids, size, index
+
+    @classmethod
+    def of(cls, coords: np.ndarray, ids: np.ndarray) -> "_RowStore":
+        return cls(coords, ids, ids.size, {u: a for a, u in enumerate(ids.tolist())})
+
+    def _copy(self, k: int, cap: int):
+        coords = np.empty((cap, self.coords.shape[1]))
+        coords[:k] = self.coords[:k]
+        ids = np.empty(cap, dtype=np.int64)
+        ids[:k] = self.ids[:k]
+        return coords, ids
+
+    def prefix(self, k: int, extra: int) -> "_RowStore":
+        """A new store holding a copy of the first k rows, with room for
+        ``extra`` more."""
+        coords, ids = self._copy(k, k + max(extra, k))
+        if k == self.size:
+            index = self.index.copy()
+        else:
+            index = {u: a for a, u in enumerate(ids[:k].tolist())}
+        return _RowStore(coords, ids, k, index)
+
+    def append(self, coords: np.ndarray, ids: list) -> None:
+        k, n = self.size, len(ids)
+        if k + n > self.ids.size:
+            self.coords, self.ids = self._copy(k, max(2 * self.ids.size, k + n))
+        self.coords[k : k + n] = coords
+        self.ids[k : k + n] = ids
+        self.index.update(zip(ids, range(k, k + n)))
+        self.size = k + n
+
+
+def _gram(V: np.ndarray) -> np.ndarray:
+    """Gram matrix of [V, e]."""
+    k, r = V.shape
+    G = np.empty((r + 1, r + 1))
+    G[:r, :r] = V.T @ V
+    G[:r, r] = G[r, :r] = V.sum(axis=0)
+    G[r, r] = k
+    return G
+
+
+# a face whose column-scaled Gram is worse conditioned than this is
+# re-orthonormalized, as is one that has doubled since it last was
+_GRAM_COND_LIMIT = 1e6
+
+
+class FaceRep:
+    """Subspace of the PSD-cone face carried by one clique.
+
+    Stored form: the span of [V, e], where V holds r coordinate columns,
+    one row per node, in an append-only row store shared along a merge
+    chain, and e is the all-ones column, implicit and therefore exact.  The
+    (r+1)-by-(r+1) Gram of [V, e] is kept alongside, so any block of rows
+    can be expressed in an orthonormal basis of the face without touching
+    the others.
+
+    Materialized form, computed on first use and cached: nodes is the
+    sorted array of node ids, and basis is k-by-(r+1) with orthonormal
+    columns, the last of which is alpha * e (alpha = 1/sqrt(k)).  Recovery,
+    the singular kernel and ``rows`` read this form; the rigid kernel reads
+    only the stored one.  The constructor takes the materialized form.
+    """
+
+    # _size rows of _store belong to this face; V was last orthonormalized
+    # at _orth_size rows
+    __slots__ = ("_store", "_size", "_gram", "_orth_size", "_nodes", "_basis")
+
+    def __init__(self, nodes, basis):
+        nodes = np.asarray(nodes, dtype=np.int64)
+        basis = np.asarray(basis, dtype=float)
+        V = np.array(basis[:, :-1])
+        self._store = _RowStore.of(V, nodes.copy())
+        self._size = nodes.size
+        self._gram = _gram(V)
+        self._orth_size = nodes.size
+        self._nodes = nodes
+        self._basis = basis
+
+    @classmethod
+    def _stored(cls, store: _RowStore, size: int, gram: np.ndarray, orth_size: int) -> "FaceRep":
+        face = object.__new__(cls)
+        face._store, face._size, face._gram, face._orth_size = store, size, gram, orth_size
+        face._nodes = face._basis = None
+        return face
 
     @property
     def width(self) -> int:
-        return self.basis.shape[1]
+        return self._store.coords.shape[1] + 1
+
+    @property
+    def alpha(self) -> float:
+        return 1.0 / np.sqrt(self._size)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        if self._nodes is None:
+            self._materialize()
+        return self._nodes
+
+    @property
+    def basis(self) -> np.ndarray:
+        if self._basis is None:
+            self._materialize()
+        return self._basis
 
     def rows(self, nodes) -> np.ndarray:
-        """Row indices of the given (sorted) member nodes."""
+        """Row indices of the given (sorted) member nodes in ``basis``."""
         return np.searchsorted(self.nodes, np.asarray(nodes))
+
+    def _materialize(self) -> None:
+        k = self._size
+        ids = self._store.ids[:k]
+        order = np.argsort(ids)
+        V = self._store.coords[:k][order]
+        Q, _ = np.linalg.qr(V - V.mean(axis=0))
+        self._nodes = ids[order]
+        self._basis = np.column_stack([Q, _ones_normalized(k)])
+
+    def _affine(self, rows) -> np.ndarray:
+        """Stored rows [V, e] of the given row indices."""
+        V = self._store.coords[rows]
+        return np.column_stack([V, np.ones(len(V))])
+
+    def _whitener(self):
+        """(W, L) with G = L L^T and W = L^-T, so [V, e] W is orthonormal."""
+        L = np.linalg.cholesky(self._gram)
+        return np.linalg.inv(L).T, L
+
+    def _extend(self, coords: np.ndarray, ids, overwrite=None) -> "FaceRep":
+        """This face grown by rows ``coords`` for the new node ids, after
+        writing ``overwrite = (rows, coords)`` over existing rows.
+
+        The face at the tip of its store appends in place; any other face,
+        and any overwrite, copies the rows first, so this face is unchanged.
+        """
+        k, n = self._size, len(ids)
+        store = self._store
+        if overwrite is not None or store.size != k:
+            store = store.prefix(k, n)
+        if overwrite is not None:
+            store.coords[overwrite[0]] = overwrite[1]
+        store.append(coords, ids)
+        if overwrite is None:
+            gram = self._gram + _gram(coords)
+        else:
+            gram = _gram(store.coords[: k + n])
+        face = FaceRep._stored(store, k + n, gram, self._orth_size)
+        d = np.sqrt(np.diag(gram))
+        ev = np.linalg.eigvalsh(gram / np.outer(d, d))
+        if k + n >= 2 * self._orth_size or ev[0] * _GRAM_COND_LIMIT < ev[-1]:
+            face._reorthonormalize()
+        return face
+
+    def _reorthonormalize(self) -> None:
+        """Replace V by an orthonormal basis of its centered span, in a new
+        store (earlier faces keep theirs)."""
+        k = self._size
+        store = self._store.prefix(k, 0)
+        V = store.coords[:k]
+        Q, _ = np.linalg.qr(V - V.mean(axis=0))
+        store.coords[:k] = Q
+        self._store, self._gram, self._orth_size = store, _gram(Q), k
 
 
 @dataclass(eq=False)
@@ -132,7 +296,7 @@ def face_from_gram(nodes, B: np.ndarray, r: int, tol: Tolerances) -> FaceRep:
     nodes = np.asarray(nodes, dtype=np.int64)
     k = nodes.size
     if k == 1:
-        return FaceRep(nodes=nodes, basis=np.array([[1.0]]), alpha=1.0)
+        return FaceRep(nodes, np.array([[1.0]]))
     eig = eigh_descending(B)
     if significant_rank(eig.values, tol.rank) < r:
         raise RankDeficient(
@@ -144,14 +308,14 @@ def face_from_gram(nodes, B: np.ndarray, r: int, tol: Tolerances) -> FaceRep:
     U = U - np.outer(np.full(k, 1.0 / k), U.sum(axis=0))
     U, _ = np.linalg.qr(U)
     basis = np.column_stack([U, _ones_normalized(k)])
-    return FaceRep(nodes=nodes, basis=basis, alpha=1.0 / np.sqrt(k))
+    return FaceRep(nodes, basis)
 
 
 def face_from_clique(pedm, clique, r: int, tol: Tolerances) -> FaceRep:
     """Face basis of a measured clique of the partial distance matrix."""
     nodes = np.asarray(sorted(clique), dtype=np.int64)
     if nodes.size == 1:
-        return FaceRep(nodes=nodes, basis=np.array([[1.0]]), alpha=1.0)
+        return FaceRep(nodes, np.array([[1.0]]))
     D = pedm.submatrix(nodes)  # NotAClique when a pair is missing
     return face_from_gram(nodes, kappa_pinv(D), r, tol)
 
@@ -162,13 +326,13 @@ def face_from_points(nodes, P: np.ndarray, tol: Tolerances) -> FaceRep:
     P = np.asarray(P, dtype=float)
     k, r = P.shape
     if k == 1:
-        return FaceRep(nodes=nodes, basis=np.array([[1.0]]), alpha=1.0)
+        return FaceRep(nodes, np.array([[1.0]]))
     X = P - P.mean(axis=0)
     Q, s, _ = np.linalg.svd(X, full_matrices=False)
     if s[r - 1] <= tol.middle_cut * max(s[0], np.finfo(float).eps):
         raise RankDeficient("point configuration does not span full dimension")
     basis = np.column_stack([Q[:, :r], _ones_normalized(k)])
-    return FaceRep(nodes=nodes, basis=basis, alpha=1.0 / np.sqrt(k))
+    return FaceRep(nodes, basis)
 
 
 def largest_principal_angle(A: np.ndarray, B: np.ndarray, rank: int) -> float:
@@ -180,7 +344,7 @@ def largest_principal_angle(A: np.ndarray, B: np.ndarray, rank: int) -> float:
 
 
 def _split_rows(F1: FaceRep, F2: FaceRep):
-    """Node bookkeeping shared by both intersection routines."""
+    """Node bookkeeping and row blocks of the singular intersection."""
     common = np.intersect1d(F1.nodes, F2.nodes)
     only1 = np.setdiff1d(F1.nodes, common)
     only2 = np.setdiff1d(F2.nodes, common)
@@ -219,19 +383,37 @@ def intersect_faces_rigid(F1: FaceRep, F2: FaceRep, tol: Tolerances) -> FaceRep:
     """Face of the union of two cliques whose overlap spans r dimensions.
 
     Requires the two common row blocks to have full column rank r+1 and
-    equal ranges.  The output basis is U1' and U1'' stacked over
-    U2' pinv(U2'') U1'' (or the mirror-image form, whichever inverts the
-    better conditioned block), then renormalized.
+    equal ranges.  The result keeps F1's stored rows and adds F2's new
+    nodes in F1's coordinates, U2' pinv(U2'') U1'', where the common blocks
+    U1'', U2'' are F1's and F2's rows in orthonormal bases of their faces.
+    When U1'' is the better conditioned block, F2's common and new rows are
+    written instead through the inverse of pinv(U1'') U2''.  The cost is
+    O(|F2| r^2) plus, for that second form, a copy of F1's rows; F1 and F2
+    are left unchanged.
     """
     if F1.width != F2.width:
         raise ValueError("faces have different basis widths")
     rp1 = F1.width
     r = rp1 - 1
-    common, only1, only2, U1p, U1pp, U2pp, U2p = _split_rows(F1, F2)
-    if common.size < rp1:
+    index, k1 = F1._store.index, F1._size
+    rows1, common2, new2, new_ids = [], [], [], []
+    for b, u in enumerate(F2._store.ids[: F2._size].tolist()):
+        a = index.get(u, k1)
+        if a < k1:
+            rows1.append(a)
+            common2.append(b)
+        else:
+            new2.append(b)
+            new_ids.append(u)
+    if len(rows1) < rp1:
         raise IntersectionRankLoss(
-            f"common block has {common.size} nodes, need at least {rp1}"
+            f"common block has {len(rows1)} nodes, need at least {rp1}"
         )
+    W1, L1 = F1._whitener()
+    W2, _ = F2._whitener()
+    A2 = F2._affine(common2)
+    U1pp = F1._affine(rows1) @ W1
+    U2pp = A2 @ W2
     s1 = np.linalg.svd(U1pp, compute_uv=False)
     s2 = np.linalg.svd(U2pp, compute_uv=False)
     if s1[rp1 - 1] <= tol.middle_cut * s1[0] or s2[rp1 - 1] <= tol.middle_cut * s2[0]:
@@ -241,16 +423,15 @@ def intersect_faces_rigid(F1: FaceRep, F2: FaceRep, tol: Tolerances) -> FaceRep:
     angle = largest_principal_angle(U1pp, U2pp, rp1)
     if angle > tol.range_tol:
         raise RangeMismatch(f"common blocks differ by {angle:.3e} rad")
+    # M maps F2's stored rows [V2, e] to F1's stored coordinates; its last
+    # column would reproduce e, which F1 keeps exact instead
     if s2[rp1 - 1] >= s1[rp1 - 1]:
-        # express F2's extra rows in F1's coordinates
-        tail = U2p @ (np.linalg.pinv(U2pp) @ U1pp)
-        struct = np.vstack([U1p, U1pp, tail])
+        M = W2 @ (np.linalg.pinv(U2pp) @ U1pp) @ L1.T
+        overwrite = None
     else:
-        head = U1p @ (np.linalg.pinv(U1pp) @ U2pp)
-        struct = np.vstack([head, U2pp, U2p])
-    struct_nodes = np.concatenate([only1, common, only2])
-    nodes, basis = _assemble(struct_nodes, struct, r)
-    return FaceRep(nodes=nodes, basis=basis, alpha=1.0 / np.sqrt(nodes.size))
+        M = W2 @ np.linalg.solve(np.linalg.pinv(U1pp) @ U2pp, L1.T)
+        overwrite = (rows1, A2 @ M[:, :r])
+    return F1._extend(F2._affine(new2) @ M[:, :r], new_ids, overwrite)
 
 
 def intersect_faces_nonrigid(

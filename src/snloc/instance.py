@@ -186,28 +186,37 @@ def build_partial_edm(inst: Instance) -> PartialEDM:
     pedm = PartialEDM(
         n=n, m=m, dim=inst.r, radio_range=R, noise_factor=sigma
     )
-    tree = cKDTree(inst.points)
-    pairs = tree.query_pairs(R, output_type="ndarray")
-    if pairs.size:
-        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    _, noise_rng = _streams(inst.seed)
+    P = inst.points
+    pairs = cKDTree(P).query_pairs(R, output_type="ndarray").reshape(-1, 2)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    noise_rng = _streams(inst.seed)[1]
     first_anchor = n - m
-    for i, j in pairs:
-        i, j = int(i), int(j)
-        d = float(np.linalg.norm(inst.points[i] - inst.points[j]))
-        if d >= R:
-            continue
-        both_anchors = i >= first_anchor and j >= first_anchor
-        if sigma > 0 and not both_anchors:
-            eps = noise_rng.standard_normal()
-            pedm.add_pair(i, j, (d * (1.0 + sigma * eps)) ** 2)
-        else:
-            pedm.add_pair(i, j, d * d)
+    adj = pedm.adj
+    # in chunks, so that the temporaries stay small
+    for s in range(0, len(pairs), 4096):
+        ij = pairs[s : s + 4096]
+        diff = P[ij[:, 0]] - P[ij[:, 1]]
+        # sqrt(vecdot) gives the same bits as a scalar norm() of each difference
+        d = np.sqrt(np.vecdot(diff, diff))
+        keep = d < R
+        ij, d = ij[keep], d[keep]
+        # one draw per noisy pair in lexicographic order: the same stream as
+        # one scalar draw each
+        noisy = (ij[:, 0] < first_anchor) & (sigma > 0)
+        eps = np.zeros(d.size)
+        eps[noisy] = noise_rng.standard_normal(np.count_nonzero(noisy))
+        for (i, j), dt, et, nz in zip(ij.tolist(), d.tolist(), eps.tolist(), noisy.tolist()):
+            # Python's float power: numpy's square rounds differently
+            v = (dt * (1.0 + sigma * et)) ** 2 if nz else dt * dt
+            adj[i][j] = v
+            adj[j][i] = v
     # anchors know each other regardless of range, without noise
     for a in range(first_anchor, n):
-        for b in range(a + 1, n):
-            d = float(np.linalg.norm(inst.points[a] - inst.points[b]))
-            pedm.add_pair(a, b, d * d)
+        diff = P[a + 1 :] - P[a]
+        d = np.sqrt(np.vecdot(diff, diff))
+        for b, v in enumerate((d * d).tolist(), start=a + 1):
+            adj[a][b] = v
+            adj[b][a] = v
     return pedm
 
 

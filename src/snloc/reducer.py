@@ -23,9 +23,13 @@ The loop processes cliques by ascending id.  The clique under consideration
 shared nodes with clique l, acnt[w] the number of grower nodes adjacent to
 the outside node w, both updated as nodes arrive, so candidate search never
 rescans the whole family.  One table gives the steps in priority order;
-each scans cnt (unions) or acnt (absorptions) for an overlap >= r+1
+each picks from cnt (unions) or acnt (absorptions) an overlap >= r+1
 (rigid) or exactly r (singular), by descending overlap, ties by ascending
-id.  Failed attempts are remembered with the counter value they failed at
+id.  The rigid steps pick from a max-heap over (count, -id) with lazy
+deletion: every count above r is pushed as it is reached, and entries that
+are no longer current, or that failed, are dropped when they surface, so a
+pick costs O(log n) instead of a scan of the counters.  The singular steps
+scan.  Failed attempts are remembered with the counter value they failed at
 (singular steps: and the grower's size) and retried only after it changes.
 Merged ids forward to their absorber through an alias table so membership
 sets can be cleaned lazily.
@@ -33,6 +37,7 @@ sets can be cleaned lazily.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from enum import IntEnum
 
@@ -322,15 +327,17 @@ def _is_feasible(comp, pedm, tol: Tolerances) -> bool:
         R2 = pedm.radio_range ** 2
         slack = tol.feas_tol + 6.0 * sigma * R2
         k = nodes.size
-        for a in range(k):
-            u = int(nodes[a])
-            row = pedm.adj[u]
-            for b in range(a + 1, k):
-                v = int(nodes[b])
-                if v not in row:
-                    diff = coords[a] - coords[b]
-                    if float(diff @ diff) < R2 - slack:
-                        return False
+        ids = nodes.tolist()
+        # all pairs, in row blocks of about 2^18 pairs; only the pairs that come
+        # out too close need the adjacency lookup
+        step = max(1, (1 << 18) // max(k, 1))
+        for start in range(0, k, step):
+            diff = coords[start : start + step, None, :] - coords[None, :, :]
+            a_idx, b_idx = np.nonzero(np.vecdot(diff, diff) < R2 - slack)
+            a_idx += start
+            for a, b in zip(a_idx.tolist(), b_idx.tolist()):
+                if b > a and ids[b] not in pedm.adj[ids[a]]:
+                    return False
     return True
 
 
@@ -542,6 +549,20 @@ _STEPS = (
 )
 
 
+def _heap_pick(heap, counts, tried):
+    """Rigid partner with the largest (count, -id) that has not failed at
+    its current count, or None.  heap holds (-count, id) for every count an
+    id has reached above r; counts only grow while an id is a candidate, so
+    an entry that is not its id's current count, or that failed, never
+    becomes valid again and is dropped."""
+    while heap:
+        negc, l = heap[0]
+        if counts.get(l) == -negc and tried.get(l) != -negc:
+            return l, -negc
+        heapq.heappop(heap)
+    return None
+
+
 def _exhaust_grower(family, gid, level, tol, trace) -> bool:
     """Apply every enabled step to clique gid until none applies.
 
@@ -559,21 +580,29 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
             if c != gid:
                 cnt[c] = cnt.get(c, 0) + 1
     acnt: dict[int, int] | None = None
+    # rigid candidates by absorb flag: max-heaps over (count, -id)
+    heaps = {False: [(-c, l) for l, c in cnt.items() if c > r], True: []}
+    heapq.heapify(heaps[False])
     # per row, partner -> key of its last failed attempt; singular keys add the
     # grower's size, as a larger grower can measure what tells branches apart
     failed = {(absorb, singular): {} for _, _, absorb, singular in _STEPS}
     changed = False
 
+    def bump(counts, heap, l):
+        c = counts[l] = counts.get(l, 0) + 1
+        if c > r:
+            heapq.heappush(heap, (-c, l))
+
     def register_nodes(new_nodes):
         for u in new_nodes:
             for c in family.node_cliques(u):
                 if c != gid:
-                    cnt[c] = cnt.get(c, 0) + 1
+                    bump(cnt, heaps[False], c)
             if acnt is not None:
                 acnt.pop(u, None)
                 for w in pedm.adj[u]:
                     if w not in Ci:
-                        acnt[w] = acnt.get(w, 0) + 1
+                        bump(acnt, heaps[True], w)
 
     while True:
         for name, step, absorb, singular in _STEPS[:level]:
@@ -583,17 +612,22 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
                     for w in pedm.adj[u]:
                         if w not in Ci:
                             acnt[w] = acnt.get(w, 0) + 1
+                heaps[True] = [(-c, w) for w, c in acnt.items() if c > r]
+                heapq.heapify(heaps[True])
+            counts = acnt if absorb else cnt
             tried = failed[absorb, singular]
-            size = len(Ci)
-            best = None
-            for l, c in (acnt if absorb else cnt).items():
-                if c == r if singular else c > r:
-                    key = (c, size) if singular else c
-                    if tried.get(l) != key and (best is None or (c, -l) > best[0]):
-                        best = ((c, -l), l, key)
-            if best is None:
+            if singular:
+                size = len(Ci)
+                best = None
+                for l, c in counts.items():
+                    if c == r and tried.get(l) != (c, size) and (best is None or -l > best[0]):
+                        best = (-l, l, (c, size))
+                pick = None if best is None else best[1:]
+            else:
+                pick = _heap_pick(heaps[absorb], counts, tried)
+            if pick is None:
                 continue
-            _, l, key = best
+            l, key = pick
             new_nodes = [l] if absorb else [u for u in family.cliques[l] if u not in Ci]
             if globals()[name](family, gid, l, tol):
                 failed[absorb, False].pop(l, None)

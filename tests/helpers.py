@@ -53,6 +53,36 @@ def face_of_points(nodes, P: np.ndarray, r: int, tol: Tolerances | None = None) 
     return face_from_gram(nodes, B, r, tol)
 
 
+def scalar_partial_edm(inst) -> PartialEDM:
+    """Reference for ``build_partial_edm``: one pair at a time, one noise
+    draw at a time, in lexicographic pair order."""
+    from scipy.spatial import cKDTree
+
+    n, m, R, sigma = inst.n, inst.m, inst.radio_range, inst.noise_factor
+    pedm = PartialEDM(n=n, m=m, dim=inst.r, radio_range=R, noise_factor=sigma)
+    pairs = cKDTree(inst.points).query_pairs(R, output_type="ndarray")
+    if pairs.size:
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    children = np.random.SeedSequence(inst.seed).spawn(2)
+    noise_rng = np.random.Generator(np.random.PCG64(children[1]))
+    first_anchor = n - m
+    for i, j in pairs:
+        i, j = int(i), int(j)
+        d = float(np.linalg.norm(inst.points[i] - inst.points[j]))
+        if d >= R:
+            continue
+        if sigma > 0 and not (i >= first_anchor and j >= first_anchor):
+            eps = noise_rng.standard_normal()
+            pedm.add_pair(i, j, (d * (1.0 + sigma * eps)) ** 2)
+        else:
+            pedm.add_pair(i, j, d * d)
+    for a in range(first_anchor, n):
+        for b in range(a + 1, n):
+            d = float(np.linalg.norm(inst.points[a] - inst.points[b]))
+            pedm.add_pair(a, b, d * d)
+    return pedm
+
+
 def check_consistency(family) -> None:
     """Assert that a clique family's membership index inverts its clique map."""
     inverse = [set() for _ in range(family.pedm.n)]

@@ -9,6 +9,7 @@ from snloc.errors import (
     RankDeficient,
 )
 from snloc.faces import (
+    FaceRep,
     Tolerances,
     face_from_clique,
     face_from_gram,
@@ -22,6 +23,7 @@ from helpers import (
     complete_pedm,
     edm_of,
     face_of_points,
+    orth_columns,
     padded_face_subspace,
     pedm_from_pairs,
     principal_angles,
@@ -112,7 +114,7 @@ def test_rigid_idempotent_union():
         ]
     )
     f2 = face_of_points(range(5), P, 2)
-    f2.basis = f2.basis @ Q
+    f2 = FaceRep(f2.nodes, f2.basis @ Q)
     out = intersect_faces_rigid(f1, f2, TOL)
     assert out.nodes.size == 5
     assert np.max(principal_angles(out.basis, f1.basis)) <= 1e-9
@@ -161,6 +163,81 @@ def test_rigid_union_matches_svd_oracle():
         )
         assert oracle.shape[1] == r + 1
         assert np.max(principal_angles(out.basis, oracle)) <= 1e-8
+
+
+def strip_points(rng, n, r):
+    """n points along a strip, so that consecutive windows overlap well."""
+    return np.column_stack([np.linspace(0.0, 0.02 * n, n), rng.random((n, r - 1)) * 0.8])
+
+
+def merged_face(P, windows, r):
+    """Rigid union of the faces of the given node windows, left to right."""
+    face = face_of_points(windows[0], P[windows[0]], r)
+    for w in windows[1:]:
+        face = intersect_faces_rigid(face, face_of_points(w, P[w], r), NOGATE)
+    return face
+
+
+def sigma_min_on(face, common):
+    return np.linalg.svd(face.basis[face.rows(common)], compute_uv=False)[-1]
+
+
+@pytest.mark.parametrize("big_grower", [True, False], ids=["map-partner", "map-grower"])
+def test_rigid_union_leaves_inputs_unchanged(big_grower):
+    # all inputs are merged faces whose basis is built only on first use;
+    # each is read after the merges and compared with an identical twin that
+    # was never merged.  The grower is merged with two different partners,
+    # so the second merge cannot append behind the first one's rows
+    # sizes are chosen so that both merges of the 45-node face double it
+    # since its last re-orthonormalization (at 23 nodes)
+    P = strip_points(np.random.default_rng(11), 50, 2)
+    big_windows = [np.arange(s, s + 5) for s in range(0, 41, 2)]
+    small_windows = [np.arange(40, 45), np.arange(42, 47)]
+    other_windows = [np.arange(42, 47), np.arange(44, 49)]
+
+    def build():
+        return (merged_face(P, big_windows, 2), merged_face(P, small_windows, 2),
+                merged_face(P, other_windows, 2))
+
+    big, small, other = build()
+    twins = build()
+    grower, partner = (big, small) if big_grower else (small, big)
+    out1 = intersect_faces_rigid(grower, partner, NOGATE)
+    out2 = intersect_faces_rigid(grower, other, NOGATE)
+    # the branch under test: the partner's rows are mapped when its common
+    # block is the better conditioned one
+    common = np.intersect1d(big.nodes, small.nodes)
+    assert common.size == 5
+    assert (sigma_min_on(partner, common) >= sigma_min_on(grower, common)) == big_grower
+    for face, twin in zip((big, small, other), twins):
+        assert np.array_equal(face.nodes, twin.nodes)
+        assert np.array_equal(face.basis, twin.basis)
+    for out, inputs in ((out1, (grower, partner)), (out2, (grower, other))):
+        assert np.array_equal(out.nodes, np.union1d(*(f.nodes for f in inputs)))
+        oracle = orth_columns(np.column_stack([P[out.nodes], np.ones(out.nodes.size)]))
+        assert_face_invariants(out, out.nodes.size, 3)
+        assert np.max(principal_angles(out.basis, oracle)) <= 1e-8
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_rigid_merge_chain_matches_oracle(r):
+    # 300 windows of 5 nodes, consecutive ones sharing 4; every other merge
+    # puts the small window first, so both kernel branches run, and the
+    # union is re-orthonormalized each time it doubles
+    rng = np.random.default_rng(100 + r)
+    n = 304
+    P = strip_points(rng, n, r)
+    face = face_of_points(np.arange(5), P[:5], r)
+    for s in range(1, n - 4):
+        w = np.arange(s, s + 5)
+        part = face_of_points(w, P[w], r)
+        face = intersect_faces_rigid(*((face, part) if s % 2 else (part, face)), NOGATE)
+        if s % 60 == 0 or s == n - 5:
+            k = s + 5
+            assert_face_invariants(face, k, r + 1)
+            assert np.array_equal(face.nodes, np.arange(k))
+            oracle = orth_columns(np.column_stack([P[:k] - P[:k].mean(axis=0), np.ones(k)]))
+            assert np.max(principal_angles(face.basis, oracle)) <= 1e-8
 
 
 def test_rigid_union_rank_loss_on_collinear_overlap():

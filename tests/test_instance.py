@@ -16,7 +16,7 @@ from snloc.instance import (
     write_solution,
 )
 
-from helpers import complete_pedm, pedm_from_pairs
+from helpers import complete_pedm, pedm_from_pairs, scalar_partial_edm
 
 
 def test_generate_deterministic():
@@ -57,6 +57,21 @@ def test_build_exact_when_noiseless():
     for i, j, d2 in pedm.known_pairs():
         true = float(np.sum((inst.points[i] - inst.points[j]) ** 2))
         assert d2 == pytest.approx(true, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, m, r, R, sigma",
+    [(600, 4, 2, 0.1, 0.0), (600, 4, 2, 0.1, 1e-4), (300, 6, 3, 0.3, 0.0),
+     (300, 6, 3, 0.3, 1e-4), (40, 30, 2, 0.2, 1e-2)],
+)
+def test_build_matches_scalar_reference(n, m, r, R, sigma):
+    # same values bit for bit and the same dict insertion order, which the
+    # reduction loop's iteration order depends on
+    for seed in (0, 1):
+        inst = generate_instance(n, m, r, seed=seed, radio_range=R, noise_factor=sigma)
+        got = build_partial_edm(inst)
+        ref = scalar_partial_edm(inst)
+        assert [list(a.items()) for a in got.adj] == [list(a.items()) for a in ref.adj]
 
 
 def test_build_threshold_is_strict():

@@ -1,3 +1,6 @@
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
@@ -444,28 +447,59 @@ def test_face_range_preserved_by_subset_merge():
 
 
 GOLDEN_R = 0.04 * np.sqrt(2004 / 354)  # the Table 3 degree at n=354
+RANGE_BOUNDS = Tolerances(use_range_bounds=True)
 
 
 @pytest.mark.parametrize(
-    "n, m, R, level, tol, counts, positioned",
+    "seed, n, m, R, level, tol, counts, positioned",
     [
-        (354, 8, GOLDEN_R, StepLevel.L4, None,
+        (0, 354, 8, GOLDEN_R, StepLevel.L4, None,
          {"nonrigid_union": 3, "rigid_absorb": 74, "rigid_union": 259}, 291),
-        # the only case here that exercises the fourth step end to end
-        (354, 8, GOLDEN_R, StepLevel.L4, Tolerances(use_range_bounds=True),
+        # the only cases here that exercise the fourth step end to end
+        (0, 354, 8, GOLDEN_R, StepLevel.L4, RANGE_BOUNDS,
          {"nonrigid_absorb": 8, "nonrigid_union": 9, "rigid_absorb": 70,
           "rigid_union": 262}, 317),
-        (200, 4, 0.16, StepLevel.L1, None, {"rigid_union": 151}, 98),
-        (200, 4, 0.16, StepLevel.L2, None,
+        (1, 354, 8, GOLDEN_R, StepLevel.L4, RANGE_BOUNDS,
+         {"nonrigid_absorb": 6, "nonrigid_union": 7, "rigid_absorb": 79,
+          "rigid_union": 277}, 338),
+        (2, 354, 8, GOLDEN_R, StepLevel.L4, RANGE_BOUNDS,
+         {"nonrigid_absorb": 6, "nonrigid_union": 17, "rigid_absorb": 58,
+          "rigid_union": 273}, 341),
+        (3, 354, 8, GOLDEN_R, StepLevel.L4, RANGE_BOUNDS,
+         {"nonrigid_absorb": 4, "nonrigid_union": 12, "rigid_absorb": 74,
+          "rigid_union": 266}, 331),
+        (0, 200, 4, 0.16, StepLevel.L1, None, {"rigid_union": 151}, 98),
+        (0, 200, 4, 0.16, StepLevel.L2, None,
          {"rigid_absorb": 19, "rigid_union": 160}, 196),
     ],
-    ids=["L4", "L4-range-bounds", "L1", "L2"],
+    ids=["L4", "L4-range-bounds", "L4-range-bounds-1", "L4-range-bounds-2",
+         "L4-range-bounds-3", "L1", "L2"],
 )
-def test_golden_step_counts(n, m, R, level, tol, counts, positioned):
+def test_golden_step_counts(seed, n, m, R, level, tol, counts, positioned):
     # pins the reduction loop's step decisions: refactoring must move
     # neither the per-step counts nor the positioned totals
-    inst = generate_instance(n, m, 2, seed=0, radio_range=R)
+    inst = generate_instance(n, m, 2, seed=seed, radio_range=R)
     pedm = build_partial_edm(inst)
     rep = localize(pedm, inst.anchors, level=level, tol=tol, truth=inst.points)
     assert rep.step_counts == counts
     assert len(rep.positioned) == positioned
+
+
+@pytest.mark.parametrize(
+    "n, m, R, level, digest",
+    [
+        (200, 4, 0.16, StepLevel.L2, "4acb16c611fdff5c"),
+        (354, 8, GOLDEN_R, StepLevel.L4, "182be7f6e5219f3c"),
+        (2004, 4, 0.07, StepLevel.L2, "c3545f848c31c6c9"),
+    ],
+    ids=["L2-200", "L4-354", "L2-2004"],
+)
+def test_golden_merge_order(n, m, R, level, digest):
+    # pins the order of accepted steps, partners included, through a digest
+    # of the trace.  The range-bounds cases pin counts only: their order
+    # turns on principal angles near range_tol, so round-off can swap two
+    # absorptions without changing any count
+    inst = generate_instance(n, m, 2, seed=0, radio_range=R)
+    trace = io.StringIO()
+    localize(build_partial_edm(inst), inst.anchors, level=level, trace=trace)
+    assert hashlib.sha256(trace.getvalue().encode()).hexdigest()[:16] == digest
