@@ -617,12 +617,9 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
             counts = acnt if absorb else cnt
             tried = failed[absorb, singular]
             if singular:
-                size = len(Ci)
-                best = None
-                for l, c in counts.items():
-                    if c == r and tried.get(l) != (c, size) and (best is None or -l > best[0]):
-                        best = (-l, l, (c, size))
-                pick = None if best is None else best[1:]
+                key = (r, len(Ci))
+                ids = [l for l, c in counts.items() if c == r and tried.get(l) != key]
+                pick = (min(ids), key) if ids else None
             else:
                 pick = _heap_pick(heaps[absorb], counts, tried)
             if pick is None:
