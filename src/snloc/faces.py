@@ -9,8 +9,8 @@ forms.  The stored form is r coordinate columns V, one row per node, plus an
 implicit all-ones column that is therefore exact, and the Gram matrix of
 [V, e]; rows are only appended, in merge order.  The materialized form,
 built on first use and cached, is a k-by-(r+1) basis over the sorted node
-ids with orthonormal columns, the last equal to e/sqrt(k); recovery and the
-singular intersection read that form and rely on this normalization.
+ids with orthonormal columns, the last equal to e/sqrt(k); recovery reads
+that form and relies on this normalization.
 
 Merging two cliques reduces to intersecting their (padded) subspaces.  When
 the common nodes span r dimensions the intersection again has r+1 columns
@@ -19,10 +19,14 @@ r-1 dimensions the intersection picks up one extra column
 (:func:`intersect_faces_nonrigid`) and the union has exactly two candidate
 realizations, resolved later by a feasibility test.  Both intersections are
 computed from closed forms on the row blocks, not from a generic SVD of the
-padded subspaces; the generic route serves as a test oracle only.  The rigid
-one works on the stored form and costs O(partner * r^2) per merge: it keeps
-the grower's rows and appends the partner's new ones, so a chain of merges
-into one growing clique costs time linear in its final size.
+padded subspaces; the generic route serves as a test oracle only.  Both work
+on the stored form through one front (``_merge``), which splits the rows,
+runs the rank, conditioning and range tests once, and maps the new rows of
+one face into the stored coordinates of the other, the one whose common
+block is better conditioned.  A rigid merge that keeps the grower's rows
+costs O(partner * r^2), so a chain of merges into one growing clique costs
+time linear in its final size; a singular merge adds the extra column and
+materializes its (r+2)-column result once.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .edm_core import RankTolerance, eigh_descending, kappa_pinv, significant_rank
 from .errors import IntersectionRankLoss, RangeMismatch, RankDeficient
@@ -48,17 +51,23 @@ __all__ = [
 ]
 
 
+# singular values of a common block (and of a point configuration) at or
+# below this fraction of the largest count as zero; it routes a merge to the
+# rigid or the singular kernel
+_MIDDLE_CUT = 1e-8
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """All numerical thresholds used while merging cliques.
 
-    rank decides the numerical rank of Gram matrices; middle_cut classifies
-    the rank of the common row blocks of two face bases (relative to their
-    largest singular value) and so routes a merge to the rigid or singular
-    path; range_tol is the largest principal angle, in radians, at which two
-    common blocks still count as spanning the same subspace; feas_tol is the
-    absolute tolerance on squared distances in the two-candidate feasibility
-    test; use_range_bounds additionally rejects candidates that place a
+    rank decides the numerical rank of Gram matrices (the rank of two
+    faces' common row blocks, which routes a merge to the rigid or singular
+    kernel, uses the fixed relative cut ``_MIDDLE_CUT``); range_tol is the
+    largest principal angle, in radians, at which two common blocks still
+    count as spanning the same subspace; feas_tol is the absolute tolerance
+    on squared distances in the two-candidate feasibility test;
+    use_range_bounds additionally rejects candidates that place a
     non-adjacent pair closer than the radio range.
 
     invert_floor guards accuracy rather than rank: a merge pseudo-inverts
@@ -70,7 +79,6 @@ class Tolerances:
     """
 
     rank: RankTolerance = field(default_factory=RankTolerance)
-    middle_cut: float = 1e-8
     range_tol: float = 1e-6
     feas_tol: float = 1e-6
     use_range_bounds: bool = False
@@ -162,9 +170,9 @@ class FaceRep:
 
     Materialized form, computed on first use and cached: nodes is the
     sorted array of node ids, and basis is k-by-(r+1) with orthonormal
-    columns, the last of which is alpha * e (alpha = 1/sqrt(k)).  Recovery,
-    the singular kernel and ``rows`` read this form; the rigid kernel reads
-    only the stored one.  The constructor takes the materialized form.
+    columns, the last of which is alpha * e (alpha = 1/sqrt(k)).  Recovery
+    and ``rows`` read this form; both intersection kernels read only the
+    stored one.  The constructor takes the materialized form.
     """
 
     # _size rows of _store belong to this face; V was last orthonormalized
@@ -215,12 +223,7 @@ class FaceRep:
 
     def _materialize(self) -> None:
         k = self._size
-        ids = self._store.ids[:k]
-        order = np.argsort(ids)
-        V = self._store.coords[:k][order]
-        Q, _ = np.linalg.qr(V - V.mean(axis=0))
-        self._nodes = ids[order]
-        self._basis = np.column_stack([Q, _ones_normalized(k)])
+        self._nodes, self._basis = _orthonormal(self._store.ids[:k], self._store.coords[:k])
 
     def _affine(self, rows) -> np.ndarray:
         """Stored rows [V, e] of the given row indices."""
@@ -232,24 +235,18 @@ class FaceRep:
         L = np.linalg.cholesky(self._gram)
         return np.linalg.inv(L).T, L
 
-    def _extend(self, coords: np.ndarray, ids, overwrite=None) -> "FaceRep":
-        """This face grown by rows ``coords`` for the new node ids, after
-        writing ``overwrite = (rows, coords)`` over existing rows.
+    def _extend(self, coords: np.ndarray, ids) -> "FaceRep":
+        """This face grown by rows ``coords`` for the new node ids.
 
-        The face at the tip of its store appends in place; any other face,
-        and any overwrite, copies the rows first, so this face is unchanged.
+        The face at the tip of its store appends in place; any other face
+        copies the rows first, so this face is unchanged.
         """
         k, n = self._size, len(ids)
         store = self._store
-        if overwrite is not None or store.size != k:
+        if store.size != k:
             store = store.prefix(k, n)
-        if overwrite is not None:
-            store.coords[overwrite[0]] = overwrite[1]
         store.append(coords, ids)
-        if overwrite is None:
-            gram = self._gram + _gram(coords)
-        else:
-            gram = _gram(store.coords[: k + n])
+        gram = self._gram + _gram(coords)
         face = FaceRep._stored(store, k + n, gram, self._orth_size)
         d = np.sqrt(np.diag(gram))
         ev = np.linalg.eigvalsh(gram / np.outer(d, d))
@@ -284,6 +281,15 @@ class ExtendedFaceRep:
 
 def _ones_normalized(k: int) -> np.ndarray:
     return np.full(k, 1.0 / np.sqrt(k))
+
+
+def _orthonormal(ids: np.ndarray, V: np.ndarray):
+    """Sorted ids and the orthonormal basis [Q, e/sqrt(k)] of span [V, e],
+    rows in id order; V must have full column rank modulo e."""
+    order = np.argsort(ids)
+    V = V[order]
+    Q, _ = np.linalg.qr(V - V.mean(axis=0))
+    return ids[order], np.column_stack([Q, _ones_normalized(ids.size)])
 
 
 def face_from_gram(nodes, B: np.ndarray, r: int, tol: Tolerances) -> FaceRep:
@@ -329,7 +335,7 @@ def face_from_points(nodes, P: np.ndarray, tol: Tolerances) -> FaceRep:
         return FaceRep(nodes, np.array([[1.0]]))
     X = P - P.mean(axis=0)
     Q, s, _ = np.linalg.svd(X, full_matrices=False)
-    if s[r - 1] <= tol.middle_cut * max(s[0], np.finfo(float).eps):
+    if s[r - 1] <= _MIDDLE_CUT * max(s[0], np.finfo(float).eps):
         raise RankDeficient("point configuration does not span full dimension")
     basis = np.column_stack([Q[:, :r], _ones_normalized(k)])
     return FaceRep(nodes, basis)
@@ -343,95 +349,77 @@ def largest_principal_angle(A: np.ndarray, B: np.ndarray, rank: int) -> float:
     return float(np.arccos(np.clip(s[-1], -1.0, 1.0)))
 
 
-def _split_rows(F1: FaceRep, F2: FaceRep):
-    """Node bookkeeping and row blocks of the singular intersection."""
-    common = np.intersect1d(F1.nodes, F2.nodes)
-    only1 = np.setdiff1d(F1.nodes, common)
-    only2 = np.setdiff1d(F2.nodes, common)
-    U1p = F1.basis[F1.rows(only1)]
-    U1pp = F1.basis[F1.rows(common)]
-    U2pp = F2.basis[F2.rows(common)]
-    U2p = F2.basis[F2.rows(only2)]
-    return common, only1, only2, U1p, U1pp, U2pp, U2p
+def _merge(F1: FaceRep, F2: FaceRep, tol: Tolerances, rank: int):
+    """Shared front of both intersections: split, test, pick the base.
 
-
-def _assemble(struct_nodes, struct, r: int):
-    """Sort rows by node id, re-orthonormalize, restore the ones column.
-
-    struct carries the raw intersection basis whose column r is a multiple
-    of e.  The ones column is replaced by the exact e/sqrt(k) and the other
-    columns are orthogonalized against it and each other by a pivoted QR, so
-    the output satisfies the normalization invariants exactly while spanning
-    the same subspace.
+    Walks F2's stored rows to find the common nodes, whitens the common rows
+    of each face with its Gram, and requires both common blocks to have rank
+    exactly ``rank`` (r+1 rigid, r singular), the better one to clear the
+    ``invert_floor``, and, when the overlap has more than r nodes, equal
+    ranges.  The face whose common block is better conditioned is the base;
+    the other face's new rows are mapped into the base's stored coordinates
+    by M = W_o pinv(U_o'') U_b'' L_b^T.  Returns (base, mapped rows, their
+    node ids, (A_o', W_o, U_o'')): the other face's new rows [V_o', e], its
+    whitener and its whitened common block.
     """
-    order = np.argsort(struct_nodes)
-    nodes = struct_nodes[order]
-    k = nodes.size
-    cols = struct.shape[1]
-    W = np.delete(struct[order], r, axis=1)  # drop the e-proportional column
-    W = W - W.mean(axis=0)
-    Q, R, _ = scipy.linalg.qr(W, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size and diag[-1] <= 1e-12 * max(diag[0], np.finfo(float).eps):
-        raise IntersectionRankLoss("intersection basis lost column rank")
-    basis = np.column_stack([Q, _ones_normalized(k)])
-    assert basis.shape[1] == cols
-    return nodes, basis
+    if F1.width != F2.width:
+        raise ValueError("faces have different basis widths")
+    r = F1.width - 1
+    index, k1 = F1._store.index, F1._size
+    rows1, rows2 = [], []
+    for b, u in enumerate(F2._store.ids[: F2._size].tolist()):
+        a = index.get(u, k1)
+        if a < k1:
+            rows1.append(a)
+            rows2.append(b)
+    if len(rows1) < rank:
+        raise IntersectionRankLoss(
+            f"common block has {len(rows1)} nodes, need at least {rank}"
+        )
+    W1, L1 = F1._whitener()
+    W2, L2 = F2._whitener()
+    U1pp = F1._affine(rows1) @ W1
+    U2pp = F2._affine(rows2) @ W2
+    s1 = np.linalg.svd(U1pp, compute_uv=False)
+    s2 = np.linalg.svd(U2pp, compute_uv=False)
+    for s in (s1, s2):
+        if s[rank - 1] <= _MIDDLE_CUT * s[0]:
+            raise IntersectionRankLoss(f"common block rank below {rank}")
+        if s.size > rank and s[rank] > _MIDDLE_CUT * s[0]:
+            raise IntersectionRankLoss(f"common block rank above {rank}; merge is rigid")
+    if max(s1[rank - 1], s2[rank - 1]) <= tol.invert_floor * max(s1[0], s2[0]):
+        raise IntersectionRankLoss("common block too ill conditioned to invert")
+    if len(rows1) > r:
+        angle = largest_principal_angle(U1pp, U2pp, rank)
+        if angle > tol.range_tol:
+            raise RangeMismatch(f"common blocks differ by {angle:.3e} rad")
+    if s2[rank - 1] >= s1[rank - 1]:
+        base, Ub, Lb, other, Uo, Wo, common = F1, U1pp, L1, F2, U2pp, W2, rows2
+    else:
+        base, Ub, Lb, other, Uo, Wo, common = F2, U2pp, L2, F1, U1pp, W1, rows1
+    new = np.ones(other._size, dtype=bool)
+    new[common] = False
+    new = np.flatnonzero(new)
+    Ao = other._affine(new)
+    # the last column of M would reproduce e, which the base keeps exact
+    M = Wo @ (np.linalg.pinv(Uo) @ Ub) @ Lb.T
+    return base, Ao @ M[:, :r], other._store.ids[new].tolist(), (Ao, Wo, Uo)
 
 
 def intersect_faces_rigid(F1: FaceRep, F2: FaceRep, tol: Tolerances) -> FaceRep:
     """Face of the union of two cliques whose overlap spans r dimensions.
 
     Requires the two common row blocks to have full column rank r+1 and
-    equal ranges.  The result keeps F1's stored rows and adds F2's new
-    nodes in F1's coordinates, U2' pinv(U2'') U1'', where the common blocks
-    U1'', U2'' are F1's and F2's rows in orthonormal bases of their faces.
-    When U1'' is the better conditioned block, F2's common and new rows are
-    written instead through the inverse of pinv(U1'') U2''.  The cost is
-    O(|F2| r^2) plus, for that second form, a copy of F1's rows; F1 and F2
+    equal ranges.  The result keeps the stored rows of the face whose
+    common block is better conditioned and appends the other face's new
+    nodes in its coordinates, U_o' pinv(U_o'') U_b'', where U'' are the
+    common blocks in orthonormal bases of their faces.  The cost is
+    O(|F2| r^2) when F1 is kept and O(|F1| r^2) otherwise, plus a copy of
+    the kept rows unless that face is the tip of its row store; F1 and F2
     are left unchanged.
     """
-    if F1.width != F2.width:
-        raise ValueError("faces have different basis widths")
-    rp1 = F1.width
-    r = rp1 - 1
-    index, k1 = F1._store.index, F1._size
-    rows1, common2, new2, new_ids = [], [], [], []
-    for b, u in enumerate(F2._store.ids[: F2._size].tolist()):
-        a = index.get(u, k1)
-        if a < k1:
-            rows1.append(a)
-            common2.append(b)
-        else:
-            new2.append(b)
-            new_ids.append(u)
-    if len(rows1) < rp1:
-        raise IntersectionRankLoss(
-            f"common block has {len(rows1)} nodes, need at least {rp1}"
-        )
-    W1, L1 = F1._whitener()
-    W2, _ = F2._whitener()
-    A2 = F2._affine(common2)
-    U1pp = F1._affine(rows1) @ W1
-    U2pp = A2 @ W2
-    s1 = np.linalg.svd(U1pp, compute_uv=False)
-    s2 = np.linalg.svd(U2pp, compute_uv=False)
-    if s1[rp1 - 1] <= tol.middle_cut * s1[0] or s2[rp1 - 1] <= tol.middle_cut * s2[0]:
-        raise IntersectionRankLoss("common block is rank deficient")
-    if max(s1[rp1 - 1], s2[rp1 - 1]) <= tol.invert_floor * max(s1[0], s2[0]):
-        raise IntersectionRankLoss("common block too ill conditioned to invert")
-    angle = largest_principal_angle(U1pp, U2pp, rp1)
-    if angle > tol.range_tol:
-        raise RangeMismatch(f"common blocks differ by {angle:.3e} rad")
-    # M maps F2's stored rows [V2, e] to F1's stored coordinates; its last
-    # column would reproduce e, which F1 keeps exact instead
-    if s2[rp1 - 1] >= s1[rp1 - 1]:
-        M = W2 @ (np.linalg.pinv(U2pp) @ U1pp) @ L1.T
-        overwrite = None
-    else:
-        M = W2 @ np.linalg.solve(np.linalg.pinv(U1pp) @ U2pp, L1.T)
-        overwrite = (rows1, A2 @ M[:, :r])
-    return F1._extend(F2._affine(new2) @ M[:, :r], new_ids, overwrite)
+    base, rows, ids, _ = _merge(F1, F2, tol, F1.width)
+    return base._extend(rows, ids)
 
 
 def intersect_faces_nonrigid(
@@ -440,51 +428,21 @@ def intersect_faces_nonrigid(
     """Intersection of two faces whose overlap spans only r-1 dimensions.
 
     The common row blocks must have rank exactly r.  The intersection of the
-    padded subspaces then has r+2 dimensions: the rigid-form columns plus one
-    extra column supported on one side only, built from a null vector of the
-    opposite common block.
+    padded subspaces then has r+2 dimensions: the rigid-form columns, built
+    on the better conditioned face's stored rows as in
+    :func:`intersect_faces_rigid`, plus one extra column that is zero on
+    that face's rows and equals [V_o', e] W_o u on the other face's new
+    rows, u a null vector of the other face's whitened common block.
     """
-    if F1.width != F2.width:
-        raise ValueError("faces have different basis widths")
-    rp1 = F1.width
-    r = rp1 - 1
-    common, only1, only2, U1p, U1pp, U2pp, U2p = _split_rows(F1, F2)
-    if common.size < r:
-        raise IntersectionRankLoss(
-            f"common block has {common.size} nodes, need at least {r}"
-        )
-    # full SVDs: the right-singular vectors beyond the rank give null vectors
-    _, s1, Vt1 = np.linalg.svd(U1pp)
-    _, s2, Vt2 = np.linalg.svd(U2pp)
-    if s1[r - 1] <= tol.middle_cut * s1[0] or s2[r - 1] <= tol.middle_cut * s2[0]:
-        raise IntersectionRankLoss("common block rank below r")
-    if s1.size > r and s1[r] > tol.middle_cut * s1[0]:
-        raise IntersectionRankLoss("common block has full rank; merge is rigid")
-    if s2.size > r and s2[r] > tol.middle_cut * s2[0]:
-        raise IntersectionRankLoss("common block has full rank; merge is rigid")
-    if max(s1[r - 1], s2[r - 1]) <= tol.invert_floor * max(s1[0], s2[0]):
-        raise IntersectionRankLoss("common block too ill conditioned to invert")
-    u1 = Vt1[rp1 - 1]
-    u2 = Vt2[rp1 - 1]
-    if common.size > r:
-        angle = largest_principal_angle(U1pp, U2pp, r)
-        if angle > tol.range_tol:
-            raise RangeMismatch(f"common blocks differ by {angle:.3e} rad")
-    if s2[r - 1] >= s1[r - 1]:
-        tail = U2p @ (np.linalg.pinv(U2pp) @ U1pp)
-        struct = np.vstack([U1p, U1pp, tail])
-        extra = np.concatenate(
-            [np.zeros(only1.size + common.size), U2p @ u2]
-        )
-    else:
-        head = U1p @ (np.linalg.pinv(U1pp) @ U2pp)
-        struct = np.vstack([head, U2pp, U2p])
-        extra = np.concatenate(
-            [U1p @ u1, np.zeros(common.size + only2.size)]
-        )
+    base, rows, ids, (Ao, Wo, Uo) = _merge(F1, F2, tol, F1.width - 1)
+    # full SVD: the right-singular vector beyond the rank is a null vector
+    extra = Ao @ (Wo @ np.linalg.svd(Uo)[2][-1])
     if np.linalg.norm(extra) <= 1e-12:
         raise IntersectionRankLoss("no extra direction; one clique adds no nodes")
-    struct = np.column_stack([struct, extra])
-    struct_nodes = np.concatenate([only1, common, only2])
-    nodes, basis = _assemble(struct_nodes, struct, r)
+    k, r = base._size, base.width - 1
+    V = np.zeros((k + len(ids), r + 1))
+    V[:k, :r] = base._store.coords[:k]
+    V[k:, :r] = rows
+    V[k:, r] = extra
+    nodes, basis = _orthonormal(np.concatenate([base._store.ids[:k], ids]), V)
     return ExtendedFaceRep(nodes=nodes, basis=basis)

@@ -220,7 +220,7 @@ def build_partial_edm(inst: Instance) -> PartialEDM:
     return pedm
 
 
-def half_range_cliques(pedm: PartialEDM, radio_range: float | None = None) -> list[CliqueSeed]:
+def half_range_cliques(pedm: PartialEDM) -> list[CliqueSeed]:
     """One clique per node: all neighbors within half the radio range.
 
     Any two nodes within R/2 of a common center are within R of each other,
@@ -228,8 +228,7 @@ def half_range_cliques(pedm: PartialEDM, radio_range: float | None = None) -> li
     can be perturbed, membership is verified pairwise and offending nodes are
     dropped (nearest kept first); the returned sets are always cliques.
     """
-    R = pedm.radio_range if radio_range is None else radio_range
-    half_sq = (R / 2.0) ** 2
+    half_sq = (pedm.radio_range / 2.0) ** 2
     seeds = []
     for i in range(pedm.n):
         near = sorted(
@@ -296,6 +295,10 @@ def read_problem(path) -> tuple[PartialEDM, np.ndarray]:
         R, sigma = float(head[5]), float(head[6])
     except ValueError:
         raise ParseError("malformed header fields", 1) from None
+    if not (n > m >= 0 and r >= 1):
+        raise ParseError(f"header needs n > m >= 0 and r >= 1, got n={n} m={m} r={r}", 1)
+    if not (0.0 < R < math.inf and 0.0 <= sigma < math.inf):
+        raise ParseError(f"header needs finite R > 0 and sigma >= 0, got R={R} sigma={sigma}", 1)
     pedm = PartialEDM(n=n, m=m, dim=r, radio_range=R, noise_factor=sigma)
     anchors = np.zeros((m, r))
     mode = "pairs"

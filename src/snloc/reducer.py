@@ -316,13 +316,17 @@ def _is_feasible(comp, pedm, tol: Tolerances) -> bool:
     coords = comp.coords
     idx = {int(u): a for a, u in enumerate(nodes)}
     sigma = pedm.noise_factor
+    rows_a, rows_b, known = [], [], []
     for u, a in idx.items():
-        pu = coords[a]
         for v, d2 in pedm.adj[u].items():
             if v > u and v in idx:
-                diff = pu - coords[idx[v]]
-                if abs(float(diff @ diff) - d2) > tol.feas_tol + 6.0 * sigma * d2:
-                    return False
+                rows_a.append(a)
+                rows_b.append(idx[v])
+                known.append(d2)
+    diff = coords[rows_a] - coords[rows_b]
+    known = np.array(known)
+    if np.any(np.abs(np.vecdot(diff, diff) - known) > tol.feas_tol + 6.0 * sigma * known):
+        return False
     if tol.use_range_bounds:
         R2 = pedm.radio_range ** 2
         slack = tol.feas_tol + 6.0 * sigma * R2

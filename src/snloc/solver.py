@@ -32,9 +32,14 @@ def localize(
     reported time covers everything from seeding through alignment; instance
     generation and error evaluation are outside it.  A solve is successful
     when at least one sensor was positioned.  anchors must be an (m, r)
-    array (InvalidConfig otherwise, raised before any work).
+    array and level one of the StepLevel values (InvalidConfig otherwise,
+    raised before any work).
     """
     r = pedm.dim
+    try:
+        level = StepLevel(level)
+    except ValueError:
+        raise InvalidConfig(f"level must be one of 1-4, got {level!r}") from None
     anchors = np.asarray(anchors, dtype=float)
     if anchors.shape != (pedm.m, r):
         raise InvalidConfig(

@@ -83,6 +83,20 @@ def scalar_partial_edm(inst) -> PartialEDM:
     return pedm
 
 
+def scalar_known_distances_ok(comp, pedm, tol: Tolerances) -> bool:
+    """Reference for ``_is_feasible`` without range bounds: one measured
+    edge at a time, as the reducer checked them before vectorizing."""
+    idx = {int(u): a for a, u in enumerate(comp.nodes)}
+    sigma = pedm.noise_factor
+    for u, a in idx.items():
+        for v, d2 in pedm.adj[u].items():
+            if v > u and v in idx:
+                diff = comp.coords[a] - comp.coords[idx[v]]
+                if abs(float(diff @ diff) - d2) > tol.feas_tol + 6.0 * sigma * d2:
+                    return False
+    return True
+
+
 def check_consistency(family) -> None:
     """Assert that a clique family's membership index inverts its clique map."""
     inverse = [set() for _ in range(family.pedm.n)]

@@ -295,6 +295,45 @@ def test_nonrigid_matches_svd_oracle():
         assert np.max(principal_angles(ext.basis, oracle)) <= 1e-8
 
 
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("big_grower", [True, False], ids=["map-partner", "map-grower"])
+def test_nonrigid_union_of_merged_faces(r, big_grower):
+    # both inputs are rigid merge chains whose basis is built only on first
+    # use; they share exactly r nodes.  The singular kernel reads their
+    # stored rows, keeps the better conditioned face's rows and maps the
+    # other's, and must leave both unchanged
+    w = r + 3  # window size; consecutive windows share r+1 nodes
+    last = 8 + w - 1
+    P = strip_points(np.random.default_rng(20 + r), last + w + 4, r)
+    big_windows = [np.arange(s, s + w) for s in range(0, 9, 2)]
+    small_windows = [np.arange(s, s + w) for s in (last - r + 1, last - r + 3)]
+
+    def build():
+        return merged_face(P, big_windows, r), merged_face(P, small_windows, r)
+
+    big, small = build()
+    twins = build()
+    grower, partner = (big, small) if big_grower else (small, big)
+    ext = intersect_faces_nonrigid(grower, partner, NOGATE)
+    common = np.intersect1d(big.nodes, small.nodes)
+    assert common.size == r
+    assert (sigma_min_on(partner, common) >= sigma_min_on(grower, common)) == big_grower
+    for face, twin in zip((big, small), twins):
+        assert np.array_equal(face.nodes, twin.nodes)
+        assert np.array_equal(face.basis, twin.basis)
+    union = np.union1d(big.nodes, small.nodes)
+    k = union.size
+    assert np.array_equal(ext.nodes, union)
+    assert ext.basis.shape == (k, r + 2)
+    assert np.allclose(ext.basis.T @ ext.basis, np.eye(r + 2), atol=1e-9)
+    assert np.allclose(ext.basis[:, -1], 1.0 / np.sqrt(k), rtol=0.0, atol=1e-12)
+    oracle = svd_subspace_intersection(
+        padded_face_subspace(grower, union), padded_face_subspace(partner, union)
+    )
+    assert oracle.shape[1] == r + 2
+    assert np.max(principal_angles(ext.basis, oracle)) <= 1e-8
+
+
 def test_nonrigid_rank_loss_when_overlap_too_small():
     P, n1, n2 = two_random_cliques(RNG, r=2, shared=1, k1=4, k2=4)
     f1 = face_of_points(n1, P[n1], 2)

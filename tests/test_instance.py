@@ -230,6 +230,22 @@ def test_problem_file_bad_header(tmp_path):
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize(
+    "header",
+    ["snl v1 10 -1 2 0.3 0", "snl v1 -10 2 2 0.3 0", "snl v1 10 2 2 nan 0",
+     "snl v1 10 2 2 -0.3 0", "snl v1 10 2 2 0.3 -1", "snl v1 10 2 0 0.3 0",
+     "snl v1 2 2 2 0.3 0", "snl v1 10 2 2 inf 0", "snl v1 10 2 2 0.3 nan"],
+)
+def test_problem_file_rejects_bad_header_values(tmp_path, header):
+    # the first used to raise numpy's "negative dimensions" ValueError, the
+    # next four were accepted silently
+    path = tmp_path / "bad.snl"
+    path.write_text(header + "\nanchors\n")
+    with pytest.raises(ParseError) as err:
+        read_problem(path)
+    assert err.value.line == 1
+
+
 def test_solution_file_round_trip(tmp_path):
     positioned = {3: np.array([0.25, 0.5]), 1: np.array([0.1, 0.9])}
     path = tmp_path / "out.sol"

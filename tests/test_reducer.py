@@ -12,9 +12,10 @@ from snloc.instance import (
     generate_instance,
     half_range_cliques,
 )
-from snloc.recovery import points_from_face
+from snloc.recovery import Completion, points_from_face
 from snloc.reducer import (
     StepLevel,
+    _is_feasible,
     grow_cliques,
     init_family,
     nonrigid_clique_union,
@@ -31,6 +32,7 @@ from helpers import (
     edm_of,
     pedm_from_pairs,
     principal_angles,
+    scalar_known_distances_ok,
 )
 
 TOL = Tolerances()
@@ -444,6 +446,27 @@ def test_face_range_preserved_by_subset_merge():
     face_before = fam.face_of(big, TOL)
     assert rigid_clique_union(fam, big, small, TOL)
     assert np.max(principal_angles(fam.faces[big].basis, face_before.basis)) <= 1e-12
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+def test_is_feasible_matches_scalar_reference(sigma):
+    # candidates near the tolerance: the true points of a node subset with
+    # one node moved by a random step of 1e-6 to 1, so that some pass
+    # and some fail; the subsets include ones without any measured pair
+    inst = generate_instance(80, 0, 2, seed=17, radio_range=0.3, noise_factor=sigma)
+    pedm = build_partial_edm(inst)
+    tol = Tolerances.for_noise(sigma)
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for trial in range(200):
+        nodes = np.sort(rng.choice(80, size=int(rng.integers(1, 30)), replace=False))
+        coords = inst.points[nodes].copy()
+        coords[rng.integers(nodes.size)] += rng.standard_normal(2) * 10.0 ** rng.uniform(-6, 0)
+        comp = Completion(nodes=nodes, coords=coords)
+        got = _is_feasible(comp, pedm, tol)
+        assert got == scalar_known_distances_ok(comp, pedm, tol)
+        outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 GOLDEN_R = 0.04 * np.sqrt(2004 / 354)  # the Table 3 degree at n=354

@@ -96,3 +96,16 @@ def test_localize_fails_on_collinear_anchors():
         report = localize(pedm, inst.anchors, level=StepLevel.L2, truth=inst.points)
         assert not report.success
         assert report.positioned == {}
+
+
+@pytest.mark.parametrize("level", [0, 5, "L2"])
+def test_localize_rejects_invalid_level(level, monkeypatch):
+    # used to surface as numpy's "not a valid StepLevel" ValueError from
+    # inside the reduction loop, after seeding and growing
+    import snloc.solver
+
+    inst = generate_instance(40, 4, 2, seed=2, radio_range=0.5)
+    pedm = build_partial_edm(inst)
+    monkeypatch.setattr(snloc.solver, "half_range_cliques", None)
+    with pytest.raises(InvalidConfig):
+        localize(pedm, inst.anchors, level=level)
