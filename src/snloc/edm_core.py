@@ -11,6 +11,8 @@ squared-distance matrices.  ``kappa_pinv`` is its generalized inverse,
 ``kappa_adjoint`` its adjoint.  Eigenvalue-based helpers for rank decisions
 and low-rank PSD projection live here as well; everything operates on small
 dense symmetric matrices (clique-sized, at most a few hundred rows).
+``kappa_pinv``, ``eigh_descending`` and ``significant_rank`` also take
+stacks of them (leading axes), treating each matrix as they would alone.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ class EigenPair:
     vectors: np.ndarray
 
 
-def _check_symmetric(A: np.ndarray) -> None:
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+def _check_symmetric(A: np.ndarray, stacked: bool = False) -> None:
+    if not (A.ndim == 2 or stacked and A.ndim > 2) or A.shape[-2] != A.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
 
 
@@ -88,36 +90,39 @@ def kappa_pinv(D: np.ndarray) -> np.ndarray:
     """Generalized inverse of ``kappa``: recover a centered Gram matrix.
 
     Computes B = -1/2 * J offDiag(D) J with J = I - ee^T/n, so B e = 0 and
-    kappa(B) = D for every hollow symmetric D.
+    kappa(B) = D for every hollow symmetric D.  D may be a stack of matrices.
     """
     D = np.asarray(D, dtype=float)
-    _check_symmetric(D)
-    H = D - np.diag(np.diag(D))
+    _check_symmetric(D, stacked=True)
+    H = D.copy()
+    diag = np.arange(D.shape[-1])
+    H[..., diag, diag] = 0.0
     # J H J expanded: subtract row means, column means, add back grand mean
-    row = H.mean(axis=1, keepdims=True)
-    col = H.mean(axis=0, keepdims=True)
-    B = -0.5 * (H - row - col + H.mean())
-    return 0.5 * (B + B.T)
+    row = H.mean(axis=-1, keepdims=True)
+    col = H.mean(axis=-2, keepdims=True)
+    B = -0.5 * (H - row - col + H.mean(axis=(-2, -1), keepdims=True))
+    return 0.5 * (B + np.swapaxes(B, -1, -2))
 
 
 def eigh_descending(B: np.ndarray) -> EigenPair:
     """Full symmetric eigendecomposition with eigenvalues sorted descending.
 
-    The input is symmetrized first to absorb round-off.
+    The input, a matrix or a stack of them, is symmetrized first to absorb
+    round-off.
     """
     B = np.asarray(B, dtype=float)
-    _check_symmetric(B)
-    w, V = np.linalg.eigh(0.5 * (B + B.T))
-    return EigenPair(values=w[::-1].copy(), vectors=V[:, ::-1].copy())
+    _check_symmetric(B, stacked=True)
+    w, V = np.linalg.eigh(0.5 * (B + np.swapaxes(B, -1, -2)))
+    return EigenPair(values=w[..., ::-1].copy(), vectors=V[..., ::-1].copy())
 
 
-def significant_rank(values: np.ndarray, tol: RankTolerance = DEFAULT_TOL) -> int:
-    """Number of eigenvalues above the relative cutoff (descending input)."""
+def significant_rank(values: np.ndarray, tol: RankTolerance = DEFAULT_TOL):
+    """Number of eigenvalues above the relative cutoff (descending input);
+    an int for one spectrum, an array of them for a stack."""
     values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return 0
-    cut = tol.relative_cut * max(values[0], np.finfo(float).eps)
-    return int(np.count_nonzero(values > cut))
+    cut = tol.relative_cut * np.maximum(values[..., :1], np.finfo(float).eps)
+    ranks = np.count_nonzero(values > cut, axis=-1)
+    return int(ranks) if values.ndim == 1 else ranks
 
 
 def full_rank_factor(

@@ -12,6 +12,13 @@ built on first use and cached, is a k-by-(r+1) basis over the sorted node
 ids with orthonormal columns, the last equal to e/sqrt(k); recovery reads
 that form and relies on this normalization.
 
+All faces built from a clique's Gram matrix go through one stacked
+computation (``_face_coords``): one eigendecomposition, rank cut and QR for
+a whole stack of equal-size cliques.  :func:`clique_faces` uses it to build
+the seed cliques' faces in chunks before reduction starts;
+:func:`face_from_clique` and :func:`face_from_gram` are its one-clique case,
+bitwise equal to it.
+
 Merging two cliques reduces to intersecting their (padded) subspaces.  When
 the common nodes span r dimensions the intersection again has r+1 columns
 and the union is rigid (:func:`intersect_faces_rigid`).  When they span only
@@ -21,16 +28,19 @@ realizations, resolved later by a feasibility test.  Both intersections are
 computed from closed forms on the row blocks, not from a generic SVD of the
 padded subspaces; the generic route serves as a test oracle only.  Both work
 on the stored form through one front (``_merge``), which splits the rows,
-runs the rank, conditioning and range tests once, and maps the new rows of
-one face into the stored coordinates of the other, the one whose common
-block is better conditioned.  A rigid merge that keeps the grower's rows
-costs O(partner * r^2), so a chain of merges into one growing clique costs
-time linear in its final size; a singular merge adds the extra column and
-materializes its (r+2)-column result once.
+runs the rank, conditioning and range tests once on one thin SVD per
+common block, and maps the new rows of one face into the stored
+coordinates of the other, the one whose common block is better
+conditioned, through a pseudo-inverse taken from that same SVD.  A rigid
+merge that keeps the grower's rows costs O(partner * r^2), so a chain of
+merges into one growing clique costs time linear in its final size; a
+singular merge adds the extra column and materializes its (r+2)-column
+result once.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,12 +52,13 @@ __all__ = [
     "Tolerances",
     "FaceRep",
     "ExtendedFaceRep",
+    "FaceStack",
+    "clique_faces",
     "face_from_clique",
     "face_from_gram",
     "face_from_points",
     "intersect_faces_rigid",
     "intersect_faces_nonrigid",
-    "largest_principal_angle",
 ]
 
 
@@ -292,38 +303,115 @@ def _orthonormal(ids: np.ndarray, V: np.ndarray):
     return ids[order], np.column_stack([Q, _ones_normalized(ids.size)])
 
 
+def _face_coords(B: np.ndarray, r: int, tol: Tolerances):
+    """The one Gram-to-face computation, for a stack of centered Grams.
+
+    B has shape (c, k, k).  Returns (Q, ok): Q (c, k, r) holds orthonormal
+    columns spanning each B's top-r eigenvectors, made orthogonal to e, and
+    ok marks the B of numerical rank at least r (Q means nothing elsewhere).
+    A singleton has no coordinates and is always ok.  numpy runs the same
+    LAPACK call on each matrix of a stack as on that matrix alone, so a
+    face is bitwise the same whichever stack it was built in.
+    """
+    c, k = B.shape[:2]
+    if k == 1:
+        return np.empty((c, 1, 0)), np.ones(c, dtype=bool)
+    # the top-r eigenvectors are also the closest rank-r PSD projection,
+    # which is how noisy data is handled
+    eig = eigh_descending(B)
+    U = eig.vectors[..., :r]
+    # B is centered so U is orthogonal to e up to round-off; clean it up to
+    # keep the normalization exact
+    U = U - (1.0 / k) * U.sum(axis=-2, keepdims=True)
+    Q, _ = np.linalg.qr(U)
+    return Q, significant_rank(eig.values, tol.rank) >= r
+
+
+def _face(nodes: np.ndarray, Q: np.ndarray) -> FaceRep:
+    return FaceRep(nodes, np.column_stack([Q, _ones_normalized(nodes.size)]))
+
+
 def face_from_gram(nodes, B: np.ndarray, r: int, tol: Tolerances) -> FaceRep:
     """Face basis from a centered Gram matrix of the clique's nodes.
 
     B must have numerical rank at least r; its top-r eigenvectors are kept
-    (this is also the closest rank-r PSD projection, which is how noisy data
-    is handled), and the ones direction is appended.
+    and the ones direction is appended.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    k = nodes.size
-    if k == 1:
-        return FaceRep(nodes, np.array([[1.0]]))
-    eig = eigh_descending(B)
-    if significant_rank(eig.values, tol.rank) < r:
-        raise RankDeficient(
-            f"clique Gram has rank {significant_rank(eig.values, tol.rank)} < {r}"
-        )
-    U = eig.vectors[:, :r]
-    # B is centered so U is orthogonal to e up to round-off; clean it up to
-    # keep the normalization exact
-    U = U - np.outer(np.full(k, 1.0 / k), U.sum(axis=0))
-    U, _ = np.linalg.qr(U)
-    basis = np.column_stack([U, _ones_normalized(k)])
-    return FaceRep(nodes, basis)
+    Q, ok = _face_coords(np.asarray(B, dtype=float)[None], r, tol)
+    if not ok[0]:
+        raise RankDeficient(f"clique Gram has rank below {r}")
+    return _face(nodes, Q[0])
 
 
 def face_from_clique(pedm, clique, r: int, tol: Tolerances) -> FaceRep:
     """Face basis of a measured clique of the partial distance matrix."""
     nodes = np.asarray(sorted(clique), dtype=np.int64)
-    if nodes.size == 1:
-        return FaceRep(nodes, np.array([[1.0]]))
     D = pedm.submatrix(nodes)  # NotAClique when a pair is missing
     return face_from_gram(nodes, kappa_pinv(D), r, tol)
+
+
+# a stack of clique faces built together holds at most this many entries of
+# the cliques' squared-distance matrices, which bounds each of its
+# temporaries (distances, Grams, eigenvectors) at 128 KiB; stacks that
+# size already spread numpy's per-call cost thin
+_STACK_ENTRIES = 1 << 14
+
+
+class FaceStack:
+    """Faces of equal-size cliques, built together by :func:`clique_faces`.
+
+    nodes (c, k) holds each clique's sorted node ids and coords (c, k, r)
+    its face coordinates; ``face(a)`` builds clique a's :class:`FaceRep`,
+    bitwise equal to :func:`face_from_clique`'s.
+    """
+
+    __slots__ = ("nodes", "coords")
+
+    def __init__(self, nodes: np.ndarray, coords: np.ndarray):
+        self.nodes, self.coords = nodes, coords
+
+    def face(self, a: int) -> FaceRep:
+        return _face(self.nodes[a], self.coords[a])
+
+
+def clique_faces(pedm, cliques, r: int, tol: Tolerances) -> list:
+    """:func:`face_from_clique` for many cliques, in stacked calls.
+
+    Cliques of equal size are stacked, up to ``_STACK_ENTRIES`` distance
+    entries at a time, through one ``kappa_pinv``, one eigendecomposition,
+    one rank cut and one QR.  Returns, per clique, (stack, a) with
+    ``stack.face(a)`` its face, or None where face_from_clique raises
+    (a pair without a measured distance, or a Gram of rank below r).
+    """
+    adj = pedm.adj
+    out = [None] * len(cliques)
+    by_size: dict[int, list] = defaultdict(list)
+    for pos, clique in enumerate(cliques):
+        by_size[len(clique)].append(pos)
+    for k, group in by_size.items():
+        upper = np.triu_indices(k, 1)
+        step = max(1, _STACK_ENTRIES // (k * k))
+        for start in range(0, len(group), step):
+            found, members, d2 = [], [], []
+            for pos in group[start : start + step]:
+                nodes = sorted(cliques[pos])
+                # the upper triangle of the squared-distance matrix, row by row
+                row = [adj[u].get(v) for a, u in enumerate(nodes) for v in nodes[a + 1 :]]
+                if None not in row:
+                    found.append(pos)
+                    members.append(nodes)
+                    d2.append(row)
+            if not found:
+                continue
+            D = np.zeros((len(found), k, k))
+            D[:, upper[0], upper[1]] = d2
+            Q, ok = _face_coords(kappa_pinv(D + np.swapaxes(D, 1, 2)), r, tol)
+            stack = FaceStack(np.array(members, dtype=np.int64), Q)
+            for a, pos in enumerate(found):
+                if ok[a]:
+                    out[pos] = (stack, a)
+    return out
 
 
 def face_from_points(nodes, P: np.ndarray, tol: Tolerances) -> FaceRep:
@@ -341,12 +429,11 @@ def face_from_points(nodes, P: np.ndarray, tol: Tolerances) -> FaceRep:
     return FaceRep(nodes, basis)
 
 
-def largest_principal_angle(A: np.ndarray, B: np.ndarray, rank: int) -> float:
-    """Largest principal angle between the top-``rank`` column spaces."""
-    QA = np.linalg.svd(A, full_matrices=False)[0][:, :rank]
-    QB = np.linalg.svd(B, full_matrices=False)[0][:, :rank]
-    s = np.linalg.svd(QA.T @ QB, compute_uv=False)
-    return float(np.arccos(np.clip(s[-1], -1.0, 1.0)))
+def _pinv(u: np.ndarray, s: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    """``np.linalg.pinv`` of a matrix, from its thin SVD: the same cutoff
+    (1e-15 of the largest singular value) and the same operations."""
+    inv = np.divide(1.0, s, where=s > 1e-15 * s.max(), out=np.zeros_like(s))
+    return vt.T @ (inv[:, None] * u.T)
 
 
 def _merge(F1: FaceRep, F2: FaceRep, tol: Tolerances, rank: int):
@@ -356,9 +443,13 @@ def _merge(F1: FaceRep, F2: FaceRep, tol: Tolerances, rank: int):
     of each face with its Gram, and requires both common blocks to have rank
     exactly ``rank`` (r+1 rigid, r singular), the better one to clear the
     ``invert_floor``, and, when the overlap has more than r nodes, equal
-    ranges.  The face whose common block is better conditioned is the base;
-    the other face's new rows are mapped into the base's stored coordinates
-    by M = W_o pinv(U_o'') U_b'' L_b^T.  Returns (base, mapped rows, their
+    ranges.  Each whitened block gets one thin SVD: its singular values
+    decide rank and conditioning, its left singular vectors give the
+    principal angle (one more SVD, of their r-by-r or (r+1)-by-(r+1)
+    product), and the mapped block's three factors give its pseudo-inverse.
+    The face whose common block is better conditioned is the base; the
+    other face's new rows are mapped into the base's stored coordinates by
+    M = W_o pinv(U_o'') U_b'' L_b^T.  Returns (base, mapped rows, their
     node ids, (A_o', W_o, U_o'')): the other face's new rows [V_o', e], its
     whitener and its whitened common block.
     """
@@ -380,8 +471,12 @@ def _merge(F1: FaceRep, F2: FaceRep, tol: Tolerances, rank: int):
     W2, L2 = F2._whitener()
     U1pp = F1._affine(rows1) @ W1
     U2pp = F2._affine(rows2) @ W2
-    s1 = np.linalg.svd(U1pp, compute_uv=False)
-    s2 = np.linalg.svd(U2pp, compute_uv=False)
+    # one thin SVD per block: its singular values feed the rank and
+    # conditioning tests, its left vectors the range test, and the mapped
+    # block's factors its pseudo-inverse
+    svd1 = np.linalg.svd(U1pp, full_matrices=False)
+    svd2 = np.linalg.svd(U2pp, full_matrices=False)
+    s1, s2 = svd1.S, svd2.S
     for s in (s1, s2):
         if s[rank - 1] <= _MIDDLE_CUT * s[0]:
             raise IntersectionRankLoss(f"common block rank below {rank}")
@@ -390,19 +485,21 @@ def _merge(F1: FaceRep, F2: FaceRep, tol: Tolerances, rank: int):
     if max(s1[rank - 1], s2[rank - 1]) <= tol.invert_floor * max(s1[0], s2[0]):
         raise IntersectionRankLoss("common block too ill conditioned to invert")
     if len(rows1) > r:
-        angle = largest_principal_angle(U1pp, U2pp, rank)
+        # largest principal angle between the blocks' top-rank ranges
+        cos = np.linalg.svd(svd1.U[:, :rank].T @ svd2.U[:, :rank], compute_uv=False)[-1]
+        angle = float(np.arccos(np.clip(cos, -1.0, 1.0)))
         if angle > tol.range_tol:
             raise RangeMismatch(f"common blocks differ by {angle:.3e} rad")
     if s2[rank - 1] >= s1[rank - 1]:
-        base, Ub, Lb, other, Uo, Wo, common = F1, U1pp, L1, F2, U2pp, W2, rows2
+        base, Ub, Lb, other, Uo, Wo, common, svdo = F1, U1pp, L1, F2, U2pp, W2, rows2, svd2
     else:
-        base, Ub, Lb, other, Uo, Wo, common = F2, U2pp, L2, F1, U1pp, W1, rows1
+        base, Ub, Lb, other, Uo, Wo, common, svdo = F2, U2pp, L2, F1, U1pp, W1, rows1, svd1
     new = np.ones(other._size, dtype=bool)
     new[common] = False
     new = np.flatnonzero(new)
     Ao = other._affine(new)
     # the last column of M would reproduce e, which the base keeps exact
-    M = Wo @ (np.linalg.pinv(Uo) @ Ub) @ Lb.T
+    M = Wo @ (_pinv(*svdo) @ Ub) @ Lb.T
     return base, Ao @ M[:, :r], other._store.ids[new].tolist(), (Ao, Wo, Uo)
 
 

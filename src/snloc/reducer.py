@@ -1,8 +1,11 @@
 """Clique bookkeeping and the reduction loop that grows them.
 
-The solve state is a family of node sets ("cliques"), each carrying a lazily
-computed face basis.  Four steps shrink the family or grow a clique, tried
-in priority order:
+The solve state is a family of node sets ("cliques"), each carrying a face
+basis.  ``run`` first builds the faces of all seed cliques in stacked calls,
+which costs far less per clique than building each alone, and keeps each
+as a compact entry until its FaceRep is first used; a clique whose face is
+never asked for never gets one.  Four steps shrink the family or grow a
+clique, tried in priority order:
 
   1. rigid clique union      -- two cliques sharing >= r+1 nodes
   2. rigid node absorption   -- a node adjacent to >= r+1 nodes of a clique
@@ -55,7 +58,9 @@ from .errors import (
 )
 from .faces import (
     FaceRep,
+    FaceStack,
     Tolerances,
+    clique_faces,
     face_from_clique,
     face_from_gram,
     face_from_points,
@@ -74,6 +79,7 @@ __all__ = [
     "nonrigid_clique_union",
     "nonrigid_node_absorption",
     "run",
+    "step_level",
 ]
 
 
@@ -84,6 +90,14 @@ class StepLevel(IntEnum):
     L2 = 2  # + rigid node absorption
     L3 = 3  # + singular clique union
     L4 = 4  # + singular node absorption (decides only with range bounds)
+
+
+def step_level(level) -> StepLevel:
+    """level as a StepLevel; InvalidConfig unless it is one of 1-4."""
+    try:
+        return StepLevel(level)
+    except ValueError:
+        raise InvalidConfig(f"level must be one of 1-4, got {level!r}") from None
 
 
 _MISSING = object()
@@ -102,6 +116,8 @@ class CliqueFamily:
         self.dim = pedm.dim
         self.cliques: dict[int, set[int]] = {}
         self.faces: dict[int, FaceRep | None] = {}
+        # faces built by build_seed_faces, made into a FaceRep on first use
+        self.seed_faces: dict[int, tuple[FaceStack, int]] = {}
         self.membership: list[set[int]] = [set() for _ in range(pedm.n)]
         self.alias: dict[int, int] = {}
         self.active: set[int] = set()
@@ -145,19 +161,44 @@ class CliqueFamily:
         self.active.discard(dead)
         self.cliques.pop(dead, None)
         self.faces.pop(dead, None)
+        self.seed_faces.pop(dead, None)
         self._comp_cache.pop(dead, None)
 
+    def _adopt_face(self, i: int, j: int) -> None:
+        """Give clique i the face state of clique j, whose node set it took."""
+        for store in (self.faces, self.seed_faces):
+            state = store.pop(j, _MISSING)
+            store.pop(i, None)
+            if state is not _MISSING:
+                store[i] = state
+
     # -- lazy faces and point representations ----------------------------
+
+    def build_seed_faces(self, tol: Tolerances) -> None:
+        """Build the face of every active clique that has none, in stacked
+        calls (``clique_faces``); face_of makes each FaceRep on first use."""
+        todo = [cid for cid in self.active
+                if cid not in self.faces and cid not in self.seed_faces]
+        entries = clique_faces(self.pedm, [self.cliques[cid] for cid in todo], self.dim, tol)
+        for cid, entry in zip(todo, entries):
+            if entry is None:
+                self.faces[cid] = None
+            else:
+                self.seed_faces[cid] = entry
 
     def face_of(self, cid: int, tol: Tolerances) -> FaceRep | None:
         """Face basis of a clique, computed on first use; None if degenerate."""
         cached = self.faces.get(cid, _MISSING)
         if cached is not _MISSING:
             return cached
-        try:
-            face = face_from_clique(self.pedm, self.cliques[cid], self.dim, tol)
-        except (RankDeficient, NotAClique):
-            face = None
+        seed = self.seed_faces.pop(cid, None)
+        if seed is not None:
+            face = seed[0].face(seed[1])
+        else:
+            try:
+                face = face_from_clique(self.pedm, self.cliques[cid], self.dim, tol)
+            except (RankDeficient, NotAClique):
+                face = None
         self.faces[cid] = face
         return face
 
@@ -309,13 +350,10 @@ def _pick_delta(comp, beta: list, r: int, tol: Tolerances):
     return None
 
 
-def _is_feasible(comp, pedm, tol: Tolerances) -> bool:
-    """Candidate coordinates must reproduce every known distance among the
-    candidate's nodes; optionally, unknown pairs must stay out of range."""
-    nodes = comp.nodes
-    coords = comp.coords
+def _measured_edges(nodes, pedm):
+    """(row, row, squared distance) of every measured pair among ``nodes``,
+    rows indexing ``nodes``, as three arrays."""
     idx = {int(u): a for a, u in enumerate(nodes)}
-    sigma = pedm.noise_factor
     rows_a, rows_b, known = [], [], []
     for u, a in idx.items():
         for v, d2 in pedm.adj[u].items():
@@ -323,8 +361,21 @@ def _is_feasible(comp, pedm, tol: Tolerances) -> bool:
                 rows_a.append(a)
                 rows_b.append(idx[v])
                 known.append(d2)
+    return np.array(rows_a, dtype=np.intp), np.array(rows_b, dtype=np.intp), np.array(known)
+
+
+def _is_feasible(comp, pedm, tol: Tolerances, edges=None) -> bool:
+    """Candidate coordinates must reproduce every known distance among the
+    candidate's nodes; optionally, unknown pairs must stay out of range.
+
+    edges, when given, is ``_measured_edges(comp.nodes, pedm)``: candidates
+    on one node set share it.
+    """
+    nodes = comp.nodes
+    coords = comp.coords
+    sigma = pedm.noise_factor
+    rows_a, rows_b, known = _measured_edges(nodes, pedm) if edges is None else edges
     diff = coords[rows_a] - coords[rows_b]
-    known = np.array(known)
     if np.any(np.abs(np.vecdot(diff, diff) - known) > tol.feas_tol + 6.0 * sigma * known):
         return False
     if tol.use_range_bounds:
@@ -369,7 +420,9 @@ def _singular_merge(family: CliqueFamily, i: int, f2, beta: list, partner_delta,
         )
     except (RankDeficient, NoRealBranch, NotAClique):
         return None
-    feasible = [c for c in cands if _is_feasible(c, pedm, tol)]
+    # both candidates carry ext.nodes, in the same row order
+    edges = _measured_edges(ext.nodes, pedm)
+    feasible = [c for c in cands if _is_feasible(c, pedm, tol, edges)]
     if len(feasible) != 1:
         return None
     try:
@@ -461,13 +514,9 @@ def rigid_clique_union(family: CliqueFamily, i: int, j: int, tol: Tolerances) ->
         return True
     if len(common) == len(Ci):
         # i is contained in j: adopt j's node set and face state
-        face_j = family.faces.pop(j, _MISSING)
         Ci.update(Cj)
+        family._adopt_face(i, j)
         family._kill_into(j, i)
-        if face_j is _MISSING:
-            family.faces.pop(i, None)
-        else:
-            family.faces[i] = face_j
         family._comp_cache.pop(i, None)
         family.step_counts[STEP_RIGID_UNION] += 1
         return True
@@ -670,7 +719,12 @@ def run(
 
     Passes over cliques by ascending id repeat until one full pass changes
     nothing.  Deterministic for a fixed family and data.  pedm must be the
-    same data the family was built from.
+    same data the family was built from.  level must be one of the
+    StepLevel values (InvalidConfig otherwise).
+
+    Before the first pass, the faces of all cliques that have none are
+    built in stacked calls (``CliqueFamily.build_seed_faces``); each is
+    bitwise the face that building it alone on first use would give.
 
     Merging runs in two phases.  The first defers merges whose common block
     is too ill conditioned (tol.invert_floor), which keeps the error of long
@@ -679,9 +733,10 @@ def run(
     as large as they will get, so the amplified error cannot compound
     further.
     """
+    level = step_level(level)
     if tol is None:
         tol = Tolerances.for_noise(pedm.noise_factor)
-    level = StepLevel(level)
+    family.build_seed_faces(tol)
     _run_to_fixed_point(family, level, tol, trace)
     if tol.invert_floor > 0.0:
         from dataclasses import replace

@@ -10,7 +10,7 @@ from .errors import DegenerateAnchors, InvalidConfig, NoRigidSeed, RankDeficient
 from .faces import Tolerances
 from .instance import PartialEDM, half_range_cliques
 from .recovery import SolveReport, align_to_anchors, metrics, points_from_face
-from .reducer import StepLevel, grow_cliques, init_family, run
+from .reducer import StepLevel, grow_cliques, init_family, run, step_level
 
 __all__ = ["localize"]
 
@@ -36,10 +36,7 @@ def localize(
     raised before any work).
     """
     r = pedm.dim
-    try:
-        level = StepLevel(level)
-    except ValueError:
-        raise InvalidConfig(f"level must be one of 1-4, got {level!r}") from None
+    level = step_level(level)
     anchors = np.asarray(anchors, dtype=float)
     if anchors.shape != (pedm.m, r):
         raise InvalidConfig(

@@ -8,9 +8,11 @@ from snloc.errors import (
     RangeMismatch,
     RankDeficient,
 )
+import snloc.faces as faces_module
 from snloc.faces import (
     FaceRep,
     Tolerances,
+    clique_faces,
     face_from_clique,
     face_from_gram,
     face_from_points,
@@ -93,6 +95,37 @@ def test_face_from_clique_errors():
     collinear = complete_pedm(pts)
     with pytest.raises(RankDeficient):
         face_from_clique(collinear, [0, 1, 2], 2, TOL)
+
+
+def test_clique_faces_match_face_from_clique_bitwise():
+    # 60 points, every pair measured except (0, 1); points 2, 3, 4 on a line.
+    # Cliques of every size from 1 to 20, more of size 16 than one stack
+    # holds, one non-clique and one collinear clique
+    rng = np.random.default_rng(31)
+    P = rng.random((60, 2))
+    P[2:5] = [[0.1, 0.2], [0.3, 0.3], [0.7, 0.5]]
+    pedm = pedm_from_pairs(P, [(a, b) for a in range(60) for b in range(a + 1, 60)
+                               if (a, b) != (0, 1)])
+    per_stack = faces_module._STACK_ENTRIES // 16**2
+    sizes = list(range(1, 21)) * 2 + [16] * (per_stack + 5)
+    cliques = [set(rng.choice(np.arange(5, 60), size=k, replace=False).tolist()) for k in sizes]
+    cliques += [{0, 1, 7, 9}, {2, 3, 4}, {2, 3, 4, 8}]
+    entries = clique_faces(pedm, cliques, 2, TOL)
+    assert len(entries) == len(cliques)
+    for clique, entry in zip(cliques, entries):
+        try:
+            want = face_from_clique(pedm, clique, 2, TOL)
+        except (NotAClique, RankDeficient):
+            assert entry is None
+            continue
+        got = entry[0].face(entry[1])
+        assert np.array_equal(got.nodes, want.nodes)
+        assert np.array_equal(got.basis, want.basis)
+    # two nodes span one dimension only
+    missing = [len(c) == 2 for c in cliques[:-3]] + [True, True, False]
+    assert [entry is None for entry in entries] == missing
+    stacks = {id(entry[0]) for clique, entry in zip(cliques, entries) if len(clique) == 16}
+    assert len(stacks) == 2
 
 
 def test_face_from_points_matches_gram_route():
@@ -264,6 +297,39 @@ def test_rigid_union_range_mismatch_on_inconsistent_data():
     f2 = face_of_points(n2, Q[n2], 2)
     with pytest.raises((RangeMismatch, IntersectionRankLoss)):
         intersect_faces_rigid(f1, f2, TOL)
+
+
+def test_rigid_union_range_mismatch_is_told_from_rank_loss():
+    # two 7-node cliques sharing 5 well spread nodes; one shared node of the
+    # second clique moves so that the largest principal angle between the
+    # common blocks' ranges, span [P_common, e], is a given multiple of
+    # range_tol: 10x must be a range mismatch, never rank loss; 0.1x merges
+    rng = np.random.default_rng(8)
+    P, n1, n2 = two_random_cliques(rng, r=2, shared=5, k1=7, k2=7, spread=1.0)
+    shared = np.intersect1d(n1, n2)
+    step = np.array([0.6, 0.8])
+
+    def angle(delta):
+        Q = P[shared].copy()
+        Q[0] += delta * step
+        ones = np.ones((shared.size, 1))
+        return np.max(principal_angles(np.hstack([P[shared], ones]), np.hstack([Q, ones])))
+
+    probe = 1e-3
+    per_unit = angle(probe) / probe
+    for factor in (10.0, 0.1):
+        delta = factor * TOL.range_tol / per_unit
+        assert angle(delta) == pytest.approx(factor * TOL.range_tol, rel=0.05)
+        Q = P.copy()
+        Q[shared[0]] += delta * step
+        f1 = face_of_points(n1, P[n1], 2)
+        f2 = face_of_points(n2, Q[n2], 2)
+        if factor > 1:
+            with pytest.raises(RangeMismatch):
+                intersect_faces_rigid(f1, f2, TOL)
+        else:
+            out = intersect_faces_rigid(f1, f2, TOL)
+            assert np.array_equal(out.nodes, np.union1d(n1, n2))
 
 
 def test_nonrigid_butterfly_dimensions_and_nulls():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from snloc.errors import InvalidConfig
-from snloc.faces import Tolerances
+from snloc.faces import Tolerances, face_from_clique
 from snloc.instance import (
     CliqueSeed,
     build_partial_edm,
@@ -16,6 +16,7 @@ from snloc.recovery import Completion, points_from_face
 from snloc.reducer import (
     StepLevel,
     _is_feasible,
+    _measured_edges,
     grow_cliques,
     init_family,
     nonrigid_clique_union,
@@ -448,6 +449,35 @@ def test_face_range_preserved_by_subset_merge():
     assert np.max(principal_angles(fam.faces[big].basis, face_before.basis)) <= 1e-12
 
 
+def test_subset_union_hands_over_the_seed_face():
+    # clique i is contained in clique j and neither face has been made into
+    # a FaceRep yet: i takes j's node set, so it must take j's seed face too
+    P = RNG.random((6, 2))
+    pedm = complete_pedm(P)
+    seeds = [CliqueSeed(center=0, members=(0, 1, 2, 3)),
+             CliqueSeed(center=5, members=(0, 1, 2, 3, 4, 5))]
+    fam = init_family(pedm, seeds, 0)
+    i, j = sorted(fam.active)
+    fam.build_seed_faces(TOL)
+    assert set(fam.seed_faces) == {i, j} and not fam.faces
+    assert rigid_clique_union(fam, i, j, TOL)
+    assert fam.find(j) == i and j not in fam.seed_faces
+    want = face_from_clique(pedm, fam.cliques[i], 2, TOL)
+    got = fam.face_of(i, TOL)
+    assert np.array_equal(got.nodes, want.nodes)
+    assert np.array_equal(got.basis, want.basis)
+
+
+@pytest.mark.parametrize("level", [0, 5])
+def test_run_rejects_invalid_level(level):
+    # used to raise numpy's bare "not a valid StepLevel" ValueError
+    P = RNG.random((6, 2))
+    pedm = complete_pedm(P)
+    fam = init_family(pedm, singleton_seeds(6), 0)
+    with pytest.raises(InvalidConfig):
+        run(fam, pedm, level=level, tol=TOL)
+
+
 @pytest.mark.parametrize("sigma", [0.0, 1e-3])
 def test_is_feasible_matches_scalar_reference(sigma):
     # candidates near the tolerance: the true points of a node subset with
@@ -465,6 +495,7 @@ def test_is_feasible_matches_scalar_reference(sigma):
         comp = Completion(nodes=nodes, coords=coords)
         got = _is_feasible(comp, pedm, tol)
         assert got == scalar_known_distances_ok(comp, pedm, tol)
+        assert _is_feasible(comp, pedm, tol, _measured_edges(nodes, pedm)) == got
         outcomes.add(got)
     assert outcomes == {True, False}
 

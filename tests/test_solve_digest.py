@@ -1,0 +1,42 @@
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "solve_digest.py"
+SMALLEST = ["L2-200", "L4-354"]
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("solve_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_solve_digest_against_itself(tmp_path):
+    first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+    run = [sys.executable, str(TOOL), "--only", *SMALLEST]
+    subprocess.run(run + ["--out", str(first)], check=True)
+    done = subprocess.run(run + ["--out", str(second), "--against", str(first)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines == [f"{name}: counts equal, sets equal, max coordinate difference 0"
+                     for name in SMALLEST]
+
+
+def test_solve_digest_flags_differences(tmp_path, capsys):
+    tool = load_tool()
+    ids = np.arange(3)
+    digest = {"a.counts": np.array('{"rigid_union": 2}'), "a.ids": ids,
+              "a.coords": np.zeros((3, 2))}
+    assert tool.compare(["a"], digest, digest)
+    for key, value in (("a.counts", np.array('{"rigid_union": 3}')), ("a.ids", ids + 1)):
+        assert not tool.compare(["a"], digest, {**digest, key: value})
+    assert not tool.compare(["a"], digest, {})
+    moved = {**digest, "a.coords": np.full((3, 2), 1e-9)}
+    assert tool.compare(["a"], digest, moved)
+    assert "max coordinate difference 1e-09" in capsys.readouterr().out

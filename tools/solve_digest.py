@@ -1,0 +1,122 @@
+"""Solve a fixed list of instances and record, or compare, what came out.
+
+Usage, from the root of a source checkout:
+
+    python3 tools/solve_digest.py --src src --out new.npz
+    python3 tools/solve_digest.py --src ../other/src --out old.npz --against new.npz
+
+Each instance's ``step_counts``, positioned sensor ids and their coordinates
+are written to ``--out``.  With ``--against``, each instance is compared
+with the same instance in that file: the script prints whether the counts
+and the positioned sets are equal and the largest coordinate difference,
+and exits 1 when any counts or sets differ.  ``--only NAME ...`` restricts
+the run to the named instances.  The ``snloc`` package is imported from
+``--src``; the benchmark instances are drawn as ``bench/`` of this checkout
+draws them.
+
+The instances: the twelve benchmark instances of seed 0 (rigid-scaling pass
+0, noisy-dense passes 0-2, singular-sparse passes 0-5), L2 at n=200, L4 at
+n=354 (the Table 3 degree), Table 3 itself (L3, n=2004, R=.04) and the
+range-bounds L4 instances of seeds 0-3.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# single-threaded BLAS, as the benchmark runs
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402  (after the BLAS thread settings)
+
+TABLE3_R = 0.04
+# the Table 3 degree at n=354
+SPARSE_R = 0.04 * (2004 / 354) ** 0.5
+
+
+def instances():
+    """(name, n, m, R, sigma, instance seed, level, range bounds) in run order."""
+    from snlbench.workloads import WORKLOADS
+
+    out = []
+    for wname, passes in (("rigid-scaling", 1), ("noisy-dense", 3), ("singular-sparse", 6)):
+        wl = WORKLOADS[wname]
+        for p in range(passes):
+            for n, R, iseed in zip(wl.sizes, wl.radii, wl.instance_seeds(0, p)):
+                out.append((f"{wname}-p{p}-n{n}", n, wl.anchors, R, wl.sigma, iseed,
+                            int(wl.level), False))
+    out.append(("L2-200", 200, 4, 0.16, 0.0, 0, 2, False))
+    out.append(("L4-354", 354, 8, SPARSE_R, 0.0, 0, 4, False))
+    out.append(("table3-L3-2004", 2004, 4, TABLE3_R, 0.0, 0, 3, False))
+    for seed in range(4):
+        out.append((f"range-bounds-{seed}", 354, 8, SPARSE_R, 0.0, seed, 4, True))
+    return out
+
+
+def solve(case) -> dict:
+    from snloc import Tolerances, build_partial_edm, generate_instance, localize
+
+    name, n, m, R, sigma, seed, level, bounds = case
+    inst = generate_instance(n, m, 2, seed=seed, radio_range=R, noise_factor=sigma)
+    tol = Tolerances.for_noise(sigma, use_range_bounds=True) if bounds else None
+    rep = localize(build_partial_edm(inst), inst.anchors, level=level, tol=tol)
+    ids = np.array(sorted(rep.positioned), dtype=np.int64)
+    coords = np.array([rep.positioned[u] for u in ids.tolist()]).reshape(ids.size, 2)
+    return {
+        f"{name}.counts": np.array(json.dumps(rep.step_counts, sort_keys=True)),
+        f"{name}.ids": ids,
+        f"{name}.coords": coords,
+    }
+
+
+def compare(names, new: dict, old) -> bool:
+    """Print one line per instance; True when all counts and sets agree."""
+    same = True
+    for name in names:
+        if f"{name}.counts" not in old:
+            print(f"{name}: missing from the other digest")
+            same = False
+            continue
+        counts = str(new[f"{name}.counts"]) == str(old[f"{name}.counts"])
+        ids = np.array_equal(new[f"{name}.ids"], old[f"{name}.ids"])
+        diff = (float(np.max(np.abs(new[f"{name}.coords"] - old[f"{name}.coords"]), initial=0.0))
+                if ids else float("nan"))
+        print(f"{name}: counts {'equal' if counts else 'DIFFER'}, "
+              f"sets {'equal' if ids else 'DIFFER'}, max coordinate difference {diff:.3g}")
+        same = same and counts and ids
+    return same
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--src", default=str(ROOT / "src"), help="directory holding snloc")
+    p.add_argument("--out", required=True, help="digest file to write (.npz)")
+    p.add_argument("--against", help="digest file to compare with")
+    p.add_argument("--only", nargs="+", metavar="NAME", help="solve only these instances")
+    args = p.parse_args(argv)
+    sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "bench")]
+    cases = instances()
+    if args.only:
+        unknown = set(args.only) - {c[0] for c in cases}
+        if unknown:
+            p.error(f"unknown instances: {', '.join(sorted(unknown))}")
+        cases = [c for c in cases if c[0] in args.only]
+    digest = {}
+    for case in cases:
+        digest.update(solve(case))
+    np.savez(args.out, **digest)
+    if args.against is None:
+        return 0
+    with np.load(args.against) as old:
+        return 0 if compare([c[0] for c in cases], digest, old) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
