@@ -27,7 +27,7 @@ from .instance import (
     write_solution,
 )
 from .recovery import SolveReport
-from .reducer import StepLevel
+from .reducer import StepLevel, step_level
 from .solver import localize
 
 __all__ = [
@@ -58,7 +58,7 @@ class ExperimentConfig:
             raise InvalidConfig(f"need at least one trial, got {self.trials}")
         if self.n <= self.m:
             raise InvalidConfig(f"need n > m, got n={self.n}, m={self.m}")
-        self.level = StepLevel(self.level)
+        self.level = step_level(self.level)
 
     def tolerances(self) -> Tolerances:
         return self.tol or Tolerances.for_noise(self.sigma)

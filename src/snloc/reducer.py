@@ -32,10 +32,16 @@ id.  The rigid steps pick from a max-heap over (count, -id) with lazy
 deletion: every count above r is pushed as it is reached, and entries that
 are no longer current, or that failed, are dropped when they surface, so a
 pick costs O(log n) instead of a scan of the counters.  The singular steps
-scan.  Failed attempts are remembered with the counter value they failed at
-(singular steps: and the grower's size) and retried only after it changes.
-Merged ids forward to their absorber through an alias table so membership
-sets can be cleaned lazily.
+scan.  Failed attempts are remembered with a key and retried only after it
+changes: the counter value for the rigid steps, the grower's size for a
+singular absorption.  A singular union's two candidates differ by a
+reflection across the flat of the r shared nodes, so only a measured edge
+between the two private sides (a cross edge) can tell them apart;
+without one the union declines before any face work, unless the range
+bounds are on.  The loop keeps each singular partner's cross-edge count,
+skips partners without a cross edge, and retries a failed one only when
+its count has grown.  Merged ids forward to their absorber through an alias
+table so membership sets can be cleaned lazily.
 """
 
 from __future__ import annotations
@@ -441,6 +447,18 @@ def _union_pair(family: CliqueFamily, i: int, j: int):
     return i, j, [u for u in small if u in big]
 
 
+def _has_cross_edge(pedm, Ci, Cj) -> bool:
+    """Whether a measured edge joins Cj minus Ci to Ci minus Cj; scans Cj's
+    private nodes, as the partner j is usually the smaller clique."""
+    adj = pedm.adj
+    for u in Cj:
+        if u not in Ci:
+            for v in adj[u]:
+                if v in Ci and v not in Cj:
+                    return True
+    return False
+
+
 def _neighbors_in(family: CliqueFamily, i: int, j: int):
     """Canonical id of clique i and node j's sorted neighbors in it, or None."""
     i = family.find(i)
@@ -546,18 +564,26 @@ def nonrigid_clique_union(family: CliqueFamily, i: int, j: int, tol: Tolerances)
     Builds the widened intersection face, computes the two candidate point
     sets, and commits only if exactly one reproduces all known distances
     among the union.  The committed face is rebuilt from the feasible points.
+    Without the range bounds, a pair with no measured edge between
+    Ci minus Cj and Cj minus Ci is declined before any face work.
     """
     pair = _union_pair(family, i, j)
     r = family.dim
     if pair is None or len(pair[2]) != r:
         return False
     i, j, common = pair
+    Ci, Cj = family.cliques[i], family.cliques[j]
+    # the two candidates differ only in the distances between the private
+    # sides: without a measured one no data can decide (on noisy data an
+    # accept would be a round-off coin flip), but the range bounds still can
+    if not tol.use_range_bounds and not _has_cross_edge(family.pedm, Ci, Cj):
+        return False
     beta = sorted(common)
     merged = _singular_merge(
         family, i, family.face_of(j, tol), beta,
         lambda: _pick_delta(family.completion_of(j, tol), beta, r, tol), tol,
     )
-    return _commit(family, i, merged, family.cliques[j], STEP_NONRIGID_UNION, dead=j)
+    return _commit(family, i, merged, Cj, STEP_NONRIGID_UNION, dead=j)
 
 
 def nonrigid_node_absorption(family: CliqueFamily, i: int, j: int, tol: Tolerances) -> bool:
@@ -602,6 +628,16 @@ _STEPS = (
 )
 
 
+def _cross_edge_count(Cl, Ci, acnt, adj) -> int:
+    """Measured edges between the private nodes of cliques Cl and Ci, the
+    count whose absence ``_has_cross_edge`` tests, read off the grower's
+    counters: Ci's edges into Cl's private nodes (acnt) less those from the
+    shared nodes."""
+    private = Cl - Ci
+    return (sum([acnt.get(w, 0) for w in private])
+            - sum([len(adj[b].keys() & private) for b in Cl & Ci]))
+
+
 def _heap_pick(heap, counts, tried):
     """Rigid partner with the largest (count, -id) that has not failed at
     its current count, or None.  heap holds (-count, id) for every count an
@@ -636,10 +672,14 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
     # rigid candidates by absorb flag: max-heaps over (count, -id)
     heaps = {False: [(-c, l) for l, c in cnt.items() if c > r], True: []}
     heapq.heapify(heaps[False])
-    # per row, partner -> key of its last failed attempt; singular keys add the
-    # grower's size, as a larger grower can measure what tells branches apart
+    # per row, partner -> key of its last failed attempt; a singular union's
+    # key is its cross-edge count (its grower's size with the range bounds
+    # on, as for a singular absorption), as a larger grower can measure what
+    # tells branches apart
     failed = {(absorb, singular): {} for _, _, absorb, singular in _STEPS}
     changed = False
+    # singular union partner -> cross-edge count, until the grower changes
+    cross: dict[int, int] = {}
 
     def bump(counts, heap, l):
         c = counts[l] = counts.get(l, 0) + 1
@@ -669,7 +709,18 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
                 heapq.heapify(heaps[True])
             counts = acnt if absorb else cnt
             tried = failed[absorb, singular]
-            if singular:
+            if singular and not absorb and not tol.use_range_bounds:
+                # only a cross edge can decide (nonrigid_clique_union); a
+                # failed partner is retried once a new one has appeared
+                pick = None
+                for l in sorted([l for l, c in counts.items() if c == r]):
+                    x = cross.get(l)
+                    if x is None:
+                        x = cross[l] = _cross_edge_count(family.cliques[l], Ci, acnt, pedm.adj)
+                    if x and tried.get(l) != x:
+                        pick = (l, x)
+                        break
+            elif singular:
                 key = (r, len(Ci))
                 ids = [l for l, c in counts.items() if c == r and tried.get(l) != key]
                 pick = (min(ids), key) if ids else None
@@ -685,6 +736,7 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
                 if not absorb:
                     cnt.pop(l, None)
                 register_nodes(new_nodes)
+                cross.clear()
                 changed = True
                 if trace is not None:
                     trace.write(f"step={step} i={gid} j={l} |C|={len(family.active)} "

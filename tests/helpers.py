@@ -34,14 +34,18 @@ def complete_pedm(P: np.ndarray, m: int = 0, radio_range: float = 10.0) -> Parti
     return pedm
 
 
-def pedm_from_pairs(P: np.ndarray, pairs, m: int = 0, radio_range: float = 10.0) -> PartialEDM:
-    """PartialEDM knowing exactly the listed pairs (plus nothing else)."""
+def pedm_from_pairs(P: np.ndarray, pairs, m: int = 0, radio_range: float = 10.0,
+                    sigma: float = 0.0, rng=None) -> PartialEDM:
+    """PartialEDM knowing exactly the listed pairs (plus nothing else); with
+    sigma > 0 each distance is scaled by 1 + sigma * N(0, 1), drawn from rng
+    in the order of pairs, as ``build_partial_edm`` perturbs them."""
     P = np.asarray(P, dtype=float)
     n, r = P.shape
-    pedm = PartialEDM(n=n, m=m, dim=r, radio_range=radio_range)
+    pedm = PartialEDM(n=n, m=m, dim=r, radio_range=radio_range, noise_factor=sigma)
     for i, j in pairs:
         d = P[i] - P[j]
-        pedm.add_pair(i, j, float(d @ d))
+        scale = 1.0 + sigma * rng.standard_normal() if sigma > 0 else 1.0
+        pedm.add_pair(i, j, float(d @ d) * scale * scale)
     return pedm
 
 

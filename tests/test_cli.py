@@ -30,6 +30,13 @@ def test_config_validation():
         ExperimentConfig(trials=0)
 
 
+@pytest.mark.parametrize("level", [0, 5])
+def test_config_rejects_invalid_level(level):
+    # used to raise the bare "not a valid StepLevel" ValueError
+    with pytest.raises(InvalidConfig):
+        ExperimentConfig(level=level)
+
+
 def test_run_experiment_tiny():
     row = run_experiment(ExperimentConfig(**TINY))
     assert row.trials == 2

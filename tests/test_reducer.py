@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+from snloc import reducer
 from snloc.errors import InvalidConfig
 from snloc.faces import Tolerances, face_from_clique
 from snloc.instance import (
@@ -216,8 +217,9 @@ def test_rigid_absorption_synthesizes_missing_distances():
     assert np.max(np.abs(edm_of(comp.coords) - edm_of(P))) <= 1e-8
 
 
-def butterfly_family(rng, cross=False):
-    """Two 4-cliques sharing exactly two nodes, as a family."""
+def butterfly_family(rng, cross=False, sigma=0.0):
+    """Two 4-cliques sharing exactly two nodes, as a family; with sigma > 0
+    the distances carry multiplicative noise."""
     while True:
         P = rng.random((6, 2)) * 0.5
         if np.linalg.norm(P[2] - P[3]) > 0.15:
@@ -226,7 +228,7 @@ def butterfly_family(rng, cross=False):
     pairs = [(i, j) for nodes in (n1, n2) for i in nodes for j in nodes if i < j]
     if cross:
         pairs.append((0, 4))
-    pedm = pedm_from_pairs(P, set(pairs))
+    pedm = pedm_from_pairs(P, sorted(set(pairs)), sigma=sigma, rng=rng)
     fam = init_family(
         pedm,
         [CliqueSeed(center=0, members=n1), CliqueSeed(center=4, members=n2)],
@@ -251,6 +253,35 @@ def test_nonrigid_union_rejects_ambiguous_butterfly():
     ids = sorted(fam.active)
     assert not nonrigid_clique_union(fam, ids[0], ids[1], TOL)
     assert len(fam.active) == 2
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_noisy_butterfly_declines_without_a_cross_edge(seed, monkeypatch):
+    # without a measured cross distance both mirror candidates reproduce
+    # every measured distance, with noisy residuals that differ only by
+    # round-off, so an accept would be a coin flip: the step must decline
+    # before any face work.  One cross edge decides.
+    sigma = 1e-4
+    tol = Tolerances.for_noise(sigma)
+    intersect = reducer.intersect_faces_nonrigid
+    calls = []
+
+    def traced(*args):
+        calls.append(args)
+        return intersect(*args)
+
+    monkeypatch.setattr(reducer, "intersect_faces_nonrigid", traced)
+    _, _, fam = butterfly_family(np.random.default_rng(seed), cross=False, sigma=sigma)
+    i, j = sorted(fam.active)
+    assert not nonrigid_clique_union(fam, i, j, tol)
+    assert not calls and len(fam.active) == 2
+
+    P, pedm, fam = butterfly_family(np.random.default_rng(seed), cross=True, sigma=sigma)
+    i, j = sorted(fam.active)
+    assert nonrigid_clique_union(fam, i, j, tol)
+    assert len(calls) == 1 and fam.cliques[i] == set(range(6))
+    comp = points_from_face(fam.faces[i], pedm, tol)
+    assert np.max(np.abs(edm_of(comp.coords) - edm_of(P))) <= 1e-4
 
 
 def test_nonrigid_union_dispatch_requires_overlap_r():
@@ -537,6 +568,34 @@ def test_golden_step_counts(seed, n, m, R, level, tol, counts, positioned):
     rep = localize(pedm, inst.anchors, level=level, tol=tol, truth=inst.points)
     assert rep.step_counts == counts
     assert len(rep.positioned) == positioned
+
+
+def test_singular_unions_reach_the_kernel_only_with_a_cross_edge(monkeypatch):
+    # L4-354 (the first golden case) made 51 singular union attempts, 48 of
+    # them without a measured edge between the two private sides, all failed
+    inst = generate_instance(354, 8, 2, seed=0, radio_range=GOLDEN_R)
+    pedm = build_partial_edm(inst)
+    union, kernel = reducer.nonrigid_clique_union, reducer._singular_merge
+    partner, cross = [], []
+
+    def traced_union(family, i, j, tol):
+        partner.append(j)
+        try:
+            return union(family, i, j, tol)
+        finally:
+            partner.pop()
+
+    def traced_kernel(family, i, *args):
+        if partner:
+            Ci, Cj = family.cliques[i], family.cliques[family.find(partner[-1])]
+            cross.append(sum(v in Ci and v not in Cj for u in Cj - Ci for v in pedm.adj[u]))
+        return kernel(family, i, *args)
+
+    monkeypatch.setattr(reducer, "nonrigid_clique_union", traced_union)
+    monkeypatch.setattr(reducer, "_singular_merge", traced_kernel)
+    rep = localize(pedm, inst.anchors, level=StepLevel.L4)
+    assert rep.step_counts == {"nonrigid_union": 3, "rigid_absorb": 74, "rigid_union": 259}
+    assert len(cross) == 3 and min(cross) > 0
 
 
 @pytest.mark.parametrize(

@@ -16,8 +16,11 @@ draws them.
 
 The instances: the twelve benchmark instances of seed 0 (rigid-scaling pass
 0, noisy-dense passes 0-2, singular-sparse passes 0-5), L2 at n=200, L4 at
-n=354 (the Table 3 degree), Table 3 itself (L3, n=2004, R=.04) and the
-range-bounds L4 instances of seeds 0-3.
+n=354 (the Table 3 degree), Table 3 itself (L3, n=2004, R=.04), the
+range-bounds L4 instances of seeds 0-3, and 36 noisy instances that run
+singular unions: sigma 1e-4 and 1e-3 on L4 at n=354 (m=8), L3 at n=300
+(m=4, R=.09) and L4 at n=1004 (m=6), each with seeds 0-5; both L4 sizes
+have the Table 3 degree.
 """
 
 from __future__ import annotations
@@ -37,8 +40,15 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402  (after the BLAS thread settings)
 
 TABLE3_R = 0.04
-# the Table 3 degree at n=354
+# the Table 3 degree at n=354 and n=1004
 SPARSE_R = 0.04 * (2004 / 354) ** 0.5
+MID_R = 0.04 * (2004 / 1004) ** 0.5
+# (name, n, m, R, level) of the noisy singular instances, each run at every
+# sigma of NOISY_SIGMAS and every seed of range(NOISY_SEEDS)
+NOISY_SINGULAR = (("L4-354", 354, 8, SPARSE_R, 4), ("L3-300", 300, 4, 0.09, 3),
+                  ("L4-1004", 1004, 6, MID_R, 4))
+NOISY_SIGMAS = (1e-4, 1e-3)
+NOISY_SEEDS = 6
 
 
 def instances():
@@ -57,6 +67,10 @@ def instances():
     out.append(("table3-L3-2004", 2004, 4, TABLE3_R, 0.0, 0, 3, False))
     for seed in range(4):
         out.append((f"range-bounds-{seed}", 354, 8, SPARSE_R, 0.0, seed, 4, True))
+    for name, n, m, R, level in NOISY_SINGULAR:
+        for sigma in NOISY_SIGMAS:
+            for seed in range(NOISY_SEEDS):
+                out.append((f"noisy-{name}-s{sigma:g}-{seed}", n, m, R, sigma, seed, level, False))
     return out
 
 
