@@ -184,10 +184,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, choices=[1, 2, 3, 4], default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-clique-size", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9, help="relative rank cutoff")
     p.add_argument(
-        "--feas-tol", type=float, default=1e-6,
-        help="absolute feasibility tolerance on squared distances",
+        "--tol", type=float, default=None,
+        help="relative rank cutoff (default 1e-9)",
+    )
+    p.add_argument(
+        "--feas-tol", type=float, default=None,
+        help="absolute feasibility tolerance on squared distances "
+        "(default max(1e-6, 10 * sigma))",
     )
     p.add_argument("--out", type=str, default=None, help="write the row as CSV")
     p.add_argument(
@@ -199,21 +203,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _tolerances_from_args(args) -> Tolerances:
-    return Tolerances.for_noise(
-        args.noise,
-        rank=RankTolerance(relative_cut=args.tol),
-        feas_tol=args.feas_tol,
-    )
+def _tolerances_from_args(args, sigma: float) -> Tolerances:
+    """``Tolerances.for_noise(sigma)`` with the cutoffs given on the command
+    line; a flag left out keeps its noise-derived default."""
+    overrides = {}
+    if args.tol is not None:
+        overrides["rank"] = RankTolerance(relative_cut=args.tol)
+    if args.feas_tol is not None:
+        overrides["feas_tol"] = args.feas_tol
+    return Tolerances.for_noise(sigma, **overrides)
 
 
 def _solve_file(args) -> int:
     pedm, anchors = read_problem(args.problem)
-    tol = Tolerances.for_noise(
-        pedm.noise_factor,
-        rank=RankTolerance(relative_cut=args.tol),
-        feas_tol=args.feas_tol,
-    )
+    tol = _tolerances_from_args(args, pedm.noise_factor)
     trace_fh = open(args.trace, "w") if args.trace else None
     try:
         report = localize(
@@ -251,7 +254,7 @@ def main(argv=None) -> int:
         level=StepLevel(args.level),
         seed=args.seed,
         max_clique_size=args.max_clique_size,
-        tol=_tolerances_from_args(args),
+        tol=_tolerances_from_args(args, args.noise),
         output_path=args.out,
     )
     row = run_experiment(cfg)

@@ -181,9 +181,9 @@ class FaceRep:
 
     Materialized form, computed on first use and cached: nodes is the
     sorted array of node ids, and basis is k-by-(r+1) with orthonormal
-    columns, the last of which is alpha * e (alpha = 1/sqrt(k)).  Recovery
-    and ``rows`` read this form; both intersection kernels read only the
-    stored one.  The constructor takes the materialized form.
+    columns, the last of which is e/sqrt(k).  Recovery and ``rows`` read
+    this form; both intersection kernels read only the stored one.  The
+    constructor takes the materialized form.
     """
 
     # _size rows of _store belong to this face; V was last orthonormalized
@@ -211,10 +211,6 @@ class FaceRep:
     @property
     def width(self) -> int:
         return self._store.coords.shape[1] + 1
-
-    @property
-    def alpha(self) -> float:
-        return 1.0 / np.sqrt(self._size)
 
     @property
     def nodes(self) -> np.ndarray:

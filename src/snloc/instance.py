@@ -80,10 +80,6 @@ class PartialEDM:
         if not self.adj:
             self.adj = [dict() for _ in range(self.n)]
 
-    @property
-    def anchor_block(self) -> range:
-        return range(self.n - self.m, self.n)
-
     def add_pair(self, i: int, j: int, d2: float) -> None:
         if i == j:
             raise InvalidConfig("self distances are not stored")
@@ -96,9 +92,6 @@ class PartialEDM:
 
     def is_known(self, i: int, j: int) -> bool:
         return j in self.adj[i]
-
-    def value(self, i: int, j: int) -> float:
-        return self.adj[i][j]
 
     def known_pairs(self):
         """Iterate (i, j, d2) over known pairs with i < j."""
@@ -322,6 +315,8 @@ def read_problem(path) -> tuple[PartialEDM, np.ndarray]:
                 raise ParseError(f"pair indices out of order or range: {text!r}", lineno)
             if pedm.is_known(i - 1, j - 1):
                 raise ParseError(f"duplicate pair ({i}, {j})", lineno)
+            if not 0.0 <= d2 < math.inf:
+                raise ParseError(f"squared distance must be finite and >= 0: {text!r}", lineno)
             pedm.add_pair(i - 1, j - 1, d2)
         else:
             parts = text.split()
@@ -333,6 +328,8 @@ def read_problem(path) -> tuple[PartialEDM, np.ndarray]:
                 anchors[anchor_row] = [float(x) for x in parts]
             except ValueError:
                 raise ParseError(f"malformed anchor line {text!r}", lineno) from None
+            if not np.all(np.isfinite(anchors[anchor_row])):
+                raise ParseError(f"anchor coordinates must be finite: {text!r}", lineno)
             anchor_row += 1
     if mode == "pairs":
         raise ParseError("missing 'anchors' section", len(lines))

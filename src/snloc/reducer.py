@@ -17,31 +17,35 @@ neighbors beta in the clique, so each step is a thin front end that checks
 its precondition and builds the partner face, over one of two kernels:
 rigid (closed-form face intersection) or singular (two candidate
 realizations, committed only when exactly one survives the feasibility test
-against the known distances).  A singular absorption needs the range bounds
-(``Tolerances.use_range_bounds``) to decide: the node's measured distances
-into the union all go to beta, and both mirror placements keep them.
+against the known distances).
 
 The loop processes cliques by ascending id.  The clique under consideration
 (the "grower") keeps incremental overlap counters: cnt[l] is the number of
 shared nodes with clique l, acnt[w] the number of grower nodes adjacent to
-the outside node w, both updated as nodes arrive, so candidate search never
-rescans the whole family.  One table gives the steps in priority order;
-each picks from cnt (unions) or acnt (absorptions) an overlap >= r+1
-(rigid) or exactly r (singular), by descending overlap, ties by ascending
-id.  The rigid steps pick from a max-heap over (count, -id) with lazy
-deletion: every count above r is pushed as it is reached, and entries that
-are no longer current, or that failed, are dropped when they surface, so a
-pick costs O(log n) instead of a scan of the counters.  The singular steps
-scan.  Failed attempts are remembered with a key and retried only after it
-changes: the counter value for the rigid steps, the grower's size for a
-singular absorption.  A singular union's two candidates differ by a
-reflection across the flat of the r shared nodes, so only a measured edge
-between the two private sides (a cross edge) can tell them apart;
-without one the union declines before any face work, unless the range
-bounds are on.  The loop keeps each singular partner's cross-edge count,
-skips partners without a cross edge, and retries a failed one only when
-its count has grown.  Merged ids forward to their absorber through an alias
-table so membership sets can be cleaned lazily.
+the outside node w.  One routine counts both, for the grower's own nodes
+when its turn starts (acnt on first use) and for each merge's new nodes, so
+candidate search never rescans the whole family.  One table gives the steps
+in priority order; each picks from cnt (unions) or acnt (absorptions) an
+overlap >= r+1 (rigid) or exactly r (singular).  The rigid steps take the
+largest overlap, ties by ascending id, from a max-heap over (count, -id)
+with lazy deletion: every count above r is pushed as it is reached, and
+entries that are no longer current, or that failed, are dropped when they
+surface, so a pick costs O(log n) instead of a scan of the counters.  A
+failed rigid partner is retried once its count has grown.
+
+Each singular step has two mirror-image candidates, and only data can tell
+them apart (the flip ambiguity of Moore, Leonard, Rus and Teller, SenSys
+2004).  A singular union's candidates differ by a reflection across the flat
+of the r shared nodes, so a measured edge between the two private sides (a
+cross edge) decides, as can the range bounds; without either the union
+declines before any face work.  A singular absorption's node has measured
+distances only to beta, so only the range bounds
+(``Tolerances.use_range_bounds``) decide, and without them L4 runs L3's
+rows.  Both singular rows share one pick rule: candidates by
+ascending id, keyed by the cross-edge count for a union without the range
+bounds and by the grower's size otherwise; a key of 0 is skipped, and so is
+a partner that failed at its current key.  Merged ids forward to their
+absorber through an alias table so membership sets can be cleaned lazily.
 """
 
 from __future__ import annotations
@@ -447,16 +451,16 @@ def _union_pair(family: CliqueFamily, i: int, j: int):
     return i, j, [u for u in small if u in big]
 
 
-def _has_cross_edge(pedm, Ci, Cj) -> bool:
-    """Whether a measured edge joins Cj minus Ci to Ci minus Cj; scans Cj's
-    private nodes, as the partner j is usually the smaller clique."""
-    adj = pedm.adj
+def _cross_edges(adj, Ci, Cj) -> int:
+    """Measured edges between Cj minus Ci and Ci minus Cj (cross edges); scans
+    Cj's private nodes, as the partner j is usually the smaller clique."""
+    count = 0
     for u in Cj:
         if u not in Ci:
             for v in adj[u]:
                 if v in Ci and v not in Cj:
-                    return True
-    return False
+                    count += 1
+    return count
 
 
 def _neighbors_in(family: CliqueFamily, i: int, j: int):
@@ -576,7 +580,7 @@ def nonrigid_clique_union(family: CliqueFamily, i: int, j: int, tol: Tolerances)
     # the two candidates differ only in the distances between the private
     # sides: without a measured one no data can decide (on noisy data an
     # accept would be a round-off coin flip), but the range bounds still can
-    if not tol.use_range_bounds and not _has_cross_edge(family.pedm, Ci, Cj):
+    if not tol.use_range_bounds and not _cross_edges(family.pedm.adj, Ci, Cj):
         return False
     beta = sorted(common)
     merged = _singular_merge(
@@ -606,11 +610,9 @@ def nonrigid_node_absorption(family: CliqueFamily, i: int, j: int, tol: Toleranc
     temp = _temp_face(family, i, temp_nodes, tol)
     if temp is None:
         return False
+    # a beta of affine rank below r-1 leaves the temporary clique below rank
+    # r, so _temp_face has declined it (as would the kernel's rank test)
     Dtemp, f2 = temp
-    bpos = [temp_nodes.index(u) for u in beta]
-    Bbeta = kappa_pinv(Dtemp[np.ix_(bpos, bpos)])
-    if significant_rank(eigh_descending(Bbeta).values, tol.rank) != r - 1:
-        return False
     merged = _singular_merge(family, i, f2, beta, lambda: (temp_nodes, Dtemp), tol)
     return _commit(family, i, merged, [j], STEP_NONRIGID_ABSORB)
 
@@ -618,24 +620,15 @@ def nonrigid_node_absorption(family: CliqueFamily, i: int, j: int, tol: Toleranc
 # -- the reduction loop -----------------------------------------------------
 
 # (name, counter key, absorb, singular) in priority order; row k is enabled
-# from level k+1.  Steps are looked up by name at call time, so that
-# wrappers installed on this module see every call.
+# from level k+1, the last one only with the range bounds.  Steps are looked
+# up by name at call time, so that wrappers installed on this module see
+# every call.
 _STEPS = (
     ("rigid_clique_union", STEP_RIGID_UNION, False, False),
     ("rigid_node_absorption", STEP_RIGID_ABSORB, True, False),
     ("nonrigid_clique_union", STEP_NONRIGID_UNION, False, True),
     ("nonrigid_node_absorption", STEP_NONRIGID_ABSORB, True, True),
 )
-
-
-def _cross_edge_count(Cl, Ci, acnt, adj) -> int:
-    """Measured edges between the private nodes of cliques Cl and Ci, the
-    count whose absence ``_has_cross_edge`` tests, read off the grower's
-    counters: Ci's edges into Cl's private nodes (acnt) less those from the
-    shared nodes."""
-    private = Cl - Ci
-    return (sum([acnt.get(w, 0) for w in private])
-            - sum([len(adj[b].keys() & private) for b in Cl & Ci]))
 
 
 def _heap_pick(heap, counts, tried):
@@ -660,23 +653,18 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
     the grower mutates, so opportunities between other cliques are
     unaffected and get their turn later in the pass.
     """
-    pedm = family.pedm
+    adj = family.pedm.adj
     r = family.dim
     Ci = family.cliques[gid]
+    # a singular absorption decides only with the range bounds
+    # (nonrigid_node_absorption), so without them L4 runs L3's rows
+    rows = _STEPS[: level if tol.use_range_bounds else min(level, StepLevel.L3)]
     cnt: dict[int, int] = {}
-    for u in Ci:
-        for c in family.node_cliques(u):
-            if c != gid:
-                cnt[c] = cnt.get(c, 0) + 1
     acnt: dict[int, int] | None = None
     # rigid candidates by absorb flag: max-heaps over (count, -id)
-    heaps = {False: [(-c, l) for l, c in cnt.items() if c > r], True: []}
-    heapq.heapify(heaps[False])
-    # per row, partner -> key of its last failed attempt; a singular union's
-    # key is its cross-edge count (its grower's size with the range bounds
-    # on, as for a singular absorption), as a larger grower can measure what
-    # tells branches apart
-    failed = {(absorb, singular): {} for _, _, absorb, singular in _STEPS}
+    heaps = {False: [], True: []}
+    # per row, partner -> key of its last failed attempt
+    failed = {name: {} for name, *_ in rows}
     changed = False
     # singular union partner -> cross-edge count, until the grower changes
     cross: dict[int, int] = {}
@@ -686,44 +674,49 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
         if c > r:
             heapq.heappush(heap, (-c, l))
 
-    def register_nodes(new_nodes):
-        for u in new_nodes:
+    def count_neighbors(nodes):
+        for u in nodes:
+            acnt.pop(u, None)
+            for w in adj[u]:
+                if w not in Ci:
+                    bump(acnt, heaps[True], w)
+
+    def register_nodes(nodes):
+        for u in nodes:
             for c in family.node_cliques(u):
                 if c != gid:
                     bump(cnt, heaps[False], c)
-            if acnt is not None:
-                acnt.pop(u, None)
-                for w in pedm.adj[u]:
-                    if w not in Ci:
-                        bump(acnt, heaps[True], w)
+        if acnt is not None:
+            count_neighbors(nodes)
 
+    def singular_key(l, absorb):
+        # only a cross edge can decide a union without the range bounds
+        # (nonrigid_clique_union), so its key is the cross-edge count;
+        # otherwise a larger grower may decide what a smaller one could not
+        if absorb or tol.use_range_bounds:
+            return len(Ci)
+        x = cross.get(l)
+        if x is None:
+            x = cross[l] = _cross_edges(adj, Ci, family.cliques[l])
+        return x
+
+    register_nodes(Ci)
     while True:
-        for name, step, absorb, singular in _STEPS[:level]:
+        for name, step, absorb, singular in rows:
             if absorb and acnt is None:
                 acnt = {}
-                for u in Ci:
-                    for w in pedm.adj[u]:
-                        if w not in Ci:
-                            acnt[w] = acnt.get(w, 0) + 1
-                heaps[True] = [(-c, w) for w, c in acnt.items() if c > r]
-                heapq.heapify(heaps[True])
+                count_neighbors(Ci)
             counts = acnt if absorb else cnt
-            tried = failed[absorb, singular]
-            if singular and not absorb and not tol.use_range_bounds:
-                # only a cross edge can decide (nonrigid_clique_union); a
-                # failed partner is retried once a new one has appeared
+            tried = failed[name]
+            if singular:
+                # by ascending id; a key of 0 cannot decide, and a partner
+                # that failed is retried only once its key has changed
                 pick = None
                 for l in sorted([l for l, c in counts.items() if c == r]):
-                    x = cross.get(l)
-                    if x is None:
-                        x = cross[l] = _cross_edge_count(family.cliques[l], Ci, acnt, pedm.adj)
-                    if x and tried.get(l) != x:
-                        pick = (l, x)
+                    key = singular_key(l, absorb)
+                    if key and tried.get(l) != key:
+                        pick = l, key
                         break
-            elif singular:
-                key = (r, len(Ci))
-                ids = [l for l, c in counts.items() if c == r and tried.get(l) != key]
-                pick = (min(ids), key) if ids else None
             else:
                 pick = _heap_pick(heaps[absorb], counts, tried)
             if pick is None:
@@ -731,10 +724,7 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
             l, key = pick
             new_nodes = [l] if absorb else [u for u in family.cliques[l] if u not in Ci]
             if globals()[name](family, gid, l, tol):
-                failed[absorb, False].pop(l, None)
-                failed[absorb, True].pop(l, None)
-                if not absorb:
-                    cnt.pop(l, None)
+                counts.pop(l, None)
                 register_nodes(new_nodes)
                 cross.clear()
                 changed = True

@@ -31,9 +31,9 @@ def localize(
     contains the anchors, and aligns them to the anchor positions.  The
     reported time covers everything from seeding through alignment; instance
     generation and error evaluation are outside it.  A solve is successful
-    when at least one sensor was positioned.  anchors must be an (m, r)
-    array and level one of the StepLevel values (InvalidConfig otherwise,
-    raised before any work).
+    when at least one sensor was positioned.  anchors must be a finite
+    (m, r) array and level one of the StepLevel values (InvalidConfig
+    otherwise, raised before any work).
     """
     r = pedm.dim
     level = step_level(level)
@@ -42,6 +42,8 @@ def localize(
         raise InvalidConfig(
             f"anchor array shape {anchors.shape} does not match m={pedm.m}, r={r}"
         )
+    if not np.all(np.isfinite(anchors)):
+        raise InvalidConfig("anchor coordinates must be finite")
     if tol is None:
         tol = Tolerances.for_noise(pedm.noise_factor)
     t0 = time.perf_counter()

@@ -10,7 +10,9 @@ from snloc.cli import (
     main,
     run_experiment,
 )
+from snloc.edm_core import RankTolerance
 from snloc.errors import InvalidConfig
+from snloc.faces import Tolerances
 from snloc.instance import (
     build_partial_edm,
     generate_instance,
@@ -133,3 +135,32 @@ def test_main_problem_file_round_trip(tmp_path, capsys):
     for node, coords in got.items():
         assert np.allclose(coords, report.positioned[node], atol=1e-12)
     assert trace.read_text().startswith("step=")
+
+
+def test_cli_tolerances_default_to_the_noise(tmp_path, monkeypatch):
+    # the flags' old defaults (--tol 1e-9, --feas-tol 1e-6) were always
+    # passed, so a noisy run got feas_tol=1e-6 instead of 10 sigma
+    import snloc.cli
+
+    seen = []
+
+    def recording_localize(*args, **kwargs):
+        seen.append(kwargs["tol"])
+        return localize(*args, **kwargs)
+
+    monkeypatch.setattr(snloc.cli, "localize", recording_localize)
+    experiment = ["--n", "50", "--anchors", "4", "--radio-range", "0.45",
+                  "--noise", "1e-4", "--trials", "1"]
+    assert main(experiment) == 0
+    assert seen.pop() == Tolerances.for_noise(1e-4)
+    inst = generate_instance(50, 4, 2, seed=1, radio_range=0.45, noise_factor=1e-3)
+    problem = tmp_path / "prob.snl"
+    write_problem(problem, build_partial_edm(inst), inst.anchors)
+    main(["--problem", str(problem)])
+    assert seen.pop() == Tolerances.for_noise(1e-3)
+    # a flag the user gives still wins over the noise-derived value
+    main(experiment + ["--feas-tol", "1e-5"])
+    assert seen.pop() == Tolerances.for_noise(1e-4, feas_tol=1e-5)
+    main(["--problem", str(problem), "--tol", "1e-7", "--feas-tol", "1e-5"])
+    assert seen.pop() == Tolerances.for_noise(
+        1e-3, rank=RankTolerance(relative_cut=1e-7), feas_tol=1e-5)

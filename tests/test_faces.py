@@ -43,7 +43,7 @@ def assert_face_invariants(face, k, width):
     gram = face.basis.T @ face.basis
     assert np.allclose(gram, np.eye(width), atol=1e-9)
     e = np.ones(k)
-    assert np.linalg.norm(face.basis @ np.eye(width)[-1] - face.alpha * e) <= 1e-9 * np.sqrt(k)
+    assert np.linalg.norm(face.basis @ np.eye(width)[-1] - e / np.sqrt(k)) <= 1e-9 * np.sqrt(k)
 
 
 def test_face_from_clique_collinear_r1():
@@ -56,7 +56,7 @@ def test_face_from_clique_collinear_r1():
     got = face.basis[:, 0]
     sign = np.sign(got @ expected)
     assert np.allclose(got * sign, expected, atol=1e-12)
-    assert face.alpha == pytest.approx(1.0 / np.sqrt(3.0))
+    assert np.allclose(face.basis[:, -1], 1.0 / np.sqrt(3.0), atol=1e-15)
     assert_face_invariants(face, 3, 2)
 
 
@@ -64,7 +64,6 @@ def test_face_from_clique_singleton():
     pedm = complete_pedm(np.zeros((1, 2)))
     face = face_from_clique(pedm, [0], 2, TOL)
     assert np.array_equal(face.basis, [[1.0]])
-    assert face.alpha == 1.0
 
 
 def test_face_from_clique_generic_r2():
@@ -179,7 +178,7 @@ def test_rigid_union_containment_and_alpha():
             padded = padded_face_subspace(f, union)
             proj = padded @ np.linalg.lstsq(padded, out.basis, rcond=None)[0]
             assert np.linalg.norm(proj - out.basis) <= 1e-9
-        assert out.alpha == pytest.approx(1.0 / np.sqrt(union.size))
+        assert np.allclose(out.basis[:, -1], 1.0 / np.sqrt(union.size), atol=1e-15)
         assert_face_invariants(out, union.size, r + 1)
 
 

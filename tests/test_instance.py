@@ -90,18 +90,19 @@ def test_build_threshold_is_strict():
 def test_build_anchor_block_always_known_and_exact():
     inst = generate_instance(30, 5, 2, seed=9, radio_range=0.05, noise_factor=1e-2)
     pedm = build_partial_edm(inst)
-    for a in pedm.anchor_block:
-        for b in pedm.anchor_block:
+    anchors = range(inst.n - inst.m, inst.n)
+    for a in anchors:
+        for b in anchors:
             if a < b:
                 true = float(np.sum((inst.points[a] - inst.points[b]) ** 2))
-                assert pedm.value(a, b) == pytest.approx(true, rel=1e-14)
+                assert pedm.adj[a][b] == pytest.approx(true, rel=1e-14)
 
 
 def test_build_symmetry():
     inst = generate_instance(80, 4, 2, seed=2, radio_range=0.3, noise_factor=1e-3)
     pedm = build_partial_edm(inst)
     for i, j, d2 in pedm.known_pairs():
-        assert pedm.value(j, i) == d2
+        assert pedm.adj[j][i] == d2
 
 
 def test_noise_magnitude_half_normal():
@@ -194,7 +195,8 @@ def test_problem_file_only_anchor_block(tmp_path):
     write_problem(path, pedm, inst.anchors)
     got, _ = read_problem(path)
     pairs = list(got.known_pairs())
-    assert all(i in got.anchor_block and j in got.anchor_block for i, j, _ in pairs)
+    anchors = range(got.n - got.m, got.n)
+    assert all(i in anchors and j in anchors for i, j, _ in pairs)
     assert len(pairs) == 3
 
 
@@ -212,6 +214,24 @@ def test_problem_file_duplicate_pair(tmp_path):
     with pytest.raises(ParseError) as err:
         read_problem(path)
     assert err.value.line == 4
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [("1 2 0.25\n1 3 nan\nanchors\n0.1 0.2\n", 3),
+     ("1 2 0.25\n1 3 -0.5\nanchors\n0.1 0.2\n", 3),
+     ("1 2 0.25\nanchors\n0.1 nan\n", 4),
+     ("1 2 0.25\nanchors\ninf 0.2\n", 4)],
+    ids=["pair-nan", "pair-negative", "anchor-nan", "anchor-inf"],
+)
+def test_problem_file_rejects_non_finite_values(tmp_path, body, line):
+    # a bad d2 used to raise InvalidConfig without a line number, and a nan
+    # anchor coordinate was accepted
+    path = tmp_path / "bad.snl"
+    path.write_text("snl v1 4 1 2 0.5 0\n" + body)
+    with pytest.raises(ParseError) as err:
+        read_problem(path)
+    assert err.value.line == line
 
 
 def test_add_pair_rejects_non_finite_and_negative():

@@ -359,6 +359,24 @@ def test_nonrigid_absorption_dispatch_rank():
     assert not nonrigid_node_absorption(fam, cid, 4, Tolerances(use_range_bounds=True))
 
 
+def test_nonrigid_absorption_declines_a_collinear_beta():
+    # r=3: node 5 measures only the collinear nodes 0, 1, 2, so it may sit
+    # anywhere on a circle around their line.  The temporary clique of beta
+    # and node 5 then spans only a plane, so the step must decline without
+    # a test of beta's own rank
+    P = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0],
+                  [0.3, 0.6, 0.1], [0.6, 0.2, 0.7], [0.5, -0.3, -0.2]])
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    pairs += [(0, 5), (1, 5), (2, 5)]
+    pedm = pedm_from_pairs(P, pairs, radio_range=0.5)
+    fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3, 4))], 0)
+    cid = next(iter(fam.active))
+    tol = Tolerances(use_range_bounds=True)
+    assert reducer._temp_face(fam, cid, [0, 1, 2, 5], tol) is None
+    assert not nonrigid_node_absorption(fam, cid, 5, tol)
+    assert fam.cliques[cid] == {0, 1, 2, 3, 4}
+
+
 def test_run_single_clique_fixed_point():
     P = RNG.random((6, 2))
     pedm = complete_pedm(P, m=3)
@@ -459,7 +477,7 @@ def test_level_monotonicity():
             grow_cliques(fam, pedm, 9)
             run(fam, pedm, level=level, tol=TOL)
             cid = fam.find(fam.anchor_clique_id)
-            positioned[level] = set(fam.cliques[cid]) - set(pedm.anchor_block)
+            positioned[level] = set(fam.cliques[cid]) - set(range(pedm.n - pedm.m, pedm.n))
         for low, high in zip(
             (StepLevel.L1, StepLevel.L2, StepLevel.L3),
             (StepLevel.L2, StepLevel.L3, StepLevel.L4),
@@ -536,38 +554,77 @@ RANGE_BOUNDS = Tolerances(use_range_bounds=True)
 
 
 @pytest.mark.parametrize(
-    "seed, n, m, R, level, tol, counts, positioned",
+    "seed, n, m, r, R, level, tol, counts, positioned",
     [
-        (0, 354, 8, GOLDEN_R, StepLevel.L4, None,
+        (0, 354, 8, 2, GOLDEN_R, StepLevel.L4, None,
          {"nonrigid_union": 3, "rigid_absorb": 74, "rigid_union": 259}, 291),
         # the only cases here that exercise the fourth step end to end
-        (0, 354, 8, GOLDEN_R, StepLevel.L4, RANGE_BOUNDS,
+        (0, 354, 8, 2, GOLDEN_R, StepLevel.L4, RANGE_BOUNDS,
          {"nonrigid_absorb": 8, "nonrigid_union": 9, "rigid_absorb": 70,
           "rigid_union": 262}, 317),
-        (1, 354, 8, GOLDEN_R, StepLevel.L4, RANGE_BOUNDS,
+        (1, 354, 8, 2, GOLDEN_R, StepLevel.L4, RANGE_BOUNDS,
          {"nonrigid_absorb": 6, "nonrigid_union": 7, "rigid_absorb": 79,
           "rigid_union": 277}, 338),
-        (2, 354, 8, GOLDEN_R, StepLevel.L4, RANGE_BOUNDS,
+        (2, 354, 8, 2, GOLDEN_R, StepLevel.L4, RANGE_BOUNDS,
          {"nonrigid_absorb": 6, "nonrigid_union": 17, "rigid_absorb": 58,
           "rigid_union": 273}, 341),
-        (3, 354, 8, GOLDEN_R, StepLevel.L4, RANGE_BOUNDS,
+        (3, 354, 8, 2, GOLDEN_R, StepLevel.L4, RANGE_BOUNDS,
          {"nonrigid_absorb": 4, "nonrigid_union": 12, "rigid_absorb": 74,
           "rigid_union": 266}, 331),
-        (0, 200, 4, 0.16, StepLevel.L1, None, {"rigid_union": 151}, 98),
-        (0, 200, 4, 0.16, StepLevel.L2, None,
+        # in three dimensions beta is a triangle, which the singular
+        # kernel's rank test must find non-degenerate
+        (0, 300, 6, 3, 0.22, StepLevel.L4, RANGE_BOUNDS,
+         {"nonrigid_absorb": 11, "nonrigid_union": 10, "rigid_absorb": 129,
+          "rigid_union": 201}, 262),
+        (0, 200, 4, 2, 0.16, StepLevel.L1, None, {"rigid_union": 151}, 98),
+        (0, 200, 4, 2, 0.16, StepLevel.L2, None,
          {"rigid_absorb": 19, "rigid_union": 160}, 196),
     ],
     ids=["L4", "L4-range-bounds", "L4-range-bounds-1", "L4-range-bounds-2",
-         "L4-range-bounds-3", "L1", "L2"],
+         "L4-range-bounds-3", "r3-L4-range-bounds", "L1", "L2"],
 )
-def test_golden_step_counts(seed, n, m, R, level, tol, counts, positioned):
+def test_golden_step_counts(seed, n, m, r, R, level, tol, counts, positioned):
     # pins the reduction loop's step decisions: refactoring must move
     # neither the per-step counts nor the positioned totals
-    inst = generate_instance(n, m, 2, seed=seed, radio_range=R)
+    inst = generate_instance(n, m, r, seed=seed, radio_range=R)
     pedm = build_partial_edm(inst)
     rep = localize(pedm, inst.anchors, level=level, tol=tol, truth=inst.points)
     assert rep.step_counts == counts
     assert len(rep.positioned) == positioned
+
+
+def test_l4_without_range_bounds_runs_no_singular_absorption(monkeypatch):
+    # the step declines by itself without the range bounds, so the loop must
+    # not spend a turn on it (6495 calls on 30 singular-sparse instances)
+    def refuse(*args):
+        raise AssertionError("singular absorption called without range bounds")
+
+    monkeypatch.setattr(reducer, "nonrigid_node_absorption", refuse)
+    inst = generate_instance(354, 8, 2, seed=0, radio_range=GOLDEN_R)
+    rep = localize(build_partial_edm(inst), inst.anchors, level=StepLevel.L4)
+    assert rep.step_counts == {"nonrigid_union": 3, "rigid_absorb": 74, "rigid_union": 259}
+    assert len(rep.positioned) == 291
+
+
+def test_cross_edges_match_a_brute_force_count():
+    inst = generate_instance(300, 4, 2, seed=5, radio_range=GOLDEN_R)
+    pedm = build_partial_edm(inst)
+    fam = init_family(pedm, half_range_cliques(pedm), 4)
+    grow_cliques(fam, pedm, 9)
+    run(fam, pedm, level=StepLevel.L2, tol=TOL)
+    ids = sorted(fam.active)
+    cliques = [fam.cliques[c] for c in ids]
+    assert max(len(C) for C in cliques) > 30
+    pairs = 0
+    for Ci in cliques:
+        for Cj in cliques:
+            if Ci is Cj or not Ci & Cj:
+                continue
+            only_i, only_j = Ci - Cj, Cj - Ci
+            want = sum(1 for u in only_i for v in only_j if v in pedm.adj[u])
+            assert reducer._cross_edges(pedm.adj, Ci, Cj) == want
+            pairs += 1
+    assert pairs > 100
 
 
 def test_singular_unions_reach_the_kernel_only_with_a_cross_edge(monkeypatch):

@@ -78,12 +78,28 @@ def test_localize_trace_lines(tmp_path):
         assert {"step", "i", "j", "|C|", "positioned"} <= set(fields)
 
 
-def test_localize_rejects_wrong_anchor_shape():
+def _with_entry(anchors, value):
+    out = anchors.copy()
+    out[1, 0] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "make_bad",
+    [lambda a: a[:3], lambda a: a.T, lambda a: a.ravel(),
+     lambda a: _with_entry(a, np.nan), lambda a: _with_entry(a, np.inf)],
+    ids=["short", "transposed", "flat", "nan", "inf"],
+)
+def test_localize_rejects_wrong_anchor_shape(make_bad, monkeypatch):
+    # a non-finite anchor used to solve everything and then raise numpy's
+    # "SVD did not converge"; the check must come before any work
+    import snloc.solver
+
     inst = generate_instance(40, 4, 2, seed=2, radio_range=0.5)
     pedm = build_partial_edm(inst)
-    for bad in (inst.anchors[:3], inst.anchors.T, inst.anchors.ravel()):
-        with pytest.raises(InvalidConfig):
-            localize(pedm, bad, level=StepLevel.L2)
+    monkeypatch.setattr(snloc.solver, "half_range_cliques", None)
+    with pytest.raises(InvalidConfig):
+        localize(pedm, make_bad(inst.anchors), level=StepLevel.L2)
 
 
 def test_localize_fails_on_collinear_anchors():

@@ -20,7 +20,9 @@ n=354 (the Table 3 degree), Table 3 itself (L3, n=2004, R=.04), the
 range-bounds L4 instances of seeds 0-3, and 36 noisy instances that run
 singular unions: sigma 1e-4 and 1e-3 on L4 at n=354 (m=8), L3 at n=300
 (m=4, R=.09) and L4 at n=1004 (m=6), each with seeds 0-5; both L4 sizes
-have the Table 3 degree.
+have the Table 3 degree.  All of these are planar (r=2).  Last come twelve
+r=3 range-bounds L4 instances (n=300, m=6, R .22 and .26, seeds 0-5), which
+run singular absorptions in three dimensions.
 """
 
 from __future__ import annotations
@@ -49,10 +51,14 @@ NOISY_SINGULAR = (("L4-354", 354, 8, SPARSE_R, 4), ("L3-300", 300, 4, 0.09, 3),
                   ("L4-1004", 1004, 6, MID_R, 4))
 NOISY_SIGMAS = (1e-4, 1e-3)
 NOISY_SEEDS = 6
+# radii of the r=3 range-bounds instances (n=300, m=6), each run at every
+# seed of range(SPATIAL_SEEDS)
+SPATIAL_RADII = (0.22, 0.26)
+SPATIAL_SEEDS = 6
 
 
 def instances():
-    """(name, n, m, R, sigma, instance seed, level, range bounds) in run order."""
+    """(name, n, m, r, R, sigma, instance seed, level, range bounds) in run order."""
     from snlbench.workloads import WORKLOADS
 
     out = []
@@ -60,29 +66,33 @@ def instances():
         wl = WORKLOADS[wname]
         for p in range(passes):
             for n, R, iseed in zip(wl.sizes, wl.radii, wl.instance_seeds(0, p)):
-                out.append((f"{wname}-p{p}-n{n}", n, wl.anchors, R, wl.sigma, iseed,
+                out.append((f"{wname}-p{p}-n{n}", n, wl.anchors, 2, R, wl.sigma, iseed,
                             int(wl.level), False))
-    out.append(("L2-200", 200, 4, 0.16, 0.0, 0, 2, False))
-    out.append(("L4-354", 354, 8, SPARSE_R, 0.0, 0, 4, False))
-    out.append(("table3-L3-2004", 2004, 4, TABLE3_R, 0.0, 0, 3, False))
+    out.append(("L2-200", 200, 4, 2, 0.16, 0.0, 0, 2, False))
+    out.append(("L4-354", 354, 8, 2, SPARSE_R, 0.0, 0, 4, False))
+    out.append(("table3-L3-2004", 2004, 4, 2, TABLE3_R, 0.0, 0, 3, False))
     for seed in range(4):
-        out.append((f"range-bounds-{seed}", 354, 8, SPARSE_R, 0.0, seed, 4, True))
+        out.append((f"range-bounds-{seed}", 354, 8, 2, SPARSE_R, 0.0, seed, 4, True))
     for name, n, m, R, level in NOISY_SINGULAR:
         for sigma in NOISY_SIGMAS:
             for seed in range(NOISY_SEEDS):
-                out.append((f"noisy-{name}-s{sigma:g}-{seed}", n, m, R, sigma, seed, level, False))
+                out.append((f"noisy-{name}-s{sigma:g}-{seed}", n, m, 2, R, sigma, seed, level,
+                            False))
+    for R in SPATIAL_RADII:
+        for seed in range(SPATIAL_SEEDS):
+            out.append((f"r3-range-bounds-R{R:g}-{seed}", 300, 6, 3, R, 0.0, seed, 4, True))
     return out
 
 
 def solve(case) -> dict:
     from snloc import Tolerances, build_partial_edm, generate_instance, localize
 
-    name, n, m, R, sigma, seed, level, bounds = case
-    inst = generate_instance(n, m, 2, seed=seed, radio_range=R, noise_factor=sigma)
+    name, n, m, r, R, sigma, seed, level, bounds = case
+    inst = generate_instance(n, m, r, seed=seed, radio_range=R, noise_factor=sigma)
     tol = Tolerances.for_noise(sigma, use_range_bounds=True) if bounds else None
     rep = localize(build_partial_edm(inst), inst.anchors, level=level, tol=tol)
     ids = np.array(sorted(rep.positioned), dtype=np.int64)
-    coords = np.array([rep.positioned[u] for u in ids.tolist()]).reshape(ids.size, 2)
+    coords = np.array([rep.positioned[u] for u in ids.tolist()]).reshape(ids.size, r)
     return {
         f"{name}.counts": np.array(json.dumps(rep.step_counts, sort_keys=True)),
         f"{name}.ids": ids,
