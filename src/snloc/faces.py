@@ -15,7 +15,9 @@ that form and relies on this normalization.
 All faces built from a clique's Gram matrix go through one stacked
 computation (``_face_coords``): one eigendecomposition, rank cut and QR for
 a whole stack of equal-size cliques.  :func:`clique_faces` uses it to build
-the seed cliques' faces in chunks before reduction starts;
+the seed cliques' faces in chunks before reduction starts, and prepares
+each face for merging there too: the Grams of [V, e], their Cholesky
+factors and the factors' inverses come from stacked calls as well.
 :func:`face_from_clique` and :func:`face_from_gram` are its one-clique case,
 bitwise equal to it.
 
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -155,12 +158,14 @@ class _RowStore:
 
 
 def _gram(V: np.ndarray) -> np.ndarray:
-    """Gram matrix of [V, e]."""
-    k, r = V.shape
-    G = np.empty((r + 1, r + 1))
-    G[:r, :r] = V.T @ V
-    G[:r, r] = G[r, :r] = V.sum(axis=0)
-    G[r, r] = k
+    """Gram matrix of [V, e], or the stack of them for a stack of V.
+
+    A matrix of a stack is bitwise the Gram of that matrix alone."""
+    *c, k, r = V.shape
+    G = np.empty((*c, r + 1, r + 1))
+    G[..., :r, :r] = np.matmul(np.swapaxes(V, -1, -2), V)
+    G[..., :r, r] = G[..., r, :r] = V.sum(axis=-2)
+    G[..., r, r] = k
     return G
 
 
@@ -183,12 +188,13 @@ class FaceRep:
     sorted array of node ids, and basis is k-by-(r+1) with orthonormal
     columns, the last of which is e/sqrt(k).  Recovery and ``rows`` read
     this form; both intersection kernels read only the stored one.  The
-    constructor takes the materialized form.
+    constructor takes the materialized form.  The whitener of the Gram is
+    cached on first use as well.
     """
 
     # _size rows of _store belong to this face; V was last orthonormalized
-    # at _orth_size rows
-    __slots__ = ("_store", "_size", "_gram", "_orth_size", "_nodes", "_basis")
+    # at _orth_size rows; _white caches _whitener
+    __slots__ = ("_store", "_size", "_gram", "_orth_size", "_nodes", "_basis", "_white")
 
     def __init__(self, nodes, basis):
         nodes = np.asarray(nodes, dtype=np.int64)
@@ -200,12 +206,13 @@ class FaceRep:
         self._orth_size = nodes.size
         self._nodes = nodes
         self._basis = basis
+        self._white = None
 
     @classmethod
     def _stored(cls, store: _RowStore, size: int, gram: np.ndarray, orth_size: int) -> "FaceRep":
         face = object.__new__(cls)
         face._store, face._size, face._gram, face._orth_size = store, size, gram, orth_size
-        face._nodes = face._basis = None
+        face._nodes = face._basis = face._white = None
         return face
 
     @property
@@ -234,13 +241,18 @@ class FaceRep:
 
     def _affine(self, rows) -> np.ndarray:
         """Stored rows [V, e] of the given row indices."""
-        V = self._store.coords[rows]
-        return np.column_stack([V, np.ones(len(V))])
+        coords = self._store.coords
+        A = np.empty((len(rows), coords.shape[1] + 1))
+        A[:, :-1] = coords[rows]
+        A[:, -1] = 1.0
+        return A
 
     def _whitener(self):
         """(W, L) with G = L L^T and W = L^-T, so [V, e] W is orthonormal."""
-        L = np.linalg.cholesky(self._gram)
-        return np.linalg.inv(L).T, L
+        if self._white is None:
+            L = np.linalg.cholesky(self._gram)
+            self._white = np.linalg.inv(L).T, L
+        return self._white
 
     def _extend(self, coords: np.ndarray, ids) -> "FaceRep":
         """This face grown by rows ``coords`` for the new node ids.
@@ -270,6 +282,7 @@ class FaceRep:
         Q, _ = np.linalg.qr(V - V.mean(axis=0))
         store.coords[:k] = Q
         self._store, self._gram, self._orth_size = store, _gram(Q), k
+        self._white = None
 
 
 @dataclass(eq=False)
@@ -323,10 +336,6 @@ def _face_coords(B: np.ndarray, r: int, tol: Tolerances):
     return Q, significant_rank(eig.values, tol.rank) >= r
 
 
-def _face(nodes: np.ndarray, Q: np.ndarray) -> FaceRep:
-    return FaceRep(nodes, np.column_stack([Q, _ones_normalized(nodes.size)]))
-
-
 def face_from_gram(nodes, B: np.ndarray, r: int, tol: Tolerances) -> FaceRep:
     """Face basis from a centered Gram matrix of the clique's nodes.
 
@@ -337,7 +346,7 @@ def face_from_gram(nodes, B: np.ndarray, r: int, tol: Tolerances) -> FaceRep:
     Q, ok = _face_coords(np.asarray(B, dtype=float)[None], r, tol)
     if not ok[0]:
         raise RankDeficient(f"clique Gram has rank below {r}")
-    return _face(nodes, Q[0])
+    return FaceRep(nodes, np.column_stack([Q[0], _ones_normalized(nodes.size)]))
 
 
 def face_from_clique(pedm, clique, r: int, tol: Tolerances) -> FaceRep:
@@ -357,56 +366,71 @@ _STACK_ENTRIES = 1 << 14
 class FaceStack:
     """Faces of equal-size cliques, built together by :func:`clique_faces`.
 
-    nodes (c, k) holds each clique's sorted node ids and coords (c, k, r)
-    its face coordinates; ``face(a)`` builds clique a's :class:`FaceRep`,
-    bitwise equal to :func:`face_from_clique`'s.
+    nodes (c, k) holds each clique's sorted node ids and basis (c, k, w)
+    its face basis [Q, e/sqrt(k)], Q the face coordinates from
+    ``_face_coords``.  The Grams of [Q, e] and their whiteners are computed
+    for the whole stack in stacked calls, each bitwise what its face alone
+    would give.  ``face(a)`` returns clique a's :class:`FaceRep` in stored
+    form over the stack's arrays, with that Gram and whitener in place; it
+    is bitwise equal to :func:`face_from_clique`'s.
     """
 
-    __slots__ = ("nodes", "coords")
+    __slots__ = ("nodes", "basis", "gram", "white", "chol")
 
-    def __init__(self, nodes: np.ndarray, coords: np.ndarray):
-        self.nodes, self.coords = nodes, coords
+    def __init__(self, nodes: np.ndarray, Q: np.ndarray):
+        c, k, r = Q.shape
+        self.nodes = nodes
+        self.basis = np.empty((c, k, r + 1))
+        self.basis[..., :r] = Q
+        self.basis[..., r] = _ones_normalized(k)
+        self.gram = _gram(Q)
+        self.chol = np.linalg.cholesky(self.gram)
+        self.white = np.swapaxes(np.linalg.inv(self.chol), 1, 2)
 
     def face(self, a: int) -> FaceRep:
-        return _face(self.nodes[a], self.coords[a])
+        nodes, basis = self.nodes[a], self.basis[a]
+        # a store filled to capacity copies its rows before it appends, so
+        # the stack's arrays are never written
+        face = FaceRep._stored(_RowStore.of(basis[:, :-1], nodes), nodes.size,
+                               self.gram[a], nodes.size)
+        face._nodes, face._basis = nodes, basis
+        face._white = self.white[a], self.chol[a]
+        return face
 
 
 def clique_faces(pedm, cliques, r: int, tol: Tolerances) -> list:
     """:func:`face_from_clique` for many cliques, in stacked calls.
 
     Cliques of equal size are stacked, up to ``_STACK_ENTRIES`` distance
-    entries at a time, through one ``kappa_pinv``, one eigendecomposition,
-    one rank cut and one QR.  Returns, per clique, (stack, a) with
-    ``stack.face(a)`` its face, or None where face_from_clique raises
-    (a pair without a measured distance, or a Gram of rank below r).
+    entries at a time, through one distance lookup, one ``kappa_pinv``, one
+    eigendecomposition, one rank cut and one QR.  Returns, per clique,
+    (stack, a) with ``stack.face(a)`` its face, or None where
+    face_from_clique raises (a pair without a measured distance, or a Gram
+    of rank below r).
     """
-    adj = pedm.adj
     out = [None] * len(cliques)
     by_size: dict[int, list] = defaultdict(list)
     for pos, clique in enumerate(cliques):
         by_size[len(clique)].append(pos)
     for k, group in by_size.items():
-        upper = np.triu_indices(k, 1)
+        iu, ju = np.triu_indices(k, 1)
         step = max(1, _STACK_ENTRIES // (k * k))
         for start in range(0, len(group), step):
-            found, members, d2 = [], [], []
-            for pos in group[start : start + step]:
-                nodes = sorted(cliques[pos])
-                # the upper triangle of the squared-distance matrix, row by row
-                row = [adj[u].get(v) for a, u in enumerate(nodes) for v in nodes[a + 1 :]]
-                if None not in row:
-                    found.append(pos)
-                    members.append(nodes)
-                    d2.append(row)
-            if not found:
+            chunk = group[start : start + step]
+            nodes = np.fromiter(chain.from_iterable(cliques[pos] for pos in chunk),
+                                dtype=np.int64, count=len(chunk) * k).reshape(-1, k)
+            nodes.sort(axis=1)
+            # the upper triangle of each squared-distance matrix, row by row
+            known, d2 = pedm.lookup(nodes[:, iu], nodes[:, ju])
+            found = known.all(axis=1)
+            if not found.any():
                 continue
-            D = np.zeros((len(found), k, k))
-            D[:, upper[0], upper[1]] = d2
+            D = np.zeros((np.count_nonzero(found), k, k))
+            D[:, iu, ju] = d2[found]
             Q, ok = _face_coords(kappa_pinv(D + np.swapaxes(D, 1, 2)), r, tol)
-            stack = FaceStack(np.array(members, dtype=np.int64), Q)
-            for a, pos in enumerate(found):
-                if ok[a]:
-                    out[pos] = (stack, a)
+            stack = FaceStack(nodes[found][ok], Q[ok])
+            for a, pos in enumerate(np.asarray(chunk)[found][ok].tolist()):
+                out[pos] = (stack, a)
     return out
 
 
@@ -465,14 +489,15 @@ def _merge(F1: FaceRep, F2: FaceRep, tol: Tolerances, rank: int):
         )
     W1, L1 = F1._whitener()
     W2, L2 = F2._whitener()
-    U1pp = F1._affine(rows1) @ W1
-    U2pp = F2._affine(rows2) @ W2
-    # one thin SVD per block: its singular values feed the rank and
-    # conditioning tests, its left vectors the range test, and the mapped
-    # block's factors its pseudo-inverse
-    svd1 = np.linalg.svd(U1pp, full_matrices=False)
-    svd2 = np.linalg.svd(U2pp, full_matrices=False)
-    s1, s2 = svd1.S, svd2.S
+    U1pp, U2pp = blocks = np.empty((2, len(rows1), r + 1))
+    np.matmul(F1._affine(rows1), W1, out=U1pp)
+    np.matmul(F2._affine(rows2), W2, out=U2pp)
+    # one thin SVD per block, both in one stacked call: its singular values
+    # feed the rank and conditioning tests, its left vectors the range
+    # test, and the mapped block's factors its pseudo-inverse
+    U, S, Vh = np.linalg.svd(blocks, full_matrices=False)
+    svd1, svd2 = (U[0], S[0], Vh[0]), (U[1], S[1], Vh[1])
+    s1, s2 = S
     for s in (s1, s2):
         if s[rank - 1] <= _MIDDLE_CUT * s[0]:
             raise IntersectionRankLoss(f"common block rank below {rank}")
@@ -482,7 +507,7 @@ def _merge(F1: FaceRep, F2: FaceRep, tol: Tolerances, rank: int):
         raise IntersectionRankLoss("common block too ill conditioned to invert")
     if len(rows1) > r:
         # largest principal angle between the blocks' top-rank ranges
-        cos = np.linalg.svd(svd1.U[:, :rank].T @ svd2.U[:, :rank], compute_uv=False)[-1]
+        cos = np.linalg.svd(U[0][:, :rank].T @ U[1][:, :rank], compute_uv=False)[-1]
         angle = float(np.arccos(np.clip(cos, -1.0, 1.0)))
         if angle > tol.range_tol:
             raise RangeMismatch(f"common blocks differ by {angle:.3e} rad")

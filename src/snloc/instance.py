@@ -3,7 +3,10 @@
 Nodes are indexed 0..n-1 internally; the last m indices are anchors.  A
 :class:`PartialEDM` stores the known squared distances as per-node adjacency
 dictionaries, which is the shape every other module consumes (neighbor scans,
-principal submatrices, membership tests).
+principal submatrices, membership tests).  For the seed stage of a solve it
+also answers vectorized pair lookups from a sorted index of the measured
+pairs, built from the dictionaries on first use and dropped once the seed
+faces exist.
 
 Randomness: one 64-bit master seed per instance.  ``SeedSequence(seed)`` is
 split into two child streams, child 0 for point coordinates and child 1 for
@@ -14,7 +17,9 @@ points, and results are reproducible across platforms (PCG64).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -60,6 +65,12 @@ class Instance:
         return self.points[: self.n - self.m]
 
 
+# the pair index is built, and half_range_cliques checks the pairs of its
+# near sets, in blocks of about this many pairs, which bounds each temporary
+# at 256 KiB
+_PAIR_BLOCK = 1 << 15
+
+
 @dataclass(eq=False)
 class PartialEDM:
     """Known squared distances of a localization problem.
@@ -75,12 +86,22 @@ class PartialEDM:
     radio_range: float
     noise_factor: float = 0.0
     adj: list[dict[int, float]] = field(default_factory=list)
+    # (keys, d2): the sorted keys i*n + j of the measured pairs, both
+    # directions, then one sentinel key n*n above them all, and the squared
+    # distances in the same order; built by lookup, dropped by drop_lookup
+    _index: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not self.adj:
             self.adj = [dict() for _ in range(self.n)]
 
     def add_pair(self, i: int, j: int, d2: float) -> None:
+        try:
+            i, j = operator.index(i), operator.index(j)
+        except TypeError:
+            raise InvalidConfig(f"node ids must be integers, got ({i!r}, {j!r})") from None
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise InvalidConfig(f"node ids ({i}, {j}) must lie in [0, {self.n})")
         if i == j:
             raise InvalidConfig("self distances are not stored")
         if not 0.0 <= d2 < math.inf:
@@ -89,9 +110,54 @@ class PartialEDM:
             )
         self.adj[i][j] = d2
         self.adj[j][i] = d2
+        self._index = None
 
     def is_known(self, i: int, j: int) -> bool:
         return j in self.adj[i]
+
+    def _pair_index(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._index is None:
+            n, adj = self.n, self.adj
+            deg = np.fromiter(map(len, adj), dtype=np.int64, count=n)
+            size = int(deg.sum())
+            keys = np.empty(size + 1, dtype=np.int64)
+            d2 = np.empty(size + 1)
+            keys[size], d2[size] = n * n, math.nan
+            # in blocks of about _PAIR_BLOCK pairs, so that the temporaries
+            # stay small (built in one piece, the index raised the peak
+            # memory of three rigid-scaling bench passes by 3%); a block's
+            # sorted keys follow the previous block's
+            step = max(1, _PAIR_BLOCK * n // max(size, 1))
+            start = 0
+            for lo in range(0, n, step):
+                rows, counts = adj[lo : lo + step], deg[lo : lo + step]
+                end = start + int(counts.sum())
+                block = np.repeat(np.arange(lo, lo + len(rows), dtype=np.int64) * n, counts)
+                block += np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=end - start)
+                # each node's keys are mostly in order already
+                order = np.argsort(block, kind="stable")
+                keys[start:end] = block[order]
+                d2[start:end] = np.fromiter(chain.from_iterable(map(dict.values, rows)),
+                                            dtype=float, count=end - start)[order]
+                start = end
+            self._index = keys, d2
+        return self._index
+
+    def lookup(self, i, j) -> tuple[np.ndarray, np.ndarray]:
+        """(known, d2) of the node pairs (i, j), elementwise over integer
+        arrays; d2 means nothing where known is False.
+
+        The first call builds the sorted pair index, which stays until
+        ``drop_lookup`` or ``add_pair``."""
+        keys, d2 = self._pair_index()
+        query = np.asarray(i, dtype=np.int64) * self.n + j
+        # the sentinel key keeps every position in range
+        pos = np.searchsorted(keys, query)
+        return keys[pos] == query, d2[pos]
+
+    def drop_lookup(self) -> None:
+        """Free the pair index that ``lookup`` built."""
+        self._index = None
 
     def known_pairs(self):
         """Iterate (i, j, d2) over known pairs with i < j."""
@@ -220,21 +286,53 @@ def half_range_cliques(pedm: PartialEDM) -> list[CliqueSeed]:
     so the set is a clique when distances are exact.  Because measured values
     can be perturbed, membership is verified pairwise and offending nodes are
     dropped (nearest kept first); the returned sets are always cliques.
+
+    The near sets come from the pair index, grouped by size, and all their
+    pairs are checked in vectorized lookups.  A node whose near set is
+    measured in full takes all of it, which is what the nearest-first pass
+    gives then; only the others run that pass.
     """
+    n = pedm.n
     half_sq = (pedm.radio_range / 2.0) ** 2
-    seeds = []
-    for i in range(pedm.n):
-        near = sorted(
-            (j for j, d2 in pedm.adj[i].items() if d2 <= half_sq),
-            key=lambda j: (pedm.adj[i][j], j),
-        )
-        members = [i]
-        for j in near:
-            row = pedm.adj[j]
-            if all(u == i or u in row for u in members):
-                members.append(j)
-        seeds.append(CliqueSeed(center=i, members=tuple(sorted(members))))
-    return seeds
+    keys, d2 = pedm._pair_index()
+    near_keys = keys[d2 <= half_sq]
+    centers = near_keys // n
+    near_cols = near_keys - centers * n
+    size = np.bincount(centers, minlength=n)
+    start = np.cumsum(size) - size
+    members: list = [None] * n
+    # one int object per node id: the cliques built from the seeds keep
+    # their members, and a fresh int per membership adds ~1% to a solve's
+    # peak memory
+    ids = list(range(n))
+    for s in np.unique(size).tolist():
+        nodes = np.flatnonzero(size == s)
+        # (c, s): each node's near set, in ascending id order
+        sets = near_cols[start[nodes, None] + np.arange(s)]
+        full = np.empty(nodes.size, dtype=bool)
+        iu, ju = np.triu_indices(s, 1)
+        step = max(1, _PAIR_BLOCK // max(iu.size, 1))
+        for b in range(0, nodes.size, step):
+            known, _ = pedm.lookup(sets[b : b + step, iu], sets[b : b + step, ju])
+            full[b : b + step] = known.all(axis=1)
+        whole = np.sort(np.column_stack([sets[full], nodes[full]]), axis=1)
+        for i, clique in zip(nodes[full].tolist(), whole.tolist()):
+            members[i] = tuple(map(ids.__getitem__, clique))
+        for i, near in zip(nodes[~full].tolist(), sets[~full].tolist()):
+            members[i] = _nearest_first(pedm.adj, i, near)
+    return [CliqueSeed(center=i, members=m) for i, m in zip(ids, members)]
+
+
+def _nearest_first(adj, i: int, near) -> tuple[int, ...]:
+    """Sorted members of the clique that grows from center i through its
+    near nodes, nearest first (ties by id), taking each node measured to
+    every member so far."""
+    members = [i]
+    for j in sorted(near, key=lambda j: (adj[i][j], j)):
+        row = adj[j]
+        if all(u == i or u in row for u in members):
+            members.append(j)
+    return tuple(sorted(members))
 
 
 def average_degree(pedm: PartialEDM) -> float:
@@ -263,6 +361,8 @@ def write_problem(path, pedm: PartialEDM, anchors: np.ndarray) -> None:
         raise InvalidConfig(
             f"anchor array shape {anchors.shape} does not match m={pedm.m}, r={pedm.dim}"
         )
+    if not np.all(np.isfinite(anchors)):
+        raise InvalidConfig("anchor coordinates must be finite")
     with open(path, "w") as fh:
         fh.write(
             f"snl v1 {pedm.n} {pedm.m} {pedm.dim} "

@@ -186,10 +186,13 @@ class CliqueFamily:
 
     def build_seed_faces(self, tol: Tolerances) -> None:
         """Build the face of every active clique that has none, in stacked
-        calls (``clique_faces``); face_of makes each FaceRep on first use."""
+        calls (``clique_faces``), and free the pair index they read;
+        face_of makes each FaceRep on first use."""
         todo = [cid for cid in self.active
                 if cid not in self.faces and cid not in self.seed_faces]
         entries = clique_faces(self.pedm, [self.cliques[cid] for cid in todo], self.dim, tol)
+        # the seed stage is over; the merges read adj
+        self.pedm.drop_lookup()
         for cid, entry in zip(todo, entries):
             if entry is None:
                 self.faces[cid] = None

@@ -87,6 +87,27 @@ def scalar_partial_edm(inst) -> PartialEDM:
     return pedm
 
 
+def scalar_half_range_cliques(pedm):
+    """Reference for ``half_range_cliques``: every node runs the nearest-first
+    pass over its near set through the adjacency dictionaries."""
+    from snloc.instance import CliqueSeed
+
+    half_sq = (pedm.radio_range / 2.0) ** 2
+    seeds = []
+    for i in range(pedm.n):
+        near = sorted(
+            (j for j, d2 in pedm.adj[i].items() if d2 <= half_sq),
+            key=lambda j: (pedm.adj[i][j], j),
+        )
+        members = [i]
+        for j in near:
+            row = pedm.adj[j]
+            if all(u == i or u in row for u in members):
+                members.append(j)
+        seeds.append(CliqueSeed(center=i, members=tuple(sorted(members))))
+    return seeds
+
+
 def scalar_known_distances_ok(comp, pedm, tol: Tolerances) -> bool:
     """Reference for ``_is_feasible`` without range bounds: one measured
     edge at a time, as the reducer checked them before vectorizing."""

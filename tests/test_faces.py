@@ -120,6 +120,13 @@ def test_clique_faces_match_face_from_clique_bitwise():
         got = entry[0].face(entry[1])
         assert np.array_equal(got.nodes, want.nodes)
         assert np.array_equal(got.basis, want.basis)
+        # the stored form and its merge factors, prepared in stacked calls
+        assert got._size == want._size
+        assert np.array_equal(got._store.ids[: got._size], want._store.ids[: want._size])
+        assert np.array_equal(got._store.coords[: got._size], want._store.coords[: want._size])
+        assert np.array_equal(got._gram, want._gram)
+        for a, b in zip(got._whitener(), want._whitener()):
+            assert np.array_equal(a, b)
     # two nodes span one dimension only
     missing = [len(c) == 2 for c in cliques[:-3]] + [True, True, False]
     assert [entry is None for entry in entries] == missing

@@ -16,7 +16,7 @@ from snloc.instance import (
     write_solution,
 )
 
-from helpers import complete_pedm, pedm_from_pairs, scalar_partial_edm
+from helpers import complete_pedm, pedm_from_pairs, scalar_half_range_cliques, scalar_partial_edm
 
 
 def test_generate_deterministic():
@@ -156,6 +156,34 @@ def test_half_range_pairwise_known():
                 assert pedm.is_known(members[a], members[b])
 
 
+@pytest.mark.parametrize(
+    "n, m, r, R, sigma, seed",
+    [(300, 4, 2, 0.2, 0.0, 0), (400, 6, 3, 0.3, 0.0, 1), (300, 4, 2, 0.2, 5e-2, 0),
+     (300, 4, 2, 0.2, 5e-2, 1), (300, 4, 2, 0.2, 5e-2, 2)],
+)
+def test_half_range_matches_scalar_reference(n, m, r, R, sigma, seed):
+    pedm = build_partial_edm(generate_instance(n, m, r, seed=seed, radio_range=R, noise_factor=sigma))
+    seeds = half_range_cliques(pedm)
+    assert seeds == scalar_half_range_cliques(pedm)
+    # noise leaves pairs inside half the range unmeasured, so some nodes
+    # drop part of their near set (12 at seed 1)
+    half_sq = (R / 2) ** 2
+    dropped = sum(len(s.members) <= sum(d2 <= half_sq for d2 in pedm.adj[s.center].values())
+                  for s in seeds)
+    assert (dropped > 0) == (sigma > 0)
+
+
+def test_half_range_drops_by_distance_not_id():
+    # center 0 with near nodes 3 (nearest), 2 and 1 (farthest); the one
+    # unmeasured pair (1, 3) costs the farther node, 1, its place
+    pts = np.array([[0.0, 0.0], [0.45, 0.0], [0.0, 0.3], [-0.1, 0.0], [0.0, -0.9]])
+    pairs = [(a, b) for a in range(5) for b in range(a + 1, 5) if (a, b) != (1, 3)]
+    pedm = pedm_from_pairs(pts, pairs, radio_range=1.0)
+    seeds = half_range_cliques(pedm)
+    assert seeds[0].members == (0, 2, 3)
+    assert seeds == scalar_half_range_cliques(pedm)
+
+
 def test_average_degree():
     k4 = complete_pedm(np.random.default_rng(0).random((4, 2)))
     assert average_degree(k4) == pytest.approx(3.0)
@@ -240,6 +268,44 @@ def test_add_pair_rejects_non_finite_and_negative():
         with pytest.raises(InvalidConfig):
             pedm.add_pair(0, 1, bad)
     assert not pedm.is_known(0, 1)
+
+
+def test_add_pair_rejects_node_ids_out_of_range():
+    # -1 used to land in adj[0] and adj[2] of an n=3 instance, and 5 raised
+    # a bare IndexError
+    pedm = pedm_from_pairs(np.zeros((3, 2)), [(0, 2)])
+    before = [dict(row) for row in pedm.adj]
+    for i, j in ((-1, 0), (0, 5), (0, 3), (1.0, 2), ("0", 1)):
+        with pytest.raises(InvalidConfig):
+            pedm.add_pair(i, j, 0.5)
+    assert pedm.adj == before
+    pedm.add_pair(np.int64(0), np.int32(1), 0.5)
+    assert pedm.adj[1] == {0: 0.5}
+
+
+def test_lookup_sees_pairs_added_after_it():
+    pedm = pedm_from_pairs(np.zeros((4, 2)), [(0, 2)])
+    known, d2 = pedm.lookup(np.array([0, 2, 0, 3]), np.array([2, 0, 1, 3]))
+    assert known.tolist() == [True, True, False, False]
+    assert d2[:2].tolist() == [0.0, 0.0]
+    pedm.add_pair(1, 0, 0.25)
+    known, d2 = pedm.lookup(np.array([0, 1]), np.array([1, 0]))
+    assert known.all() and d2.tolist() == [0.25, 0.25]
+    pedm.drop_lookup()
+    assert pedm.lookup([3], [0])[0].tolist() == [False]
+
+
+def test_write_problem_rejects_non_finite_anchors(tmp_path):
+    # a nan anchor used to be written, and read_problem then failed on it
+    inst = generate_instance(20, 4, 2, seed=6, radio_range=0.3)
+    pedm = build_partial_edm(inst)
+    path = tmp_path / "problem.snl"
+    for bad in (np.nan, np.inf):
+        anchors = inst.anchors.copy()
+        anchors[1, 0] = bad
+        with pytest.raises(InvalidConfig):
+            write_problem(path, pedm, anchors)
+        assert not path.exists()
 
 
 def test_problem_file_bad_header(tmp_path):

@@ -22,7 +22,10 @@ singular unions: sigma 1e-4 and 1e-3 on L4 at n=354 (m=8), L3 at n=300
 (m=4, R=.09) and L4 at n=1004 (m=6), each with seeds 0-5; both L4 sizes
 have the Table 3 degree.  All of these are planar (r=2).  Last come twelve
 r=3 range-bounds L4 instances (n=300, m=6, R .22 and .26, seeds 0-5), which
-run singular absorptions in three dimensions.
+run singular absorptions in three dimensions, and three noisy L2 instances
+(n=300, m=4, R=.2, sigma 5e-2, seeds 0-2) whose half-range seeding takes the
+nearest-first greedy path: noise leaves some pairs inside half the radio
+range unmeasured.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ NOISY_SEEDS = 6
 # seed of range(SPATIAL_SEEDS)
 SPATIAL_RADII = (0.22, 0.26)
 SPATIAL_SEEDS = 6
+# seeds of the noisy L2 instances whose seeding runs the greedy path
+GREEDY_SEEDS = 3
 
 
 def instances():
@@ -81,6 +86,8 @@ def instances():
     for R in SPATIAL_RADII:
         for seed in range(SPATIAL_SEEDS):
             out.append((f"r3-range-bounds-R{R:g}-{seed}", 300, 6, 3, R, 0.0, seed, 4, True))
+    for seed in range(GREEDY_SEEDS):
+        out.append((f"greedy-seeding-L2-{seed}", 300, 4, 2, 0.2, 5e-2, seed, 2, False))
     return out
 
 
