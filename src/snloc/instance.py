@@ -92,6 +92,7 @@ class PartialEDM:
     _index: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        _check_range_and_noise(self.radio_range, self.noise_factor)
         if not self.adj:
             self.adj = [dict() for _ in range(self.n)]
 
@@ -114,6 +115,18 @@ class PartialEDM:
 
     def is_known(self, i: int, j: int) -> bool:
         return j in self.adj[i]
+
+    def greedy_clique(self, candidates, limit: int | None = None) -> list[int]:
+        """The candidates, in the given order, that are each measured to every
+        candidate taken before them, up to limit of them.  Callers pass
+        candidates measured to the clique they extend."""
+        taken: list[int] = []
+        for j in candidates:
+            if all(map(self.adj[j].__contains__, taken)):
+                taken.append(j)
+                if len(taken) == limit:
+                    break
+        return taken
 
     def _pair_index(self) -> tuple[np.ndarray, np.ndarray]:
         if self._index is None:
@@ -194,6 +207,14 @@ class CliqueSeed:
     members: tuple[int, ...]
 
 
+def _check_range_and_noise(radio_range: float, noise_factor: float) -> None:
+    # written so that NaN fails both tests
+    if not 0.0 < radio_range < math.inf:
+        raise InvalidConfig(f"radio range must be finite and positive, got {radio_range}")
+    if not 0.0 <= noise_factor < math.inf:
+        raise InvalidConfig(f"noise factor must be finite and >= 0, got {noise_factor}")
+
+
 def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     children = np.random.SeedSequence(seed).spawn(2)
     return (
@@ -215,10 +236,7 @@ def generate_instance(
         raise InvalidConfig(f"need n > m >= 0, got n={n}, m={m}")
     if r < 1:
         raise InvalidConfig(f"embedding dimension must be >= 1, got r={r}")
-    if radio_range <= 0:
-        raise InvalidConfig(f"radio range must be positive, got {radio_range}")
-    if noise_factor < 0:
-        raise InvalidConfig(f"noise factor must be >= 0, got {noise_factor}")
+    _check_range_and_noise(radio_range, noise_factor)
     point_rng, _ = _streams(seed)
     points = point_rng.random((n, r))
     return Instance(
@@ -319,20 +337,16 @@ def half_range_cliques(pedm: PartialEDM) -> list[CliqueSeed]:
         for i, clique in zip(nodes[full].tolist(), whole.tolist()):
             members[i] = tuple(map(ids.__getitem__, clique))
         for i, near in zip(nodes[~full].tolist(), sets[~full].tolist()):
-            members[i] = _nearest_first(pedm.adj, i, near)
+            members[i] = _nearest_first(pedm, i, near)
     return [CliqueSeed(center=i, members=m) for i, m in zip(ids, members)]
 
 
-def _nearest_first(adj, i: int, near) -> tuple[int, ...]:
+def _nearest_first(pedm: PartialEDM, i: int, near) -> tuple[int, ...]:
     """Sorted members of the clique that grows from center i through its
     near nodes, nearest first (ties by id), taking each node measured to
     every member so far."""
-    members = [i]
-    for j in sorted(near, key=lambda j: (adj[i][j], j)):
-        row = adj[j]
-        if all(u == i or u in row for u in members):
-            members.append(j)
-    return tuple(sorted(members))
+    row = pedm.adj[i]
+    return tuple(sorted([i] + pedm.greedy_clique(sorted(near, key=lambda j: (row[j], j)))))
 
 
 def average_degree(pedm: PartialEDM) -> float:
@@ -352,7 +366,9 @@ def average_degree(pedm: PartialEDM) -> float:
 #
 # Solution file:
 #   solution v1
-#   <i> <x_1> ... <x_r>   one line per positioned sensor, 1-based
+#   <i> <x_1> ... <x_r>   one line per positioned sensor, 1-based, each id
+#                         once, every line with the same r >= 1 finite
+#                         coordinates
 
 
 def write_problem(path, pedm: PartialEDM, anchors: np.ndarray) -> None:
@@ -452,6 +468,7 @@ def read_solution(path) -> dict[int, np.ndarray]:
     if not lines or lines[0].split() != ["solution", "v1"]:
         raise ParseError("expected header 'solution v1'", 1)
     positioned = {}
+    dim = None
     for lineno, raw in enumerate(lines[1:], start=2):
         text = raw.strip()
         if not text:
@@ -462,5 +479,14 @@ def read_solution(path) -> dict[int, np.ndarray]:
             coords = np.array([float(x) for x in parts[1:]])
         except ValueError:
             raise ParseError(f"malformed solution line {text!r}", lineno) from None
+        if node < 1:
+            raise ParseError(f"sensor ids start at 1, got {node}", lineno)
+        if node - 1 in positioned:
+            raise ParseError(f"sensor {node} is listed twice", lineno)
+        if coords.size == 0 or dim not in (None, coords.size):
+            raise ParseError(f"expected {dim or 'at least 1'} coordinates, got {coords.size}", lineno)
+        if not np.all(np.isfinite(coords)):
+            raise ParseError(f"coordinates must be finite: {text!r}", lineno)
+        dim = coords.size
         positioned[node - 1] = coords
     return positioned

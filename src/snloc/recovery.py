@@ -112,15 +112,9 @@ def _find_rigid_seed(face: FaceRep, pedm, r: int, tol: Tolerances):
     best = None
     for si in start_idx:
         s = int(nodes[si])
-        members = [s]
-        for j in sorted(pedm.adj[s]):
-            if j not in node_set:
-                continue
-            row = pedm.adj[j]
-            if all(u in row for u in members):
-                members.append(j)
-                if len(members) == max_size:
-                    break
+        members = [s] + pedm.greedy_clique(
+            (j for j in sorted(pedm.adj[s]) if j in node_set), max_size - 1
+        )
         if len(members) < r + 1:
             continue
         members = sorted(members)

@@ -44,8 +44,9 @@ distances only to beta, so only the range bounds
 rows.  Both singular rows share one pick rule: candidates by
 ascending id, keyed by the cross-edge count for a union without the range
 bounds and by the grower's size otherwise; a key of 0 is skipped, and so is
-a partner that failed at its current key.  Merged ids forward to their
-absorber through an alias table so membership sets can be cleaned lazily.
+a partner that failed at its current key.  A merge removes the partner's
+id from the family and moves each of its nodes' membership to the
+survivor, so the membership sets are exact at every step.
 """
 
 from __future__ import annotations
@@ -119,7 +120,10 @@ STEP_NONRIGID_ABSORB = "nonrigid_absorb"
 
 
 class CliqueFamily:
-    """Mutable family of active cliques with lazy face representations."""
+    """Mutable family of live cliques with lazy face representations.
+
+    cliques holds exactly the live cliques, and membership[u] exactly the
+    ids of the live cliques that contain node u; a merge keeps both so."""
 
     def __init__(self, pedm):
         self.pedm = pedm
@@ -129,8 +133,6 @@ class CliqueFamily:
         # faces built by build_seed_faces, made into a FaceRep on first use
         self.seed_faces: dict[int, tuple[FaceStack, int]] = {}
         self.membership: list[set[int]] = [set() for _ in range(pedm.n)]
-        self.alias: dict[int, int] = {}
-        self.active: set[int] = set()
         self.anchor_clique_id: int | None = None
         self.step_counts: Counter = Counter()
         self._next_id = 0
@@ -143,52 +145,29 @@ class CliqueFamily:
         self._next_id += 1
         nodes = set(int(u) for u in nodes)
         self.cliques[cid] = nodes
-        self.active.add(cid)
         for u in nodes:
             self.membership[u].add(cid)
         return cid
 
-    def find(self, cid: int) -> int:
-        """Canonical id of a clique; merged ids forward to their absorber."""
-        alias = self.alias
-        root = cid
-        while root in alias:
-            root = alias[root]
-        while cid != root:
-            alias[cid], cid = root, alias[cid]
-        return root
-
-    def node_cliques(self, u: int) -> set[int]:
-        """Active clique ids containing node u (cleans stale entries)."""
-        ids = self.membership[u]
-        if any(c in self.alias for c in ids):
-            ids = {self.find(c) for c in ids}
-            self.membership[u] = ids
-        return ids
-
     def _kill_into(self, dead: int, survivor: int) -> None:
-        self.alias[dead] = survivor
-        self.active.discard(dead)
-        self.cliques.pop(dead, None)
+        """Remove clique dead, whose nodes clique survivor now holds."""
+        for u in self.cliques.pop(dead):
+            ids = self.membership[u]
+            ids.discard(dead)
+            ids.add(survivor)
+        if self.anchor_clique_id == dead:
+            self.anchor_clique_id = survivor
         self.faces.pop(dead, None)
         self.seed_faces.pop(dead, None)
         self._comp_cache.pop(dead, None)
 
-    def _adopt_face(self, i: int, j: int) -> None:
-        """Give clique i the face state of clique j, whose node set it took."""
-        for store in (self.faces, self.seed_faces):
-            state = store.pop(j, _MISSING)
-            store.pop(i, None)
-            if state is not _MISSING:
-                store[i] = state
-
     # -- lazy faces and point representations ----------------------------
 
     def build_seed_faces(self, tol: Tolerances) -> None:
-        """Build the face of every active clique that has none, in stacked
+        """Build the face of every clique that has none, in stacked
         calls (``clique_faces``), and free the pair index they read;
         face_of makes each FaceRep on first use."""
-        todo = [cid for cid in self.active
+        todo = [cid for cid in self.cliques
                 if cid not in self.faces and cid not in self.seed_faces]
         entries = clique_faces(self.pedm, [self.cliques[cid] for cid in todo], self.dim, tol)
         # the seed stage is over; the merges read adj
@@ -233,44 +212,40 @@ class CliqueFamily:
     def positioned_count(self) -> int:
         if self.anchor_clique_id is None:
             return 0
-        cid = self.find(self.anchor_clique_id)
-        if cid not in self.cliques:
-            return 0
-        return len(self.cliques[cid]) - self.pedm.m
+        return len(self.cliques[self.anchor_clique_id]) - self.pedm.m
 
 
-def init_family(pedm, seeds, m: int) -> CliqueFamily:
+def init_family(pedm, seeds) -> CliqueFamily:
     """Family from clique seeds, deduplicated, plus the anchor clique.
 
-    Every node must be covered by some seed (singleton seeds are a valid
-    fallback).  The m anchors form one additional clique; if a seed already
-    equals the anchor set, that clique doubles as the anchor clique.
+    A node that no seed covers gets a singleton clique.  The pedm.m anchors
+    form one additional clique; if a seed already equals the anchor set,
+    that clique doubles as the anchor clique.
     """
     family = CliqueFamily(pedm)
     seen: dict[tuple, int] = {}
-    covered = np.zeros(pedm.n, dtype=bool)
     for seed in seeds:
         key = tuple(sorted(seed.members))
         if key not in seen:
             seen[key] = family.add_clique(key)
-        covered[list(key)] = True
-    for u in np.flatnonzero(~covered):
-        key = (int(u),)
-        if key not in seen:
-            seen[key] = family.add_clique(key)
-    if m > 0:
-        anchors = tuple(range(pedm.n - m, pedm.n))
+    for u, ids in enumerate(family.membership):
+        if not ids:
+            seen[(u,)] = family.add_clique((u,))
+    if pedm.m > 0:
+        anchors = tuple(range(pedm.n - pedm.m, pedm.n))
         family.anchor_clique_id = seen.get(anchors)
         if family.anchor_clique_id is None:
             family.anchor_clique_id = family.add_clique(anchors)
     return family
 
 
-def grow_cliques(family: CliqueFamily, pedm, max_size: int) -> None:
-    """Greedily extend every clique with nodes adjacent to all its members."""
+def grow_cliques(family: CliqueFamily, max_size: int) -> None:
+    """Greedily extend every clique of the family, up to max_size nodes, with
+    nodes measured to all its members, by ascending node id."""
     if max_size <= family.dim + 1:
         raise InvalidConfig(f"max_size must exceed r+1, got {max_size}")
-    for cid in sorted(family.active):
+    pedm = family.pedm
+    for cid in sorted(family.cliques):
         nodes = family.cliques[cid]
         if len(nodes) >= max_size:
             continue
@@ -279,20 +254,17 @@ def grow_cliques(family: CliqueFamily, pedm, max_size: int) -> None:
         for u in nodes:
             if u != base:
                 cand &= pedm.adj[u].keys()
-        while len(nodes) < max_size and cand:
-            j = min(cand)
+        for j in pedm.greedy_clique(sorted(cand), max_size - len(nodes)):
             nodes.add(j)
             family.membership[j].add(cid)
-            cand.discard(j)
-            cand &= pedm.adj[j].keys()
 
 
 # -- the merge kernels, their commit, and the four reduction steps --------
 
 
 def _commit(family: CliqueFamily, i: int, face, new_nodes, step: str, dead=None) -> bool:
-    """Grow clique i by new_nodes under the merged face, forward a united
-    clique ``dead`` to i, and count the step.  A None face is a rejected
+    """Grow clique i by new_nodes under the merged face, remove a united
+    clique ``dead`` into i, and count the step.  A None face is a rejected
     merge: nothing changes and the result is False."""
     if face is None:
         return False
@@ -444,14 +416,14 @@ def _singular_merge(family: CliqueFamily, i: int, f2, beta: list, partner_delta,
         return None
 
 
-def _union_pair(family: CliqueFamily, i: int, j: int):
-    """Canonical ids of two distinct active cliques and their common nodes."""
-    i, j = family.find(i), family.find(j)
-    if i == j or i not in family.active or j not in family.active:
+def _common_nodes(family: CliqueFamily, i: int, j: int):
+    """Common nodes of two distinct live cliques, or None."""
+    cliques = family.cliques
+    if i == j or i not in cliques or j not in cliques:
         return None
-    Ci, Cj = family.cliques[i], family.cliques[j]
+    Ci, Cj = cliques[i], cliques[j]
     small, big = (Ci, Cj) if len(Ci) <= len(Cj) else (Cj, Ci)
-    return i, j, [u for u in small if u in big]
+    return [u for u in small if u in big]
 
 
 def _cross_edges(adj, Ci, Cj) -> int:
@@ -467,12 +439,12 @@ def _cross_edges(adj, Ci, Cj) -> int:
 
 
 def _neighbors_in(family: CliqueFamily, i: int, j: int):
-    """Canonical id of clique i and node j's sorted neighbors in it, or None."""
-    i = family.find(i)
-    if i not in family.active or j in family.cliques[i]:
+    """Sorted neighbors of node j in live clique i, or None when i is not
+    live or holds j."""
+    Ci = family.cliques.get(i)
+    if Ci is None or j in Ci:
         return None
-    Ci = family.cliques[i]
-    return i, sorted(u for u in family.pedm.adj[j] if u in Ci)
+    return sorted(u for u in family.pedm.adj[j] if u in Ci)
 
 
 def _mixed_submatrix(family: CliqueFamily, cid: int, nodes: list, tol: Tolerances):
@@ -523,14 +495,14 @@ def _temp_face(family: CliqueFamily, i: int, nodes: list, tol: Tolerances):
 def rigid_clique_union(family: CliqueFamily, i: int, j: int, tol: Tolerances) -> bool:
     """Merge cliques i and j when their overlap spans full dimension.
 
-    On success the union keeps id i, j forwards to i, and i's face becomes
-    the intersection of the two faces.  Any failure (degenerate overlap,
-    mismatched subspaces, missing face) leaves the family untouched.
+    On success the union keeps id i, j is removed, and i's face becomes the
+    intersection of the two faces.  Any failure (degenerate overlap,
+    mismatched subspaces, missing face), or an id that is not live, leaves
+    the family untouched.
     """
-    pair = _union_pair(family, i, j)
-    if pair is None or len(pair[2]) < family.dim + 1:
+    common = _common_nodes(family, i, j)
+    if common is None or len(common) < family.dim + 1:
         return False
-    i, j, common = pair
     Ci, Cj = family.cliques[i], family.cliques[j]
     if len(common) == len(Cj):
         # Cj adds no nodes; keep i's face untouched
@@ -538,11 +510,11 @@ def rigid_clique_union(family: CliqueFamily, i: int, j: int, tol: Tolerances) ->
         family.step_counts[STEP_RIGID_UNION] += 1
         return True
     if len(common) == len(Ci):
-        # i is contained in j: adopt j's node set and face state
+        # i is contained in j: take j's node set and face
         Ci.update(Cj)
-        family._adopt_face(i, j)
+        family.faces[i] = family.face_of(j, tol)
+        family.seed_faces.pop(i, None)
         family._kill_into(j, i)
-        family._comp_cache.pop(i, None)
         family.step_counts[STEP_RIGID_UNION] += 1
         return True
     merged = _rigid_merge(family, i, family.face_of(j, tol), tol)
@@ -556,10 +528,9 @@ def rigid_node_absorption(family: CliqueFamily, i: int, j: int, tol: Tolerances)
     among them are synthesized from i's point representation); its face is
     intersected with i's face exactly like a rigid union.
     """
-    found = _neighbors_in(family, i, j)
-    if found is None or len(found[1]) < family.dim + 1:
+    beta = _neighbors_in(family, i, j)
+    if beta is None or len(beta) < family.dim + 1:
         return False
-    i, beta = found
     temp = _temp_face(family, i, sorted(beta + [j]), tol)
     merged = None if temp is None else _rigid_merge(family, i, temp[1], tol)
     return _commit(family, i, merged, [j], STEP_RIGID_ABSORB)
@@ -574,11 +545,10 @@ def nonrigid_clique_union(family: CliqueFamily, i: int, j: int, tol: Tolerances)
     Without the range bounds, a pair with no measured edge between
     Ci minus Cj and Cj minus Ci is declined before any face work.
     """
-    pair = _union_pair(family, i, j)
+    common = _common_nodes(family, i, j)
     r = family.dim
-    if pair is None or len(pair[2]) != r:
+    if common is None or len(common) != r:
         return False
-    i, j, common = pair
     Ci, Cj = family.cliques[i], family.cliques[j]
     # the two candidates differ only in the distances between the private
     # sides: without a measured one no data can decide (on noisy data an
@@ -604,11 +574,10 @@ def nonrigid_node_absorption(family: CliqueFamily, i: int, j: int, tol: Toleranc
     # placements keep them: without the range bounds no data can decide
     if not tol.use_range_bounds:
         return False
-    found = _neighbors_in(family, i, j)
+    beta = _neighbors_in(family, i, j)
     r = family.dim
-    if found is None or len(found[1]) != r:
+    if beta is None or len(beta) != r:
         return False
-    i, beta = found
     temp_nodes = sorted(beta + [j])
     temp = _temp_face(family, i, temp_nodes, tol)
     if temp is None:
@@ -686,7 +655,7 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
 
     def register_nodes(nodes):
         for u in nodes:
-            for c in family.node_cliques(u):
+            for c in family.membership[u]:
                 if c != gid:
                     bump(cnt, heaps[False], c)
         if acnt is not None:
@@ -732,7 +701,7 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
                 cross.clear()
                 changed = True
                 if trace is not None:
-                    trace.write(f"step={step} i={gid} j={l} |C|={len(family.active)} "
+                    trace.write(f"step={step} i={gid} j={l} |C|={len(family.cliques)} "
                                 f"positioned={family.positioned_count()}\n")
             else:
                 tried[l] = key
@@ -744,10 +713,9 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
 def _run_to_fixed_point(family, level, tol, trace) -> None:
     while True:
         changed = False
-        for gid in sorted(family.active):
-            if gid in family.alias or gid not in family.active:
-                continue
-            if _exhaust_grower(family, gid, level, tol, trace):
+        for gid in sorted(family.cliques):
+            # a grower's merges remove ids later in the order
+            if gid in family.cliques and _exhaust_grower(family, gid, level, tol, trace):
                 changed = True
         if not changed:
             break
@@ -755,17 +723,16 @@ def _run_to_fixed_point(family, level, tol, trace) -> None:
 
 def run(
     family: CliqueFamily,
-    pedm,
     level: StepLevel = StepLevel.L2,
     tol: Tolerances | None = None,
     trace=None,
 ) -> CliqueFamily:
-    """Run enabled reduction steps to a fixed point.
+    """Run enabled reduction steps on the family to a fixed point.
 
     Passes over cliques by ascending id repeat until one full pass changes
-    nothing.  Deterministic for a fixed family and data.  pedm must be the
-    same data the family was built from.  level must be one of the
-    StepLevel values (InvalidConfig otherwise).
+    nothing.  Deterministic for a fixed family and data.  level must be one
+    of the StepLevel values (InvalidConfig otherwise); tol defaults to
+    ``Tolerances.for_noise`` of the family's pedm.
 
     Before the first pass, the faces of all cliques that have none are
     built in stacked calls (``CliqueFamily.build_seed_faces``); each is
@@ -780,7 +747,7 @@ def run(
     """
     level = step_level(level)
     if tol is None:
-        tol = Tolerances.for_noise(pedm.noise_factor)
+        tol = Tolerances.for_noise(family.pedm.noise_factor)
     family.build_seed_faces(tol)
     _run_to_fixed_point(family, level, tol, trace)
     if tol.invert_floor > 0.0:

@@ -48,13 +48,13 @@ def localize(
         tol = Tolerances.for_noise(pedm.noise_factor)
     t0 = time.perf_counter()
     seeds = half_range_cliques(pedm)
-    family = init_family(pedm, seeds, pedm.m)
-    grow_cliques(family, pedm, max_clique_size or 3 * (r + 1))
-    run(family, pedm, level=level, tol=tol, trace=trace)
+    family = init_family(pedm, seeds)
+    grow_cliques(family, max_clique_size or 3 * (r + 1))
+    run(family, level=level, tol=tol, trace=trace)
     positioned: dict[int, np.ndarray] = {}
     residual = None
-    if family.anchor_clique_id is not None and pedm.m >= 1:
-        final_id = family.find(family.anchor_clique_id)
+    final_id = family.anchor_clique_id
+    if final_id is not None:
         final_nodes = family.cliques[final_id]
         n_sensors = pedm.n - pedm.m
         sensors = sorted(u for u in final_nodes if u < n_sensors)

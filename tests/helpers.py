@@ -123,13 +123,20 @@ def scalar_known_distances_ok(comp, pedm, tol: Tolerances) -> bool:
 
 
 def check_consistency(family) -> None:
-    """Assert that a clique family's membership index inverts its clique map."""
-    inverse = [set() for _ in range(family.pedm.n)]
-    for cid in family.active:
-        for u in family.cliques[cid]:
+    """Assert that a clique family's raw membership sets invert its clique
+    map, and that its anchor clique, when it has one, is live and holds
+    every anchor."""
+    n, m = family.pedm.n, family.pedm.m
+    inverse = [set() for _ in range(n)]
+    for cid, nodes in family.cliques.items():
+        for u in nodes:
             inverse[u].add(cid)
-    for u in range(family.pedm.n):
-        assert family.node_cliques(u) == inverse[u], f"membership broken at {u}"
+    for u in range(n):
+        assert family.membership[u] == inverse[u], f"membership broken at {u}"
+    cid = family.anchor_clique_id
+    if cid is not None:
+        assert cid in family.cliques, f"anchor clique {cid} is not live"
+        assert family.cliques[cid] >= set(range(n - m, n)), "anchor clique lost an anchor"
 
 
 def orth_columns(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:

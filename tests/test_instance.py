@@ -339,3 +339,41 @@ def test_solution_file_round_trip(tmp_path):
     got = read_solution(path)
     assert set(got) == {1, 3}
     assert np.array_equal(got[3], positioned[3])
+
+
+NON_FINITE = [
+    (float("nan"), 0.0), (float("inf"), 0.0), (0.3, float("nan")), (0.3, float("inf")),
+]
+NON_FINITE_IDS = ["R-nan", "R-inf", "sigma-nan", "sigma-inf"]
+
+
+@pytest.mark.parametrize("R, sigma", NON_FINITE, ids=NON_FINITE_IDS)
+def test_generate_rejects_non_finite_range_and_noise(R, sigma):
+    # NaN passed both sign checks, and inf passed the range check: sigma=inf
+    # stored inf distances and sigma=nan let every singular candidate pass
+    # the noisy feasibility slack
+    with pytest.raises(InvalidConfig):
+        generate_instance(60, 4, 2, seed=0, radio_range=R, noise_factor=sigma)
+
+
+@pytest.mark.parametrize("R, sigma", NON_FINITE, ids=NON_FINITE_IDS)
+def test_partial_edm_rejects_non_finite_range_and_noise(R, sigma):
+    with pytest.raises(InvalidConfig):
+        PartialEDM(n=5, m=0, dim=2, radio_range=R, noise_factor=sigma)
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [("0 1.0 2.0\n", 2), ("-2 1 1\n", 2), ("1 0.5 0.5\n3 nan 1\n", 3),
+     ("3 1 1\n\n3 5 5\n", 4), ("3 1 1\n4 5\n", 3), ("3\n", 2), ("3 1 -inf\n", 2)],
+    ids=["id-zero", "id-negative", "nan", "repeated", "fewer-coordinates",
+         "no-coordinates", "inf"],
+)
+def test_solution_file_rejects_malformed_lines(tmp_path, body, line):
+    # the first two were stored under keys -1 and -3, a nan coordinate was
+    # kept, and a repeated id silently replaced the earlier line
+    path = tmp_path / "bad.sol"
+    path.write_text("solution v1\n" + body)
+    with pytest.raises(ParseError) as err:
+        read_solution(path)
+    assert err.value.line == line

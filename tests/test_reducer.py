@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from snloc import reducer
+from snloc import reducer, solver
 from snloc.errors import InvalidConfig
 from snloc.faces import Tolerances, face_from_clique
 from snloc.instance import (
@@ -47,14 +47,14 @@ def singleton_seeds(n):
 
 def family_for_points(P, seeds=None, m=0):
     pedm = complete_pedm(P, m=m)
-    fam = init_family(pedm, seeds or singleton_seeds(len(P)), m)
+    fam = init_family(pedm, seeds or singleton_seeds(len(P)))
     return pedm, fam
 
 
 def test_init_family_singletons_no_anchors():
     P = RNG.random((3, 2))
     pedm, fam = family_for_points(P)
-    assert len(fam.active) == 3
+    assert len(fam.cliques) == 3
     assert fam.anchor_clique_id is None
     check_consistency(fam)
 
@@ -62,7 +62,7 @@ def test_init_family_singletons_no_anchors():
 def test_init_family_anchor_clique():
     P = RNG.random((6, 2))
     pedm = complete_pedm(P, m=3)
-    fam = init_family(pedm, singleton_seeds(6), 3)
+    fam = init_family(pedm, singleton_seeds(6))
     assert fam.anchor_clique_id is not None
     assert fam.cliques[fam.anchor_clique_id] == {3, 4, 5}
     check_consistency(fam)
@@ -75,11 +75,11 @@ def test_init_family_covers_uncovered_nodes_and_dedupes():
         CliqueSeed(center=0, members=(0, 1)),
         CliqueSeed(center=1, members=(0, 1)),  # duplicate set
     ]
-    fam = init_family(pedm, seeds, 0)
+    fam = init_family(pedm, seeds)
     # duplicate collapsed, nodes 2 and 3 get singleton cliques
-    assert len(fam.active) == 3
+    assert len(fam.cliques) == 3
     covered = set()
-    for cid in fam.active:
+    for cid in fam.cliques:
         covered |= fam.cliques[cid]
     assert covered == {0, 1, 2, 3}
 
@@ -87,8 +87,8 @@ def test_init_family_covers_uncovered_nodes_and_dedupes():
 def test_grow_cliques_complete_graph():
     P = RNG.random((8, 2))
     pedm, fam = family_for_points(P)
-    grow_cliques(fam, pedm, 5)
-    assert all(len(fam.cliques[cid]) == 5 for cid in fam.active)
+    grow_cliques(fam, 5)
+    assert all(len(fam.cliques[cid]) == 5 for cid in fam.cliques)
     check_consistency(fam)
 
 
@@ -96,23 +96,23 @@ def test_grow_cliques_no_edges():
     from snloc.instance import PartialEDM
 
     pedm = PartialEDM(n=4, m=0, dim=2, radio_range=1.0)
-    fam = init_family(pedm, singleton_seeds(4), 0)
-    grow_cliques(fam, pedm, 6)
-    assert all(len(fam.cliques[cid]) == 1 for cid in fam.active)
+    fam = init_family(pedm, singleton_seeds(4))
+    grow_cliques(fam, 6)
+    assert all(len(fam.cliques[cid]) == 1 for cid in fam.cliques)
 
 
 def test_grow_cliques_produces_cliques():
     inst = generate_instance(60, 0, 2, seed=3, radio_range=0.4)
     pedm = build_partial_edm(inst)
-    fam = init_family(pedm, half_range_cliques(pedm), 0)
-    grow_cliques(fam, pedm, 9)
-    for cid in fam.active:
+    fam = init_family(pedm, half_range_cliques(pedm))
+    grow_cliques(fam, 9)
+    for cid in fam.cliques:
         nodes = sorted(fam.cliques[cid])
         for a in range(len(nodes)):
             for b in range(a + 1, len(nodes)):
                 assert pedm.is_known(nodes[a], nodes[b])
     with pytest.raises(InvalidConfig):
-        grow_cliques(fam, pedm, 3)
+        grow_cliques(fam, 3)
 
 
 def test_rigid_union_merges_and_updates_state():
@@ -122,12 +122,12 @@ def test_rigid_union_merges_and_updates_state():
         CliqueSeed(center=0, members=(0, 1, 2, 3)),
         CliqueSeed(center=4, members=(1, 2, 3, 4)),
     ]
-    fam = init_family(pedm, seeds, 0)
-    ids = sorted(fam.active)
+    fam = init_family(pedm, seeds)
+    ids = sorted(fam.cliques)
     assert rigid_clique_union(fam, ids[0], ids[1], TOL)
-    assert len(fam.active) == 1
+    assert len(fam.cliques) == 1
     check_consistency(fam)
-    survivor = fam.find(ids[1])
+    survivor = ids[0]
     assert fam.cliques[survivor] == {0, 1, 2, 3, 4}
     comp = points_from_face(fam.faces[survivor], pedm, TOL)
     assert np.max(np.abs(edm_of(comp.coords) - edm_of(P))) <= 1e-9
@@ -141,13 +141,14 @@ def test_rigid_union_identical_cliques():
         CliqueSeed(center=1, members=(0, 1, 2, 3)),
     ]
     # dedupe already collapses identical sets; force two ids manually
-    fam = init_family(pedm, seeds[:1], 0)
+    fam = init_family(pedm, seeds[:1])
     other = fam.add_clique((0, 1, 2, 3))
-    first = next(iter(set(fam.active) - {other}))
+    first = next(iter(set(fam.cliques) - {other}))
     face_before = fam.face_of(first, TOL)
     assert rigid_clique_union(fam, first, other, TOL)
-    assert fam.find(other) == first
+    assert set(fam.cliques) == {first}
     assert fam.faces[first] is face_before  # face untouched by subset merge
+    check_consistency(fam)
 
 
 def test_rigid_union_rejects_collinear_overlap():
@@ -157,11 +158,11 @@ def test_rigid_union_rejects_collinear_overlap():
         CliqueSeed(center=0, members=(0, 1, 2, 3)),
         CliqueSeed(center=4, members=(0, 1, 2, 4)),
     ]
-    fam = init_family(pedm, seeds, 0)
-    ids = sorted(fam.active)
-    before = {cid: set(fam.cliques[cid]) for cid in fam.active}
+    fam = init_family(pedm, seeds)
+    ids = sorted(fam.cliques)
+    before = {cid: set(fam.cliques[cid]) for cid in fam.cliques}
     assert not rigid_clique_union(fam, ids[0], ids[1], TOL)
-    assert {cid: set(fam.cliques[cid]) for cid in fam.active} == before
+    assert {cid: set(fam.cliques[cid]) for cid in fam.cliques} == before
     check_consistency(fam)
 
 
@@ -171,8 +172,8 @@ def test_rigid_absorption_positions_node():
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     pairs += [(0, 5), (2, 5), (3, 5)]
     pedm = pedm_from_pairs(P, pairs)
-    fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3, 4))], 0)
-    cid = next(iter(fam.active))
+    fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3, 4))])
+    cid = next(iter(fam.cliques))
     assert rigid_node_absorption(fam, cid, 5, TOL)
     assert 5 in fam.cliques[cid]
     comp = points_from_face(fam.faces[cid], pedm, TOL)
@@ -189,8 +190,8 @@ def test_rigid_absorption_rejects_collinear_neighbors():
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     pairs += [(0, 4), (1, 4), (2, 4)]  # collinear neighbor set {0,1,2}
     pedm = pedm_from_pairs(P, pairs)
-    fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3))], 0)
-    cid = next(iter(fam.active))
+    fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3))])
+    cid = next(iter(fam.cliques))
     assert not rigid_node_absorption(fam, cid, 4, TOL)
     assert 4 not in fam.cliques[cid]
 
@@ -202,8 +203,8 @@ def test_rigid_absorption_synthesizes_missing_distances():
     pairs.remove((1, 3))  # clique data still complete via seed below
     pairs += [(1, 6), (3, 6), (4, 6)]
     pedm = pedm_from_pairs(P, pairs)
-    fam = init_family(pedm, [CliqueSeed(center=0, members=tuple(range(6)))], 0)
-    cid = next(iter(fam.active))
+    fam = init_family(pedm, [CliqueSeed(center=0, members=tuple(range(6)))])
+    cid = next(iter(fam.cliques))
     # face building needs the full clique; (1,3) missing makes it fall back
     # to a measured sub-clique once faces are built from gram data
     from snloc.faces import face_from_gram
@@ -213,6 +214,7 @@ def test_rigid_absorption_synthesizes_missing_distances():
         np.arange(6), kappa_pinv(edm_of(P[:6])), 2, TOL
     )
     assert rigid_node_absorption(fam, cid, 6, TOL)
+    check_consistency(fam)
     comp = points_from_face(fam.faces[cid], pedm, TOL)
     assert np.max(np.abs(edm_of(comp.coords) - edm_of(P))) <= 1e-8
 
@@ -232,16 +234,15 @@ def butterfly_family(rng, cross=False, sigma=0.0):
     fam = init_family(
         pedm,
         [CliqueSeed(center=0, members=n1), CliqueSeed(center=4, members=n2)],
-        0,
     )
     return P, pedm, fam
 
 
 def test_nonrigid_union_resolves_with_cross_distance():
     P, pedm, fam = butterfly_family(RNG, cross=True)
-    ids = sorted(fam.active)
+    ids = sorted(fam.cliques)
     assert nonrigid_clique_union(fam, ids[0], ids[1], TOL)
-    cid = fam.find(ids[0])
+    cid = ids[0]
     assert fam.cliques[cid] == set(range(6))
     comp = points_from_face(fam.faces[cid], pedm, TOL)
     assert np.max(np.abs(edm_of(comp.coords) - edm_of(P))) <= 1e-7
@@ -250,9 +251,9 @@ def test_nonrigid_union_resolves_with_cross_distance():
 
 def test_nonrigid_union_rejects_ambiguous_butterfly():
     P, pedm, fam = butterfly_family(RNG, cross=False)
-    ids = sorted(fam.active)
+    ids = sorted(fam.cliques)
     assert not nonrigid_clique_union(fam, ids[0], ids[1], TOL)
-    assert len(fam.active) == 2
+    assert len(fam.cliques) == 2
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -272,14 +273,15 @@ def test_noisy_butterfly_declines_without_a_cross_edge(seed, monkeypatch):
 
     monkeypatch.setattr(reducer, "intersect_faces_nonrigid", traced)
     _, _, fam = butterfly_family(np.random.default_rng(seed), cross=False, sigma=sigma)
-    i, j = sorted(fam.active)
+    i, j = sorted(fam.cliques)
     assert not nonrigid_clique_union(fam, i, j, tol)
-    assert not calls and len(fam.active) == 2
+    assert not calls and len(fam.cliques) == 2
 
     P, pedm, fam = butterfly_family(np.random.default_rng(seed), cross=True, sigma=sigma)
-    i, j = sorted(fam.active)
+    i, j = sorted(fam.cliques)
     assert nonrigid_clique_union(fam, i, j, tol)
     assert len(calls) == 1 and fam.cliques[i] == set(range(6))
+    check_consistency(fam)
     comp = points_from_face(fam.faces[i], pedm, tol)
     assert np.max(np.abs(edm_of(comp.coords) - edm_of(P))) <= 1e-4
 
@@ -291,8 +293,8 @@ def test_nonrigid_union_dispatch_requires_overlap_r():
         CliqueSeed(center=0, members=(0, 1, 2, 3)),
         CliqueSeed(center=5, members=(1, 2, 3, 4, 5)),
     ]
-    fam = init_family(pedm, seeds, 0)
-    ids = sorted(fam.active)
+    fam = init_family(pedm, seeds)
+    ids = sorted(fam.cliques)
     # overlap is 3 = r+1: the singular path must decline
     assert not nonrigid_clique_union(fam, ids[0], ids[1], TOL)
 
@@ -320,10 +322,11 @@ def test_nonrigid_absorption_with_range_bounds():
     assert np.linalg.norm(P[4] - P[3]) > R
     assert np.linalg.norm(P[4] - P[1]) > R  # true config satisfies all bounds
     tol_bounds = Tolerances(use_range_bounds=True)
-    fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3))], 0)
-    cid = next(iter(fam.active))
+    fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3))])
+    cid = next(iter(fam.cliques))
     assert nonrigid_node_absorption(fam, cid, 4, tol_bounds)
     assert 4 in fam.cliques[cid]
+    check_consistency(fam)
     comp = points_from_face(fam.faces[cid], pedm, tol_bounds)
     assert np.max(np.abs(edm_of(comp.coords) - edm_of(P))) <= 1e-7
 
@@ -341,8 +344,8 @@ def test_nonrigid_absorption_ambiguous_without_bounds():
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     pairs += [(0, 4), (2, 4)]
     pedm = pedm_from_pairs(P, pairs, radio_range=0.72)
-    fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3))], 0)
-    cid = next(iter(fam.active))
+    fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3))])
+    cid = next(iter(fam.cliques))
     assert not nonrigid_node_absorption(fam, cid, 4, TOL)
 
 
@@ -352,8 +355,8 @@ def test_nonrigid_absorption_dispatch_rank():
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     pairs += [(0, 4), (1, 4), (2, 4)]
     pedm = pedm_from_pairs(P, pairs)
-    fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3))], 0)
-    cid = next(iter(fam.active))
+    fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3))])
+    cid = next(iter(fam.cliques))
     # with the bounds on, the step gets past its early exit to the
     # neighbor-count check
     assert not nonrigid_node_absorption(fam, cid, 4, Tolerances(use_range_bounds=True))
@@ -369,8 +372,8 @@ def test_nonrigid_absorption_declines_a_collinear_beta():
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     pairs += [(0, 5), (1, 5), (2, 5)]
     pedm = pedm_from_pairs(P, pairs, radio_range=0.5)
-    fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3, 4))], 0)
-    cid = next(iter(fam.active))
+    fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3, 4))])
+    cid = next(iter(fam.cliques))
     tol = Tolerances(use_range_bounds=True)
     assert reducer._temp_face(fam, cid, [0, 1, 2, 5], tol) is None
     assert not nonrigid_node_absorption(fam, cid, 5, tol)
@@ -380,11 +383,11 @@ def test_nonrigid_absorption_declines_a_collinear_beta():
 def test_run_single_clique_fixed_point():
     P = RNG.random((6, 2))
     pedm = complete_pedm(P, m=3)
-    fam = init_family(pedm, [CliqueSeed(center=0, members=tuple(range(6)))], 3)
-    run(fam, pedm, level=StepLevel.L2, tol=TOL)
+    fam = init_family(pedm, [CliqueSeed(center=0, members=tuple(range(6)))])
+    run(fam, level=StepLevel.L2, tol=TOL)
     # the seed clique contains everything: only the anchor clique can merge in
-    assert len(fam.active) == 1
-    assert fam.cliques[fam.find(fam.anchor_clique_id)] == set(range(6))
+    assert len(fam.cliques) == 1
+    assert fam.cliques[fam.anchor_clique_id] == set(range(6))
 
 
 def test_run_trilateration_chain():
@@ -403,10 +406,10 @@ def test_run_trilateration_chain():
         if i < j
     }
     pedm = pedm_from_pairs(P, pairs)
-    fam = init_family(pedm, seeds, 0)
-    run(fam, pedm, level=StepLevel.L1, tol=TOL)
-    assert len(fam.active) == 1
-    cid = next(iter(fam.active))
+    fam = init_family(pedm, seeds)
+    run(fam, level=StepLevel.L1, tol=TOL)
+    assert len(fam.cliques) == 1
+    cid = next(iter(fam.cliques))
     assert fam.cliques[cid] == set(range(n))
     comp = points_from_face(fam.faces[cid], pedm, TOL)
     assert np.max(np.abs(edm_of(comp.coords) - edm_of(P))) <= 1e-9
@@ -425,9 +428,9 @@ def test_run_disconnected_component_stays_apart():
         CliqueSeed(center=0, members=tuple(range(8))),
         CliqueSeed(center=8, members=tuple(range(8, 13))),
     ]
-    fam = init_family(pedm, seeds, 0)
-    run(fam, pedm, level=StepLevel.L4, tol=TOL)
-    assert len(fam.active) == 2
+    fam = init_family(pedm, seeds)
+    run(fam, level=StepLevel.L4, tol=TOL)
+    assert len(fam.cliques) == 2
 
 
 def test_run_reaches_fixed_point_and_is_deterministic():
@@ -435,17 +438,17 @@ def test_run_reaches_fixed_point_and_is_deterministic():
     pedm = build_partial_edm(inst)
 
     def do_run():
-        fam = init_family(pedm, half_range_cliques(pedm), 4)
-        grow_cliques(fam, pedm, 9)
-        run(fam, pedm, level=StepLevel.L2, tol=TOL)
+        fam = init_family(pedm, half_range_cliques(pedm))
+        grow_cliques(fam, 9)
+        run(fam, level=StepLevel.L2, tol=TOL)
         return fam
 
     fam1, fam2 = do_run(), do_run()
     counts_before = dict(fam1.step_counts)
-    run(fam1, pedm, level=StepLevel.L2, tol=TOL)  # already at fixed point
+    run(fam1, level=StepLevel.L2, tol=TOL)  # already at fixed point
     assert dict(fam1.step_counts) == counts_before
-    sets1 = sorted(tuple(sorted(fam1.cliques[c])) for c in fam1.active)
-    sets2 = sorted(tuple(sorted(fam2.cliques[c])) for c in fam2.active)
+    sets1 = sorted(tuple(sorted(fam1.cliques[c])) for c in fam1.cliques)
+    sets2 = sorted(tuple(sorted(fam2.cliques[c])) for c in fam2.cliques)
     assert sets1 == sets2
     check_consistency(fam1)
 
@@ -453,10 +456,10 @@ def test_run_reaches_fixed_point_and_is_deterministic():
 def test_run_soundness_known_distances_reproduced():
     inst = generate_instance(150, 4, 2, seed=31, radio_range=0.25)
     pedm = build_partial_edm(inst)
-    fam = init_family(pedm, half_range_cliques(pedm), 4)
-    grow_cliques(fam, pedm, 9)
-    run(fam, pedm, level=StepLevel.L2, tol=TOL)
-    cid = fam.find(fam.anchor_clique_id)
+    fam = init_family(pedm, half_range_cliques(pedm))
+    grow_cliques(fam, 9)
+    run(fam, level=StepLevel.L2, tol=TOL)
+    cid = fam.anchor_clique_id
     face = fam.face_of(cid, TOL)
     comp = points_from_face(face, pedm, TOL)
     idx = {int(u): i for i, u in enumerate(comp.nodes)}
@@ -473,10 +476,10 @@ def test_level_monotonicity():
         pedm = build_partial_edm(inst)
         positioned = {}
         for level in (StepLevel.L1, StepLevel.L2, StepLevel.L3, StepLevel.L4):
-            fam = init_family(pedm, half_range_cliques(pedm), 4)
-            grow_cliques(fam, pedm, 9)
-            run(fam, pedm, level=level, tol=TOL)
-            cid = fam.find(fam.anchor_clique_id)
+            fam = init_family(pedm, half_range_cliques(pedm))
+            grow_cliques(fam, 9)
+            run(fam, level=level, tol=TOL)
+            cid = fam.anchor_clique_id
             positioned[level] = set(fam.cliques[cid]) - set(range(pedm.n - pedm.m, pedm.n))
         for low, high in zip(
             (StepLevel.L1, StepLevel.L2, StepLevel.L3),
@@ -490,11 +493,12 @@ def test_face_range_preserved_by_subset_merge():
     P = RNG.random((5, 2))
     pedm = complete_pedm(P)
     seeds = [CliqueSeed(center=0, members=(0, 1, 2, 3, 4))]
-    fam = init_family(pedm, seeds, 0)
-    big = next(iter(fam.active))
+    fam = init_family(pedm, seeds)
+    big = next(iter(fam.cliques))
     small = fam.add_clique((1, 2, 3))
     face_before = fam.face_of(big, TOL)
     assert rigid_clique_union(fam, big, small, TOL)
+    check_consistency(fam)
     assert np.max(principal_angles(fam.faces[big].basis, face_before.basis)) <= 1e-12
 
 
@@ -505,16 +509,45 @@ def test_subset_union_hands_over_the_seed_face():
     pedm = complete_pedm(P)
     seeds = [CliqueSeed(center=0, members=(0, 1, 2, 3)),
              CliqueSeed(center=5, members=(0, 1, 2, 3, 4, 5))]
-    fam = init_family(pedm, seeds, 0)
-    i, j = sorted(fam.active)
+    fam = init_family(pedm, seeds)
+    i, j = sorted(fam.cliques)
     fam.build_seed_faces(TOL)
     assert set(fam.seed_faces) == {i, j} and not fam.faces
     assert rigid_clique_union(fam, i, j, TOL)
-    assert fam.find(j) == i and j not in fam.seed_faces
+    assert set(fam.cliques) == {i} and j not in fam.seed_faces
+    check_consistency(fam)
     want = face_from_clique(pedm, fam.cliques[i], 2, TOL)
     got = fam.face_of(i, TOL)
     assert np.array_equal(got.nodes, want.nodes)
     assert np.array_equal(got.basis, want.basis)
+
+
+def test_steps_decline_a_merged_id():
+    # merged ids are not forwarded to their survivor: a step called with one
+    # declines and leaves the family as it is.  Node 5 measures three nodes
+    # of the union, so forwarding the dead id would absorb it
+    P = RNG.random((6, 2)) * 0.4
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    pairs += [(0, 5), (1, 5), (2, 5)]
+    pedm = pedm_from_pairs(P, pairs)
+    seeds = [CliqueSeed(center=0, members=(0, 1, 2, 3)),
+             CliqueSeed(center=4, members=(1, 2, 3, 4))]
+    fam = init_family(pedm, seeds)
+    i, j, single = sorted(fam.cliques)
+    assert rigid_clique_union(fam, i, j, TOL)
+    state = (fam.cliques.copy(), [set(ids) for ids in fam.membership], fam.faces.copy())
+    bounds = Tolerances(use_range_bounds=True)
+    assert not rigid_clique_union(fam, i, j, TOL)
+    assert not rigid_clique_union(fam, j, single, TOL)
+    assert not rigid_node_absorption(fam, j, 5, TOL)
+    assert not nonrigid_clique_union(fam, j, i, bounds)
+    assert not nonrigid_node_absorption(fam, j, 5, bounds)
+    assert fam.cliques == state[0] and fam.membership == state[1]
+    assert fam.faces.keys() == state[2].keys()
+    assert all(fam.faces[c] is face for c, face in state[2].items())
+    assert fam.cliques[i] == {0, 1, 2, 3, 4}
+    check_consistency(fam)
+    assert rigid_node_absorption(fam, i, 5, TOL)
 
 
 @pytest.mark.parametrize("level", [0, 5])
@@ -522,9 +555,9 @@ def test_run_rejects_invalid_level(level):
     # used to raise numpy's bare "not a valid StepLevel" ValueError
     P = RNG.random((6, 2))
     pedm = complete_pedm(P)
-    fam = init_family(pedm, singleton_seeds(6), 0)
+    fam = init_family(pedm, singleton_seeds(6))
     with pytest.raises(InvalidConfig):
-        run(fam, pedm, level=level, tol=TOL)
+        run(fam, level=level, tol=TOL)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1e-3])
@@ -609,10 +642,10 @@ def test_l4_without_range_bounds_runs_no_singular_absorption(monkeypatch):
 def test_cross_edges_match_a_brute_force_count():
     inst = generate_instance(300, 4, 2, seed=5, radio_range=GOLDEN_R)
     pedm = build_partial_edm(inst)
-    fam = init_family(pedm, half_range_cliques(pedm), 4)
-    grow_cliques(fam, pedm, 9)
-    run(fam, pedm, level=StepLevel.L2, tol=TOL)
-    ids = sorted(fam.active)
+    fam = init_family(pedm, half_range_cliques(pedm))
+    grow_cliques(fam, 9)
+    run(fam, level=StepLevel.L2, tol=TOL)
+    ids = sorted(fam.cliques)
     cliques = [fam.cliques[c] for c in ids]
     assert max(len(C) for C in cliques) > 30
     pairs = 0
@@ -644,7 +677,7 @@ def test_singular_unions_reach_the_kernel_only_with_a_cross_edge(monkeypatch):
 
     def traced_kernel(family, i, *args):
         if partner:
-            Ci, Cj = family.cliques[i], family.cliques[family.find(partner[-1])]
+            Ci, Cj = family.cliques[i], family.cliques[partner[-1]]
             cross.append(sum(v in Ci and v not in Cj for u in Cj - Ci for v in pedm.adj[u]))
         return kernel(family, i, *args)
 
@@ -664,12 +697,20 @@ def test_singular_unions_reach_the_kernel_only_with_a_cross_edge(monkeypatch):
     ],
     ids=["L2-200", "L4-354", "L2-2004"],
 )
-def test_golden_merge_order(n, m, R, level, digest):
+def test_golden_merge_order(n, m, R, level, digest, monkeypatch):
     # pins the order of accepted steps, partners included, through a digest
     # of the trace.  The range-bounds cases pin counts only: their order
     # turns on principal angles near range_tol, so round-off can swap two
     # absorptions without changing any count
     inst = generate_instance(n, m, 2, seed=0, radio_range=R)
     trace = io.StringIO()
+    families = []
+
+    def checked_run(family, **kwargs):
+        families.append(family)
+        return run(family, **kwargs)
+
+    monkeypatch.setattr(solver, "run", checked_run)
     localize(build_partial_edm(inst), inst.anchors, level=level, trace=trace)
     assert hashlib.sha256(trace.getvalue().encode()).hexdigest()[:16] == digest
+    check_consistency(families[0])

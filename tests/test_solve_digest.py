@@ -25,7 +25,8 @@ def test_solve_digest_against_itself(tmp_path):
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
     assert lines == [f"{name}: counts equal, sets equal, max coordinate difference 0"
-                     for name in SMALLEST]
+                     for name in SMALLEST] + [
+        "2 of 2 equal (counts, sets); largest coordinate difference 0"]
 
 
 def test_solve_digest_flags_differences(tmp_path, capsys):
@@ -40,3 +41,8 @@ def test_solve_digest_flags_differences(tmp_path, capsys):
     moved = {**digest, "a.coords": np.full((3, 2), 1e-9)}
     assert tool.compare(["a"], digest, moved)
     assert "max coordinate difference 1e-09" in capsys.readouterr().out
+    # the summary counts the instances that agree and skips a differing set
+    two = {**digest, "b.counts": digest["a.counts"], "b.ids": ids, "b.coords": np.zeros((3, 2))}
+    assert not tool.compare(["a", "b"], two, {**two, "a.coords": moved["a.coords"], "b.ids": ids + 1})
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "1 of 2 equal (counts, sets); largest coordinate difference 1e-09")

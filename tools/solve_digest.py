@@ -9,10 +9,11 @@ Each instance's ``step_counts``, positioned sensor ids and their coordinates
 are written to ``--out``.  With ``--against``, each instance is compared
 with the same instance in that file: the script prints whether the counts
 and the positioned sets are equal and the largest coordinate difference,
-and exits 1 when any counts or sets differ.  ``--only NAME ...`` restricts
-the run to the named instances.  The ``snloc`` package is imported from
-``--src``; the benchmark instances are drawn as ``bench/`` of this checkout
-draws them.
+then one summary line ("70 of 70 equal (counts, sets); largest coordinate
+difference 0"), and exits 1 when any counts or sets differ.
+``--only NAME ...`` restricts the run to the named instances.  The
+``snloc`` package is imported from ``--src``; the benchmark instances are
+drawn as ``bench/`` of this checkout draws them.
 
 The instances: the twelve benchmark instances of seed 0 (rigid-scaling pass
 0, noisy-dense passes 0-2, singular-sparse passes 0-5), L2 at n=200, L4 at
@@ -108,12 +109,13 @@ def solve(case) -> dict:
 
 
 def compare(names, new: dict, old) -> bool:
-    """Print one line per instance; True when all counts and sets agree."""
-    same = True
+    """Print one line per instance and a summary line; True when all counts
+    and sets agree."""
+    equal = 0
+    largest = float("nan")
     for name in names:
         if f"{name}.counts" not in old:
             print(f"{name}: missing from the other digest")
-            same = False
             continue
         counts = str(new[f"{name}.counts"]) == str(old[f"{name}.counts"])
         ids = np.array_equal(new[f"{name}.ids"], old[f"{name}.ids"])
@@ -121,8 +123,12 @@ def compare(names, new: dict, old) -> bool:
                 if ids else float("nan"))
         print(f"{name}: counts {'equal' if counts else 'DIFFER'}, "
               f"sets {'equal' if ids else 'DIFFER'}, max coordinate difference {diff:.3g}")
-        same = same and counts and ids
-    return same
+        equal += counts and ids
+        # fmax skips the NaN of a differing set
+        largest = float(np.fmax(largest, diff))
+    print(f"{equal} of {len(names)} equal (counts, sets); "
+          f"largest coordinate difference {largest:.3g}")
+    return equal == len(names)
 
 
 def main(argv=None) -> int:
