@@ -31,13 +31,18 @@ computed from closed forms on the row blocks, not from a generic SVD of the
 padded subspaces; the generic route serves as a test oracle only.  Both work
 on the stored form through one front (``_merge``), which splits the rows,
 runs the rank, conditioning and range tests once on one thin SVD per
-common block, and maps the new rows of one face into the stored
-coordinates of the other, the one whose common block is better
-conditioned, through a pseudo-inverse taken from that same SVD.  A rigid
-merge that keeps the grower's rows costs O(partner * r^2), so a chain of
-merges into one growing clique costs time linear in its final size; a
-singular merge adds the extra column and materializes its (r+2)-column
-result once.
+common block, and maps the new rows of the face whose common block is
+better conditioned into the stored coordinates of the other face, through
+a pseudo-inverse of that better block taken from the same SVD; the face
+with the worse conditioned block keeps its rows.  A rigid merge that keeps
+the grower's rows costs O(partner * r^2), so a chain of merges into one
+growing clique costs time linear in its final size; a singular merge adds
+the extra column and materializes its (r+2)-column result once.
+
+:func:`intersect_faces_wave` runs many rigid merges into one grower at
+once, against the grower's rows as they stand: the common blocks of all
+partners, padded to one size, share one stacked SVD, and all accepted rows
+are appended together.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ __all__ = [
     "face_from_points",
     "intersect_faces_rigid",
     "intersect_faces_nonrigid",
+    "intersect_faces_wave",
 ]
 
 
@@ -254,6 +260,12 @@ class FaceRep:
             self._white = np.linalg.inv(L).T, L
         return self._white
 
+    def _parts(self):
+        """(node ids, stored coordinates V, whitener W) of this face's rows,
+        the form :func:`intersect_faces_wave` reads a partner in."""
+        k = self._size
+        return self._store.ids[:k], self._store.coords[:k], self._whitener()[0]
+
     def _extend(self, coords: np.ndarray, ids) -> "FaceRep":
         """This face grown by rows ``coords`` for the new node ids.
 
@@ -397,6 +409,11 @@ class FaceStack:
         face._white = self.white[a], self.chol[a]
         return face
 
+    def parts(self, a: int):
+        """``self.face(a)._parts()``, read from the stack's arrays without
+        building the face."""
+        return self.nodes[a], self.basis[a, :, :-1], self.white[a]
+
 
 def clique_faces(pedm, cliques, r: int, tol: Tolerances) -> list:
     """:func:`face_from_clique` for many cliques, in stacked calls.
@@ -467,11 +484,13 @@ def _merge(F1: FaceRep, F2: FaceRep, tol: Tolerances, rank: int):
     decide rank and conditioning, its left singular vectors give the
     principal angle (one more SVD, of their r-by-r or (r+1)-by-(r+1)
     product), and the mapped block's three factors give its pseudo-inverse.
-    The face whose common block is better conditioned is the base; the
-    other face's new rows are mapped into the base's stored coordinates by
-    M = W_o pinv(U_o'') U_b'' L_b^T.  Returns (base, mapped rows, their
-    node ids, (A_o', W_o, U_o'')): the other face's new rows [V_o', e], its
-    whitener and its whitened common block.
+    The face whose common block is better conditioned (larger sigma_min,
+    F2 on a tie) is the one mapped: its block U_o'' is pseudo-inverted and
+    its new rows go into the stored coordinates of the other face, the
+    base, by M = W_o pinv(U_o'') U_b'' L_b^T; the base keeps its rows.
+    Returns (base, mapped rows, their node ids, (A_o', W_o, U_o'')): the
+    mapped face's new rows [V_o', e], its whitener and its whitened common
+    block.
     """
     if F1.width != F2.width:
         raise ValueError("faces have different basis widths")
@@ -528,16 +547,104 @@ def intersect_faces_rigid(F1: FaceRep, F2: FaceRep, tol: Tolerances) -> FaceRep:
     """Face of the union of two cliques whose overlap spans r dimensions.
 
     Requires the two common row blocks to have full column rank r+1 and
-    equal ranges.  The result keeps the stored rows of the face whose
-    common block is better conditioned and appends the other face's new
-    nodes in its coordinates, U_o' pinv(U_o'') U_b'', where U'' are the
-    common blocks in orthonormal bases of their faces.  The cost is
-    O(|F2| r^2) when F1 is kept and O(|F1| r^2) otherwise, plus a copy of
-    the kept rows unless that face is the tip of its row store; F1 and F2
-    are left unchanged.
+    equal ranges.  The block that is better conditioned is the one
+    pseudo-inverted: the result keeps the stored rows of the other face,
+    F1 when F2's block is at least as well conditioned as F1's, and appends
+    the new nodes of the better conditioned face in the kept face's
+    coordinates, U_o' pinv(U_o'') U_b'', where U'' are the common blocks in
+    orthonormal bases of their faces (o the mapped face, b the kept one).
+    The cost is O(|F2| r^2) when F1 is kept and O(|F1| r^2) otherwise, plus
+    a copy of the kept rows unless that face is the tip of its row store;
+    F1 and F2 are left unchanged.
     """
     base, rows, ids, _ = _merge(F1, F2, tol, F1.width)
     return base._extend(rows, ids)
+
+
+def intersect_faces_wave(grower: FaceRep, partners: list, tol: Tolerances):
+    """Rigid unions of one grower face with many partners at once.
+
+    Each partner comes as (node ids, stored coordinates V, whitener W), the
+    form of ``FaceRep._parts`` and ``FaceStack.parts``, and every partner is
+    tested against the grower's rows as they stand on entry, with the tests
+    of :func:`intersect_faces_rigid`.  A partner that passes them is
+    accepted when its common block is at least as well conditioned as the
+    grower's: its new rows are mapped into the grower's stored coordinates
+    as intersect_faces_rigid maps them.  It is deferred otherwise, since
+    that merge would keep the partner's rows and map the grower's.
+
+    The work is stacked: the common rows come from one id-to-row array, and
+    one SVD of all partners' common blocks and the grower's, padded to one
+    size, feeds the tests and the pseudo-inverses; one matmul gives the
+    partners' maps.  A node new to several accepted partners takes the
+    row of the first.  All rows are appended in one ``_extend``.  Returns
+    (face, accepted, deferred), two boolean arrays over the partners and
+    the grown face, which is None when no partner is accepted.
+    """
+    r = grower.width - 1
+    k1 = grower._size
+    gids, gcoords = grower._store.ids[:k1], grower._store.coords[:k1]
+    W1, L1 = grower._whitener()
+    count = len(partners)
+    ids, coords, white = zip(*partners)
+    owner = np.repeat(np.arange(count), [a.size for a in ids])
+    ids, coords, white = np.concatenate(ids), np.concatenate(coords), np.stack(white)
+    where = np.full(max(gids.max(), ids.max()) + 1, -1, dtype=np.intp)
+    where[gids] = np.arange(k1)
+    rows = where[ids]
+    inside = rows >= 0
+    shared = np.flatnonzero(inside)
+    who = owner[shared]
+    common = np.bincount(who, minlength=count)
+    size = common.max()
+    if size <= r:
+        return None, np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
+    # every partner's common block and the grower's rows of it, padded with
+    # zero rows to the largest common size: the zero rows change neither
+    # singular values nor right singular vectors, so one stacked SVD serves
+    # all partners
+    pos = who * size + np.arange(shared.size) - (np.cumsum(common) - common)[who]
+    A = np.zeros((2, count * size, r + 1))
+    A[0, pos, :r] = gcoords[rows[shared]]
+    A[1, pos, :r] = coords[shared]
+    A[:, pos, r] = 1.0
+    A = A.reshape(2, count, size, r + 1)
+    blocks = np.empty_like(A)
+    np.matmul(A[0], W1, out=blocks[0])
+    np.matmul(A[1], white, out=blocks[1])
+    U, S, Vh = np.linalg.svd(blocks, full_matrices=False)
+    # the tests of _merge: both blocks of rank r+1 (a block of r rows or
+    # fewer is not), the better one above the floor, equal ranges
+    low, high = S[..., r], S[..., 0]
+    ok = (low > _MIDDLE_CUT * high).all(axis=0)
+    ok &= low.max(axis=0) > tol.invert_floor * high.max(axis=0)
+    cos = np.linalg.svd(np.swapaxes(U[0], 1, 2) @ U[1], compute_uv=False)[:, -1]
+    ok &= cos >= np.cos(tol.range_tol)
+    # the better conditioned block is pseudo-inverted (see _merge)
+    partner_better = low[1] >= low[0]
+    accepted, deferred = ok & partner_better, ok & ~partner_better
+    if not accepted.any():
+        return None, accepted, deferred
+    # each partner's map M = W pinv(U'') U_1'' L_1^T, the pseudo-inverse from
+    # the block's SVD with _pinv's cutoff, in _merge's order of products
+    # (other orders change round-off, which flips merges of r=3 instances
+    # with range bounds); the last column of M would reproduce e, which
+    # stays exact
+    s = S[1]
+    inv = np.divide(1.0, s, where=s > 1e-15 * s[:, :1], out=np.zeros_like(s))
+    pinv = np.swapaxes(Vh[1], 1, 2) @ (inv[:, :, None] * np.swapaxes(U[1], 1, 2))
+    maps = (white @ (pinv @ blocks[0]) @ L1.T)[..., :r]
+    new = np.flatnonzero(~inside & accepted[owner])
+    new_ids = ids[new].tolist()
+    if len(set(new_ids)) < len(new_ids):
+        # a node new to several accepted partners takes the first one's row
+        _, first = np.unique(ids[new], return_index=True)
+        new = new[np.sort(first)]
+        new_ids = ids[new].tolist()
+    A = np.ones((new.size, 1, r + 1))
+    A[:, 0, :r] = coords[new]
+    mapped = np.matmul(A, maps[owner[new]])[:, 0]
+    return grower._extend(mapped, new_ids), accepted, deferred
 
 
 def intersect_faces_nonrigid(
@@ -547,10 +654,10 @@ def intersect_faces_nonrigid(
 
     The common row blocks must have rank exactly r.  The intersection of the
     padded subspaces then has r+2 dimensions: the rigid-form columns, built
-    on the better conditioned face's stored rows as in
-    :func:`intersect_faces_rigid`, plus one extra column that is zero on
-    that face's rows and equals [V_o', e] W_o u on the other face's new
-    rows, u a null vector of the other face's whitened common block.
+    on the stored rows of the face that :func:`intersect_faces_rigid` would
+    keep, plus one extra column that is zero on that face's rows and equals
+    [V_o', e] W_o u on the mapped face's new rows, u a null vector of the
+    mapped face's whitened common block.
     """
     base, rows, ids, (Ao, Wo, Uo) = _merge(F1, F2, tol, F1.width - 1)
     # full SVD: the right-singular vector beyond the rank is a null vector

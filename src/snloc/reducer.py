@@ -33,6 +33,24 @@ entries that are no longer current, or that failed, are dropped when they
 surface, so a pick costs O(log n) instead of a scan of the counters.  A
 failed rigid partner is retried once its count has grown.
 
+Rigid unions go in waves.  A pick pops every ready partner (a current
+count above r that has not failed) whose count is at least three quarters
+of the top count, and ``intersect_faces_wave`` merges them all against the
+grower's face as it stood when the wave began, in stacked numpy calls.
+The merged face and nodes are installed on the grower, and then each
+united partner goes through ``rigid_clique_union``, whose subset branch
+removes it and counts the union, so a wrapper of the step sees every
+union.  Two kinds of partner go through ``rigid_clique_union`` alone
+after the wave: one whose common block is worse conditioned than the
+grower's, as its merge would keep its own rows and remap the grower's,
+and one whose nodes outside the grower the wave's earlier partners
+already hold, which is then a subset with no face work.  A top partner
+that holds the whole grower makes no wave: it hands its face over alone,
+with no face work.  Neither does a wave of one partner, for which the
+stacked call costs more than the step's own kernel.  Waves down to half
+the top count would merge many partners at small overlaps, whose errors
+compound on noisy data.
+
 Each singular step has two mirror-image candidates, and only data can tell
 them apart (the flip ambiguity of Moore, Leonard, Rus and Teller, SenSys
 2004).  A singular union's candidates differ by a reflection across the flat
@@ -77,6 +95,7 @@ from .faces import (
     face_from_points,
     intersect_faces_nonrigid,
     intersect_faces_rigid,
+    intersect_faces_wave,
 )
 from .recovery import points_from_face, two_completions
 
@@ -193,6 +212,16 @@ class CliqueFamily:
                 face = None
         self.faces[cid] = face
         return face
+
+    def face_parts(self, cid: int, tol: Tolerances):
+        """A clique's face as ``FaceRep._parts`` gives it, or None if
+        degenerate; a seed face is read from its stack, and no FaceRep is
+        built for it."""
+        seed = self.seed_faces.get(cid)
+        if seed is not None:
+            return seed[0].parts(seed[1])
+        face = self.face_of(cid, tol)
+        return None if face is None else face._parts()
 
     def completion_of(self, cid: int, tol: Tolerances):
         """Coordinates for a clique's nodes, cached per face object."""
@@ -421,9 +450,7 @@ def _common_nodes(family: CliqueFamily, i: int, j: int):
     cliques = family.cliques
     if i == j or i not in cliques or j not in cliques:
         return None
-    Ci, Cj = cliques[i], cliques[j]
-    small, big = (Ci, Cj) if len(Ci) <= len(Cj) else (Cj, Ci)
-    return [u for u in small if u in big]
+    return cliques[i] & cliques[j]
 
 
 def _cross_edges(adj, Ci, Cj) -> int:
@@ -617,6 +644,79 @@ def _heap_pick(heap, counts, tried):
     return None
 
 
+# a rigid union wave takes every ready partner whose overlap count is at
+# least this fraction of the top one's; at half, noisy-dense RMSD rose from
+# 5.8e-4 to 1.6e-3, as partners merged at small overlaps compound errors
+_WAVE_FRACTION = 0.75
+
+
+def _pop_wave(heap, counts, tried):
+    """Pop the entries of one rigid union wave off a heap whose top is
+    ready (``_heap_pick``): every ready (id, count), in heap order, whose
+    count is at least ``_WAVE_FRACTION`` of the top count."""
+    floor = _WAVE_FRACTION * -heap[0][0]
+    wave = []
+    while heap and -heap[0][0] >= floor:
+        negc, l = heapq.heappop(heap)
+        if counts.get(l) == -negc and tried.get(l) != -negc:
+            wave.append((l, -negc))
+    return wave
+
+
+def _wave_merge(family: CliqueFamily, gid: int, wave, tol: Tolerances):
+    """Merge a wave of rigid union partners into clique gid, none of which
+    holds all of it, in one ``intersect_faces_wave`` call.
+
+    A partner inside clique gid needs no face work, and neither does one
+    whose other nodes the partners before it in the wave hold: it is left to
+    ``rigid_clique_union``, which finds it inside clique gid once they are
+    merged.  The merged face and the new nodes are installed on clique gid,
+    so that each united partner, still live, is then a subset of it.
+    Returns (united, new nodes, failed, deferred): the united partners in
+    wave order, the (id, count) of the partners that failed, and the
+    partners left to ``rigid_clique_union``, in wave order: those just
+    named and those whose merge would remap clique gid's rows.
+    """
+    Ci = family.cliques[gid]
+    grower = family.face_of(gid, tol)
+    inside, failed, todo, parts, later = set(), [], [], [], set()
+    # nodes outside clique gid that the wave's kernel partners so far hold
+    held = set()
+    for l, c in wave:
+        Cl = family.cliques[l]
+        if c == len(Cl):
+            inside.add(l)
+            continue
+        fresh = [u for u in Cl if u not in Ci]
+        if held.issuperset(fresh):
+            later.add(l)
+        elif grower is None or (part := family.face_parts(l, tol)) is None:
+            failed.append((l, c))
+        else:
+            todo.append((l, c))
+            parts.append(part)
+            held.update(fresh)
+    new_nodes = []
+    if parts:
+        face, accepted, defer = intersect_faces_wave(grower, parts, tol)
+        for (l, c), a, d in zip(todo, accepted.tolist(), defer.tolist()):
+            if a:
+                inside.add(l)
+            elif d:
+                later.add(l)
+            else:
+                failed.append((l, c))
+        if face is not None:
+            cliques = family.cliques
+            new_nodes = list(dict.fromkeys(u for l in inside for u in cliques[l] if u not in Ci))
+            Ci.update(new_nodes)
+            for u in new_nodes:
+                family.membership[u].add(gid)
+            family.faces[gid] = face
+    return ([l for l, _ in wave if l in inside], new_nodes, failed,
+            [l for l, _ in wave if l in later])
+
+
 def _exhaust_grower(family, gid, level, tol, trace) -> bool:
     """Apply every enabled step to clique gid until none applies.
 
@@ -637,7 +737,6 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
     heaps = {False: [], True: []}
     # per row, partner -> key of its last failed attempt
     failed = {name: {} for name, *_ in rows}
-    changed = False
     # singular union partner -> cross-edge count, until the grower changes
     cross: dict[int, int] = {}
 
@@ -672,6 +771,47 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
             x = cross[l] = _cross_edges(adj, Ci, family.cliques[l])
         return x
 
+    def record(step, l):
+        if trace is not None:
+            trace.write(f"step={step} i={gid} j={l} |C|={len(family.cliques)} "
+                        f"positioned={family.positioned_count()}\n")
+
+    def attempt(name, step, absorb, l, key) -> bool:
+        counts = acnt if absorb else cnt
+        new_nodes = [l] if absorb else [u for u in family.cliques[l] if u not in Ci]
+        if globals()[name](family, gid, l, tol):
+            counts.pop(l, None)
+            register_nodes(new_nodes)
+            cross.clear()
+            record(step, l)
+            return True
+        failed[name][l] = key
+        return False
+
+    def rigid_wave() -> bool:
+        tried = failed["rigid_clique_union"]
+        wave = _pop_wave(heaps[False], cnt, tried)
+        if len(wave) == 1:
+            # one partner: the step's own kernel costs less than a stacked call
+            return attempt("rigid_clique_union", STEP_RIGID_UNION, False, *wave[0])
+        merged, new_nodes, retry, deferred = _wave_merge(family, gid, wave, tol)
+        for l in merged:
+            # clique l lies inside the grower now: the step call removes it
+            # and counts the union, so wrappers of the step see each one
+            if globals()["rigid_clique_union"](family, gid, l, tol):
+                cnt.pop(l, None)
+                record(STEP_RIGID_UNION, l)
+        for l, c in retry:
+            tried[l] = c
+        if merged:
+            register_nodes(new_nodes)
+            cross.clear()
+        done = bool(merged)
+        for l in deferred:
+            done |= attempt("rigid_clique_union", STEP_RIGID_UNION, False, l, cnt[l])
+        return done
+
+    changed = False
     register_nodes(Ci)
     while True:
         for name, step, absorb, singular in rows:
@@ -679,32 +819,25 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
                 acnt = {}
                 count_neighbors(Ci)
             counts = acnt if absorb else cnt
-            tried = failed[name]
             if singular:
                 # by ascending id; a key of 0 cannot decide, and a partner
                 # that failed is retried only once its key has changed
                 pick = None
                 for l in sorted([l for l, c in counts.items() if c == r]):
                     key = singular_key(l, absorb)
-                    if key and tried.get(l) != key:
+                    if key and failed[name].get(l) != key:
                         pick = l, key
                         break
             else:
-                pick = _heap_pick(heaps[absorb], counts, tried)
+                pick = _heap_pick(heaps[absorb], counts, failed[name])
             if pick is None:
                 continue
-            l, key = pick
-            new_nodes = [l] if absorb else [u for u in family.cliques[l] if u not in Ci]
-            if globals()[name](family, gid, l, tol):
-                counts.pop(l, None)
-                register_nodes(new_nodes)
-                cross.clear()
-                changed = True
-                if trace is not None:
-                    trace.write(f"step={step} i={gid} j={l} |C|={len(family.cliques)} "
-                                f"positioned={family.positioned_count()}\n")
+            if not absorb and not singular and pick[1] < len(Ci):
+                # rigid unions go in waves; a partner that holds the whole
+                # grower (count len(Ci)) hands over its face alone
+                changed |= rigid_wave()
             else:
-                tried[l] = key
+                changed |= attempt(name, step, absorb, *pick)
             break
         else:
             return changed

@@ -338,6 +338,82 @@ def test_rigid_union_range_mismatch_is_told_from_rank_loss():
             assert np.array_equal(out.nodes, np.union1d(n1, n2))
 
 
+def test_rigid_union_keeps_the_worse_conditioned_faces_rows():
+    # the face whose common block is better conditioned is the one mapped:
+    # its block is pseudo-inverted, and the other face keeps its stored
+    # rows, whichever order the two come in
+    P = strip_points(np.random.default_rng(5), 40, 2)
+    big = face_of_points(np.arange(30), P[:30], 2)
+    small = face_of_points(np.arange(27, 34), P[27:34], 2)
+    common = np.arange(27, 30)
+    assert sigma_min_on(small, common) > sigma_min_on(big, common)
+    for pair in ((big, small), (small, big)):
+        out = intersect_faces_rigid(*pair, NOGATE)
+        assert np.array_equal(out._store.ids[:30], np.arange(30))
+        assert np.array_equal(out._store.coords[:30], big._store.coords[:30])
+        assert np.array_equal(out._store.ids[30 : out._size], np.arange(30, 34))
+
+
+@pytest.mark.parametrize("tol", [TOL, NOGATE], ids=["floor", "no-floor"])
+def test_wave_matches_one_union_at_a_time(tol):
+    # a 30-node grower and five partners, each also merged alone with the
+    # intersect_faces_rigid of the same grower face: A and B share the new
+    # nodes 30 and 31, and B places node 30 elsewhere, so the wave must keep
+    # A's row; C's overlap is inconsistent (a range mismatch); D is larger
+    # than the grower, whose common block is then the better conditioned,
+    # so D is deferred; E comes from a face stack, read without a FaceRep
+    rng = np.random.default_rng(17)
+    P = strip_points(rng, 80, 2)
+    grower = face_of_points(np.arange(30), P[:30], 2)
+
+    def moved(nodes, node):
+        Q = P[nodes].copy()
+        Q[np.searchsorted(nodes, node)] += 1e-3
+        return face_of_points(nodes, Q, 2)
+
+    A = face_of_points(np.arange(24, 32), P[24:32], 2)
+    B = moved(np.arange(26, 33), 30)
+    C = moved(np.arange(22, 34), 23)
+    D = face_of_points(np.arange(22, 70), P[22:70], 2)
+    stack, a = clique_faces(complete_pedm(P), [set(range(20, 36))], 2, tol)[0]
+    E = stack.face(a)
+    for got, want in zip(stack.parts(a), E._parts()):
+        assert np.array_equal(got, want)
+    partners = [A, B, C, D, E]
+    parts = [p._parts() for p in partners[:4]] + [stack.parts(a)]
+    assert sigma_min_on(grower, np.arange(22, 30)) > sigma_min_on(D, np.arange(22, 30))
+
+    face, accepted, deferred = faces_module.intersect_faces_wave(grower, parts, tol)
+    assert accepted.tolist() == [True, True, False, False, True]
+    assert deferred.tolist() == [False, False, False, True, False]
+    assert grower._size == 30
+    alone = {}
+    for name, partner in zip("ABCDE", partners):
+        try:
+            alone[name] = intersect_faces_rigid(grower, partner, tol)
+        except (IntersectionRankLoss, RangeMismatch) as exc:
+            assert name == "C" and isinstance(exc, RangeMismatch)
+    assert set(alone) == set("ABDE")
+    # the deferred merge keeps D's rows and maps the grower's
+    assert np.array_equal(alone["D"]._store.ids[:48], np.arange(22, 70))
+    rows = {}
+    for name in "ABE":
+        out = alone[name]
+        assert np.array_equal(out._store.ids[:30], np.arange(30))
+        rows[name] = dict(zip(out._store.ids[30 : out._size].tolist(),
+                              out._store.coords[30 : out._size]))
+    new = face._store.ids[30 : face._size].tolist()
+    assert new == [30, 31, 32, 33, 34, 35]
+    assert np.array_equal(face._store.coords[:30], grower._store.coords[:30])
+    first = {30: "A", 31: "A", 32: "B", 33: "E", 34: "E", 35: "E"}
+    for u, row in zip(new, face._store.coords[30 : face._size]):
+        assert np.max(np.abs(row - rows[first[u]][u])) <= 1e-12
+    assert np.max(np.abs(face._store.coords[30] - rows["B"][30])) > 1e-6
+    # no partner accepted: no face
+    none, accepted, deferred = faces_module.intersect_faces_wave(grower, parts[2:4], tol)
+    assert none is None and not accepted.any() and deferred.tolist() == [False, True]
+
+
 def test_nonrigid_butterfly_dimensions_and_nulls():
     P, n1, n2 = two_random_cliques(RNG, r=2, shared=2, k1=4, k2=4)
     f1 = face_of_points(n1, P[n1], 2)

@@ -41,7 +41,17 @@ def test_solve_digest_flags_differences(tmp_path, capsys):
     moved = {**digest, "a.coords": np.full((3, 2), 1e-9)}
     assert tool.compare(["a"], digest, moved)
     assert "max coordinate difference 1e-09" in capsys.readouterr().out
-    # the summary counts the instances that agree and skips a differing set
+    # a differing set reports both positioned counts and compares the
+    # coordinates of the common nodes
+    grown = {"a.counts": digest["a.counts"], "a.ids": np.arange(4),
+             "a.coords": np.vstack([np.zeros((3, 2)), [[1.0, 1.0]]])}
+    grown["a.coords"][2] = 2e-9
+    assert not tool.compare(["a"], grown, digest)
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "a: counts equal, sets DIFFER (3 -> 4 positioned), max coordinate difference 2e-09"
+        " over the 3 common nodes")
+    # the summary counts the instances that agree and takes the largest
+    # difference over all of them
     two = {**digest, "b.counts": digest["a.counts"], "b.ids": ids, "b.coords": np.zeros((3, 2))}
     assert not tool.compare(["a", "b"], two, {**two, "a.coords": moved["a.coords"], "b.ids": ids + 1})
     assert capsys.readouterr().out.splitlines()[-1] == (

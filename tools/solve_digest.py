@@ -8,9 +8,11 @@ Usage, from the root of a source checkout:
 Each instance's ``step_counts``, positioned sensor ids and their coordinates
 are written to ``--out``.  With ``--against``, each instance is compared
 with the same instance in that file: the script prints whether the counts
-and the positioned sets are equal and the largest coordinate difference,
-then one summary line ("70 of 70 equal (counts, sets); largest coordinate
-difference 0"), and exits 1 when any counts or sets differ.
+and the positioned sets are equal and the largest coordinate difference
+over the nodes both positioned, with the positioned counts (that file's ->
+this run's) where the sets differ, then one summary line ("70 of 70 equal
+(counts, sets); largest coordinate difference 0"), and exits 1 when any
+counts or sets differ.
 ``--only NAME ...`` restricts the run to the named instances.  The
 ``snloc`` package is imported from ``--src``; the benchmark instances are
 drawn as ``bench/`` of this checkout draws them.
@@ -112,20 +114,24 @@ def compare(names, new: dict, old) -> bool:
     """Print one line per instance and a summary line; True when all counts
     and sets agree."""
     equal = 0
-    largest = float("nan")
+    largest = 0.0
     for name in names:
         if f"{name}.counts" not in old:
             print(f"{name}: missing from the other digest")
             continue
         counts = str(new[f"{name}.counts"]) == str(old[f"{name}.counts"])
-        ids = np.array_equal(new[f"{name}.ids"], old[f"{name}.ids"])
-        diff = (float(np.max(np.abs(new[f"{name}.coords"] - old[f"{name}.coords"]), initial=0.0))
-                if ids else float("nan"))
-        print(f"{name}: counts {'equal' if counts else 'DIFFER'}, "
-              f"sets {'equal' if ids else 'DIFFER'}, max coordinate difference {diff:.3g}")
+        new_ids, old_ids = new[f"{name}.ids"], old[f"{name}.ids"]
+        ids = np.array_equal(new_ids, old_ids)
+        # coordinates are compared over the nodes both sides positioned
+        common, a, b = np.intersect1d(new_ids, old_ids, return_indices=True)
+        diff = float(np.max(np.abs(new[f"{name}.coords"][a] - old[f"{name}.coords"][b]),
+                            initial=0.0))
+        sets = "equal" if ids else f"DIFFER ({old_ids.size} -> {new_ids.size} positioned)"
+        over = "" if ids else f" over the {common.size} common nodes"
+        print(f"{name}: counts {'equal' if counts else 'DIFFER'}, sets {sets}, "
+              f"max coordinate difference {diff:.3g}{over}")
         equal += counts and ids
-        # fmax skips the NaN of a differing set
-        largest = float(np.fmax(largest, diff))
+        largest = max(largest, diff)
     print(f"{equal} of {len(names)} equal (counts, sets); "
           f"largest coordinate difference {largest:.3g}")
     return equal == len(names)
