@@ -9,8 +9,10 @@ forms.  The stored form is r coordinate columns V, one row per node, plus an
 implicit all-ones column that is therefore exact, and the Gram matrix of
 [V, e]; rows are only appended, in merge order.  The materialized form,
 built on first use and cached, is a k-by-(r+1) basis over the sorted node
-ids with orthonormal columns, the last equal to e/sqrt(k); recovery reads
-that form and relies on this normalization.
+ids with orthonormal columns, the last equal to e/sqrt(k); the final
+recovery reads that form and relies on this normalization.  The reducer's
+steps read distances from the stored form and the face's frame Gram, which
+the face keeps while its stored frame lasts.
 
 All faces built from a clique's Gram matrix go through one stacked
 computation (``_face_coords``): one eigendecomposition, rank cut and QR for
@@ -195,12 +197,21 @@ class FaceRep:
     columns, the last of which is e/sqrt(k).  Recovery and ``rows`` read
     this form; both intersection kernels read only the stored one.  The
     constructor takes the materialized form.  The whitener of the Gram is
-    cached on first use as well.
+    cached on first use as well, and nodes alone costs a sort, not the
+    basis.
+
+    The frame Gram, once known, is kept with the stored form: the r-by-r
+    PSD matrix Z with (v_a - v_b) Z (v_a - v_b)^T the squared distance of
+    nodes a and b, v their stored rows.  ``recovery.frame_gram`` computes
+    it; ``_extend`` carries it, as appended rows are in the same frame, and
+    ``_reorthonormalize`` drops it with the frame.
     """
 
     # _size rows of _store belong to this face; V was last orthonormalized
-    # at _orth_size rows; _white caches _whitener
-    __slots__ = ("_store", "_size", "_gram", "_orth_size", "_nodes", "_basis", "_white")
+    # at _orth_size rows; _white caches _whitener; _zgram is the frame Gram
+    # of _store's coordinates, or None while unknown
+    __slots__ = ("_store", "_size", "_gram", "_orth_size", "_nodes", "_basis", "_white",
+                 "_zgram")
 
     def __init__(self, nodes, basis):
         nodes = np.asarray(nodes, dtype=np.int64)
@@ -212,13 +223,13 @@ class FaceRep:
         self._orth_size = nodes.size
         self._nodes = nodes
         self._basis = basis
-        self._white = None
+        self._white = self._zgram = None
 
     @classmethod
     def _stored(cls, store: _RowStore, size: int, gram: np.ndarray, orth_size: int) -> "FaceRep":
         face = object.__new__(cls)
         face._store, face._size, face._gram, face._orth_size = store, size, gram, orth_size
-        face._nodes = face._basis = face._white = None
+        face._nodes = face._basis = face._white = face._zgram = None
         return face
 
     @property
@@ -228,7 +239,7 @@ class FaceRep:
     @property
     def nodes(self) -> np.ndarray:
         if self._nodes is None:
-            self._materialize()
+            self._nodes = np.sort(self._store.ids[: self._size])
         return self._nodes
 
     @property
@@ -244,6 +255,15 @@ class FaceRep:
     def _materialize(self) -> None:
         k = self._size
         self._nodes, self._basis = _orthonormal(self._store.ids[:k], self._store.coords[:k])
+
+    def stored_rows(self, nodes=None) -> np.ndarray:
+        """Stored coordinates V of the given member nodes, in their order;
+        by default of every node, in the order of ``nodes``."""
+        store = self._store
+        if nodes is None:
+            k = self._size
+            return store.coords[:k][np.argsort(store.ids[:k])]
+        return store.coords[[store.index[u] for u in nodes]]
 
     def _affine(self, rows) -> np.ndarray:
         """Stored rows [V, e] of the given row indices."""
@@ -279,6 +299,7 @@ class FaceRep:
         store.append(coords, ids)
         gram = self._gram + _gram(coords)
         face = FaceRep._stored(store, k + n, gram, self._orth_size)
+        face._zgram = self._zgram
         d = np.sqrt(np.diag(gram))
         ev = np.linalg.eigvalsh(gram / np.outer(d, d))
         if k + n >= 2 * self._orth_size or ev[0] * _GRAM_COND_LIMIT < ev[-1]:
@@ -287,14 +308,15 @@ class FaceRep:
 
     def _reorthonormalize(self) -> None:
         """Replace V by an orthonormal basis of its centered span, in a new
-        store (earlier faces keep theirs)."""
+        store (earlier faces keep theirs).  The frame changes, so the frame
+        Gram is dropped, to be recomputed in the new frame."""
         k = self._size
         store = self._store.prefix(k, 0)
         V = store.coords[:k]
         Q, _ = np.linalg.qr(V - V.mean(axis=0))
         store.coords[:k] = Q
         self._store, self._gram, self._orth_size = store, _gram(Q), k
-        self._white = None
+        self._white = self._zgram = None
 
 
 @dataclass(eq=False)

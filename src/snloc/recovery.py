@@ -2,12 +2,20 @@
 
 Once a clique's face basis U is known, the coordinates of its nodes are
 U[:, :r] Z^{1/2} where the small r-by-r matrix Z is pinned down by the
-measured distances of any full-dimensional sub-clique (``solve_z``).  For a
-singular merge the analogous system is underdetermined along a single rank-2
-direction and has exactly two rank-r solutions (``two_completions``).  The
-final coordinates are mapped onto the anchors by a least-squares rigid
-motion (``align_to_anchors``) and compared against ground truth
-(``metrics``).
+measured distances of any full-dimensional sub-clique (``solve_z``).  The
+same holds for any basis of the face, the stored rows [V, e] included:
+every coordinate is X = V C + 1 c^T, so a squared distance needs only the
+frame Gram Z = C C^T of the stored rows, d_ab = (v_a - v_b) Z (v_a - v_b)^T.
+``frame_gram`` computes that Z once per stored frame from one measured
+seed clique, through the row-block solve that ``solve_z`` runs, and keeps
+it on the face, which carries it through the merges that keep the frame;
+the reducer reads the distances and points it needs from there
+(``frame_points``), and only the final recovery (``points_from_face``)
+materializes the orthonormal basis.  For a singular merge the analogous
+system is underdetermined along a single rank-2 direction and has exactly
+two rank-r solutions (``two_completions``).  The final coordinates are
+mapped onto the anchors by a least-squares rigid motion
+(``align_to_anchors``) and compared against ground truth (``metrics``).
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .edm_core import eigh_descending, kappa_pinv, significant_rank
+from .edm_core import eigh_descending, full_rank_factor, kappa_pinv, significant_rank
 from .errors import (
     DegenerateAnchors,
     EmptyPositioned,
@@ -32,6 +40,8 @@ __all__ = [
     "SolveReport",
     "solve_z",
     "two_completions",
+    "frame_gram",
+    "frame_points",
     "points_from_face",
     "align_to_anchors",
     "metrics",
@@ -63,12 +73,28 @@ class SolveReport:
     gram_residual: float | None = None
 
 
+def _centered(A: np.ndarray) -> np.ndarray:
+    return A - A.mean(axis=0)
+
+
 def _centered_rows(face, beta) -> np.ndarray:
     """J U_beta V for the maintained normalization: drop the ones column,
     take the beta rows, center them."""
     width = face.basis.shape[1]
-    A = face.basis[face.rows(beta), : width - 1]
-    return A - A.mean(axis=0)
+    return _centered(face.basis[face.rows(beta), : width - 1])
+
+
+def _z_from_rows(A: np.ndarray, B: np.ndarray, r: int, tol: Tolerances) -> np.ndarray:
+    """The row-block solve of ``solve_z``: Z with A Z A^T = B, for a centered
+    row block A (one row per node of beta, in any coordinates of the face)
+    and beta's centered Gram B."""
+    sv = np.linalg.svd(A, compute_uv=False)
+    if sv.size < r or sv[r - 1] <= tol.rank.relative_cut * max(sv[0], np.finfo(float).eps):
+        raise RankDeficient("face rows on beta do not have full column rank")
+    F = full_rank_factor(B, r, tol.rank)
+    C, *_ = np.linalg.lstsq(A, F, rcond=None)
+    Z = C @ C.T
+    return 0.5 * (Z + Z.T)
 
 
 def solve_z(face: FaceRep, beta, B_beta: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -79,17 +105,7 @@ def solve_z(face: FaceRep, beta, B_beta: np.ndarray, tol: Tolerances) -> np.ndar
     Z = C C^T with A C = F, which is symmetric PSD by construction and equals
     the pseudo-inverse formula A^+ B (A^+)^T.
     """
-    r = face.width - 1
-    A = _centered_rows(face, beta)
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv.size < r or sv[r - 1] <= tol.rank.relative_cut * max(sv[0], np.finfo(float).eps):
-        raise RankDeficient("face rows on beta do not have full column rank")
-    from .edm_core import full_rank_factor
-
-    F = full_rank_factor(B_beta, r, tol.rank)
-    C, *_ = np.linalg.lstsq(A, F, rcond=None)
-    Z = C @ C.T
-    return 0.5 * (Z + Z.T)
+    return _z_from_rows(_centered_rows(face, beta), B_beta, face.width - 1, tol)
 
 
 def _sym_sqrt(Z: np.ndarray) -> np.ndarray:
@@ -97,14 +113,13 @@ def _sym_sqrt(Z: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
-def _find_rigid_seed(face: FaceRep, pedm, r: int, tol: Tolerances):
-    """A measured sub-clique of the face with well-conditioned rank-r Gram.
+def _find_rigid_seed(nodes: np.ndarray, pedm, r: int, tol: Tolerances):
+    """A measured sub-clique of a face with well-conditioned rank-r Gram.
 
     Greedily grows a clique of the original graph inside the face's node set
-    from a few spread-out start nodes and keeps the candidate whose r-th
-    Gram eigenvalue is largest.
+    (nodes, sorted) from a few spread-out start nodes and keeps the
+    candidate whose r-th Gram eigenvalue is largest.
     """
-    nodes = face.nodes
     node_set = set(int(u) for u in nodes)
     max_size = 3 * (r + 1)
     n_starts = min(nodes.size, 8)
@@ -142,7 +157,7 @@ def points_from_face(
     """
     r = face.width - 1
     if beta is None:
-        beta, B = _find_rigid_seed(face, pedm, r, tol)
+        beta, B = _find_rigid_seed(face.nodes, pedm, r, tol)
     else:
         beta = sorted(beta)
         B = kappa_pinv(pedm.submatrix(beta))
@@ -153,6 +168,31 @@ def points_from_face(
     )
     coords = face.basis[:, :r] @ _sym_sqrt(Z)
     return Completion(nodes=face.nodes, coords=coords, gram_residual=residual)
+
+
+def frame_gram(face: FaceRep, pedm, tol: Tolerances) -> np.ndarray:
+    """The frame Gram Z of a face's stored rows V: the squared distance of
+    nodes a and b is (v_a - v_b) Z (v_a - v_b)^T.
+
+    Computed on first use from a measured seed clique (``_find_rigid_seed``)
+    and its stored rows, and kept on the face, whose merges carry it while
+    they keep its frame.  Raises NoRigidSeed or RankDeficient as
+    ``points_from_face`` does.
+    """
+    Z = face._zgram
+    if Z is None:
+        r = face.width - 1
+        beta, B = _find_rigid_seed(face.nodes, pedm, r, tol)
+        Z = face._zgram = _z_from_rows(_centered(face.stored_rows(beta)), B, r, tol)
+    return Z
+
+
+def frame_points(face: FaceRep, pedm, tol: Tolerances) -> Completion:
+    """Coordinates V Z^{1/2} of all face nodes, rows by sorted node id, from
+    the frame Gram (``frame_gram``): the distances of ``points_from_face``,
+    up to round-off, in another rigid frame."""
+    C = _sym_sqrt(frame_gram(face, pedm, tol))
+    return Completion(nodes=face.nodes, coords=face.stored_rows() @ C)
 
 
 def _sym_basis(t: int):

@@ -17,14 +17,20 @@ neighbors beta in the clique, so each step is a thin front end that checks
 its precondition and builds the partner face, over one of two kernels:
 rigid (closed-form face intersection) or singular (two candidate
 realizations, committed only when exactly one survives the feasibility test
-against the known distances).
+against the known distances).  The distances a temporary clique lacks
+between nodes of beta, and the points a singular step picks its
+full-dimensional subsets from, come from the clique's stored rows and its
+frame Gram (``recovery.frame_gram``), which a face computes once per stored
+frame and carries through the merges that keep that frame; no step
+materializes a clique's orthonormal basis.
 
 The loop processes cliques by ascending id.  The clique under consideration
 (the "grower") keeps incremental overlap counters: cnt[l] is the number of
 shared nodes with clique l, acnt[w] the number of grower nodes adjacent to
 the outside node w.  One routine counts both, for the grower's own nodes
-when its turn starts (acnt on first use) and for each merge's new nodes, so
-candidate search never rescans the whole family.  One table gives the steps
+when its turn starts and for each merge's new nodes, so candidate search
+never rescans the whole family; acnt is counted on first use, from the
+outside nodes' adjacency once the grower holds more than half the nodes.  One table gives the steps
 in priority order; each picks from cnt (unions) or acnt (absorptions) an
 overlap >= r+1 (rigid) or exactly r (singular).  The rigid steps take the
 largest overlap, ties by ascending id, from a max-heap over (count, -id)
@@ -97,7 +103,10 @@ from .faces import (
     intersect_faces_rigid,
     intersect_faces_wave,
 )
-from .recovery import points_from_face, two_completions
+from .recovery import frame_gram, frame_points, two_completions
+# the steps read coordinates through the frame Gram; points_from_face stays
+# importable from here because bench/snlbench/tracing.py wraps it by name
+from .recovery import points_from_face  # noqa: F401
 
 __all__ = [
     "StepLevel",
@@ -155,7 +164,6 @@ class CliqueFamily:
         self.anchor_clique_id: int | None = None
         self.step_counts: Counter = Counter()
         self._next_id = 0
-        self._comp_cache: dict[int, tuple] = {}
 
     # -- id and membership management ------------------------------------
 
@@ -178,9 +186,8 @@ class CliqueFamily:
             self.anchor_clique_id = survivor
         self.faces.pop(dead, None)
         self.seed_faces.pop(dead, None)
-        self._comp_cache.pop(dead, None)
 
-    # -- lazy faces and point representations ----------------------------
+    # -- lazy faces ---------------------------------------------------------
 
     def build_seed_faces(self, tol: Tolerances) -> None:
         """Build the face of every clique that has none, in stacked
@@ -222,21 +229,6 @@ class CliqueFamily:
             return seed[0].parts(seed[1])
         face = self.face_of(cid, tol)
         return None if face is None else face._parts()
-
-    def completion_of(self, cid: int, tol: Tolerances):
-        """Coordinates for a clique's nodes, cached per face object."""
-        face = self.face_of(cid, tol)
-        if face is None:
-            return None
-        cached = self._comp_cache.get(cid)
-        if cached is not None and cached[0] is face:
-            return cached[1]
-        try:
-            comp = points_from_face(face, self.pedm, tol)
-        except (NoRigidSeed, RankDeficient):
-            comp = None
-        self._comp_cache[cid] = (face, comp)
-        return comp
 
     def positioned_count(self) -> int:
         if self.anchor_clique_id is None:
@@ -317,6 +309,19 @@ def _rigid_merge(family: CliqueFamily, i: int, f2, tol: Tolerances):
     try:
         return intersect_faces_rigid(f1, f2, tol)
     except (IntersectionRankLoss, RangeMismatch):
+        return None
+
+
+def _on_frame(family: CliqueFamily, cid: int, read, tol: Tolerances):
+    """``read(face, pedm, tol)`` on clique cid's face, read being
+    ``frame_gram`` or ``frame_points``; None when the face is degenerate or
+    holds no measured full-dimensional seed clique."""
+    face = family.face_of(cid, tol)
+    if face is None:
+        return None
+    try:
+        return read(face, family.pedm, tol)
+    except (NoRigidSeed, RankDeficient):
         return None
 
 
@@ -423,7 +428,7 @@ def _singular_merge(family: CliqueFamily, i: int, f2, beta: list, partner_delta,
         ext = intersect_faces_nonrigid(f1, f2, tol)
     except (IntersectionRankLoss, RangeMismatch):
         return None
-    sel1 = _pick_delta(family.completion_of(i, tol), beta, family.dim, tol)
+    sel1 = _pick_delta(_on_frame(family, i, frame_points, tol), beta, family.dim, tol)
     sel2 = None if sel1 is None else partner_delta()
     if sel2 is None:
         return None
@@ -476,7 +481,7 @@ def _neighbors_in(family: CliqueFamily, i: int, j: int):
 
 def _mixed_submatrix(family: CliqueFamily, cid: int, nodes: list, tol: Tolerances):
     """Dense squared distances over ``nodes``: measured entries where known,
-    synthesized from clique cid's point representation otherwise.
+    synthesized from clique cid's stored rows and frame Gram otherwise.
 
     Synthesized values are ephemeral; they are never written back into the
     measured data.  Returns None when a missing pair cannot be synthesized.
@@ -497,14 +502,13 @@ def _mixed_submatrix(family: CliqueFamily, cid: int, nodes: list, tol: Tolerance
         Ci = family.cliques[cid]
         if any(nodes[a] not in Ci or nodes[b] not in Ci for a, b in missing):
             return None
-        comp = family.completion_of(cid, tol)
-        if comp is None:
+        Z = _on_frame(family, cid, frame_gram, tol)
+        if Z is None:
             return None
-        inside = np.asarray(sorted(u for u in nodes if u in Ci))
-        pos = dict(zip(inside.tolist(), comp.coords[comp.rows(inside)]))
-        for a, b in missing:
-            diff = pos[nodes[a]] - pos[nodes[b]]
-            D[a, b] = D[b, a] = float(diff @ diff)
+        a, b = map(list, zip(*missing))
+        face = family.faces[cid]
+        diff = face.stored_rows([nodes[x] for x in a]) - face.stored_rows([nodes[x] for x in b])
+        D[a, b] = D[b, a] = np.vecdot(diff @ Z, diff)
     return D
 
 
@@ -552,7 +556,7 @@ def rigid_node_absorption(family: CliqueFamily, i: int, j: int, tol: Tolerances)
     """Absorb node j into clique i when j is adjacent to >= r+1 of its nodes.
 
     The adjacent nodes plus j form a temporary clique (missing distances
-    among them are synthesized from i's point representation); its face is
+    among them are synthesized from i's stored rows and frame Gram); its face is
     intersected with i's face exactly like a rigid union.
     """
     beta = _neighbors_in(family, i, j)
@@ -585,7 +589,7 @@ def nonrigid_clique_union(family: CliqueFamily, i: int, j: int, tol: Tolerances)
     beta = sorted(common)
     merged = _singular_merge(
         family, i, family.face_of(j, tol), beta,
-        lambda: _pick_delta(family.completion_of(j, tol), beta, r, tol), tol,
+        lambda: _pick_delta(_on_frame(family, j, frame_points, tol), beta, r, tol), tol,
     )
     return _commit(family, i, merged, Cj, STEP_NONRIGID_UNION, dead=j)
 
@@ -717,6 +721,21 @@ def _wave_merge(family: CliqueFamily, gid: int, wave, tol: Tolerances):
             [l for l, _ in wave if l in later])
 
 
+def _outside_counts(adj, Ci) -> dict:
+    """Each node outside Ci that has a neighbour in Ci -> its number of
+    neighbours in Ci.  Counted from Ci's adjacency, or from the outside
+    nodes' when Ci holds more than half the nodes, which walks less."""
+    if 2 * len(Ci) > len(adj):
+        counts = {}
+        for w, nbrs in enumerate(adj):
+            if w not in Ci:
+                c = len(Ci.intersection(nbrs))
+                if c:
+                    counts[w] = c
+        return counts
+    return Counter(w for u in Ci for w in adj[u] if w not in Ci)
+
+
 def _exhaust_grower(family, gid, level, tol, trace) -> bool:
     """Apply every enabled step to clique gid until none applies.
 
@@ -816,8 +835,11 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
     while True:
         for name, step, absorb, singular in rows:
             if absorb and acnt is None:
-                acnt = {}
-                count_neighbors(Ci)
+                # the heap entries that bumping each count one by one pushes
+                acnt = _outside_counts(adj, Ci)
+                heap = heaps[True]
+                heap.extend((-c, w) for w, k in acnt.items() for c in range(r + 1, k + 1))
+                heapq.heapify(heap)
             counts = acnt if absorb else cnt
             if singular:
                 # by ascending id; a key of 0 cannot decide, and a partner

@@ -3,16 +3,22 @@ import pytest
 
 from snloc.edm_core import full_rank_factor, kappa, kappa_pinv
 from snloc.errors import DegenerateAnchors, EmptyPositioned, NoRigidSeed, RankDeficient
+from snloc import reducer
 from snloc.faces import Tolerances, intersect_faces_nonrigid
+from snloc.instance import build_partial_edm, generate_instance
 from snloc.recovery import (
     align_to_anchors,
+    frame_gram,
+    frame_points,
     metrics,
     points_from_face,
     solve_z,
     two_completions,
 )
+from snloc.reducer import StepLevel
+from snloc.solver import localize
 
-from helpers import complete_pedm, edm_of, face_of_points, two_random_cliques
+from helpers import NOGATE, complete_pedm, edm_of, face_of_points, two_random_cliques
 
 TOL = Tolerances()
 RNG = np.random.default_rng(555)
@@ -141,6 +147,131 @@ def test_points_from_face_no_rigid_seed():
     face = face_of_points(range(5), P, 2)
     with pytest.raises(NoRigidSeed):
         points_from_face(face, empty, TOL)
+
+
+def _frame_distances(face, Z):
+    """Squared distances of every pair of face nodes from the frame Gram."""
+    V = face.stored_rows()
+    diff = V[:, None, :] - V[None, :, :]
+    return np.einsum("abi,ij,abj->ab", diff, Z, diff)
+
+
+def _frame_error(face, pedm, Z=None):
+    """Largest difference between the frame Gram's squared distances and
+    points_from_face's on the same face, relative to the largest one."""
+    Z = frame_gram(face, pedm, TOL) if Z is None else Z
+    want = edm_of(points_from_face(face, pedm, TOL).coords)
+    return np.max(np.abs(_frame_distances(face, Z) - want)) / np.max(want)
+
+
+def test_frame_gram_of_a_clique_face_gives_its_distances():
+    P = RNG.random((9, 2))
+    pedm = complete_pedm(P)
+    face = face_of_points(range(9), P, 2)
+    Z = frame_gram(face, pedm, TOL)
+    assert frame_gram(face, pedm, TOL) is Z
+    assert np.max(np.abs(_frame_distances(face, Z) - edm_of(P))) <= 1e-12
+    comp = frame_points(face, pedm, TOL)
+    assert np.array_equal(comp.nodes, np.arange(9))
+    assert np.max(np.abs(edm_of(comp.coords) - edm_of(P))) <= 1e-12
+
+
+def test_frame_gram_is_dropped_with_its_frame():
+    # a chain of rigid merges on exact points: appended rows share the
+    # grower's frame and keep its Z; the merge that reorthonormalizes
+    # changes the frame and must not carry the old Z into it
+    from snloc.faces import intersect_faces_rigid
+
+    P = RNG.random((40, 2))
+    pedm = complete_pedm(P)
+    face = face_of_points(range(6), P[:6], 2)
+    Z = frame_gram(face, pedm, TOL)
+    reorthonormalized = carried = 0
+    for start in range(3, 34, 3):
+        nodes = np.arange(start, start + 6)
+        grown = intersect_faces_rigid(face, face_of_points(nodes, P[nodes], 2), NOGATE)
+        assert grown._store.ids[0] == 0  # the grower's rows were kept
+        if grown._orth_size == grown._size:
+            reorthonormalized += 1
+            assert grown._zgram is None
+        else:
+            carried += 1
+            assert grown._zgram is face._zgram
+            Z = grown._zgram
+            assert np.max(np.abs(_frame_distances(grown, Z) - edm_of(P[grown.nodes]))) <= 1e-10
+        assert face._zgram is not None and face._size < grown._size
+        assert _frame_error(grown, pedm) <= 1e-9
+        face = grown
+    assert reorthonormalized >= 2 and carried >= 2
+
+
+def _solve_capturing_faces(monkeypatch, n, m, R, level):
+    """Solve an exact r=2 instance (seed 0) and capture, for every merge the
+    reducer makes, (kind, merged face, its frame Gram and its base face's,
+    both as the merge left them); kind says whether the merge reorthonormalized, kept the
+    partner's rows, or was a singular merge (built by face_from_points)."""
+    inst = generate_instance(n, m, 2, seed=0, radio_range=R)
+    pedm = build_partial_edm(inst)
+    merges = []
+    rigid, wave, points = (reducer.intersect_faces_rigid, reducer.intersect_faces_wave,
+                           reducer.face_from_points)
+
+    def record(out, grower, partner):
+        kept = partner is not None and np.array_equal(
+            out._store.ids[: partner._size], partner._store.ids[: partner._size])
+        base = partner if kept else grower
+        kind = ("reorthonormalized" if out._orth_size == out._size
+                else "partner rows" if kept else "grower rows")
+        merges.append((kind, out, out._zgram, base._zgram))
+
+    def traced_rigid(F1, F2, tol):
+        out = rigid(F1, F2, tol)
+        record(out, F1, F2)
+        return out
+
+    def traced_wave(grower, parts, tol):
+        out = wave(grower, parts, tol)
+        if out[0] is not None:
+            record(out[0], grower, None)
+        return out
+
+    def traced_points(nodes, P, tol):
+        out = points(nodes, P, tol)
+        merges.append(("singular", out, out._zgram, None))
+        return out
+
+    monkeypatch.setattr(reducer, "intersect_faces_rigid", traced_rigid)
+    monkeypatch.setattr(reducer, "intersect_faces_wave", traced_wave)
+    monkeypatch.setattr(reducer, "face_from_points", traced_points)
+    localize(pedm, inst.anchors, level=level)
+    return pedm, merges
+
+
+@pytest.mark.parametrize(
+    "n, m, R, level, kinds",
+    [(200, 4, 0.16, StepLevel.L2, {"grower rows", "reorthonormalized"}),
+     (354, 8, 0.04 * np.sqrt(2004 / 354), StepLevel.L4,
+      {"grower rows", "reorthonormalized", "partner rows", "singular"})],
+    ids=["L2-200", "L4-354"],
+)
+def test_frame_gram_distances_match_points_from_face(n, m, R, level, kinds, monkeypatch):
+    pedm, merges = _solve_capturing_faces(monkeypatch, n, m, R, level)
+    assert {kind for kind, *_ in merges} == kinds
+    checked = 0
+    for kind, face, z, base_z in merges:
+        if face._size > 120:
+            continue  # the pairwise check is quadratic; the small faces cover every kind
+        # a Z is only ever read in the frame it was made in: the merged face
+        # holds its base's Z when the merge kept the base's frame, none
+        # when it made a new one
+        if kind in ("reorthonormalized", "singular"):
+            assert z is None
+        else:
+            assert z is base_z
+        # the Z the solve read (or would have read) on this face
+        assert _frame_error(face, pedm) <= 1e-9
+        checked += 1
+    assert checked >= 20
 
 
 def test_two_completions_are_mirror_images():

@@ -660,6 +660,23 @@ def test_cross_edges_match_a_brute_force_count():
     assert pairs > 100
 
 
+@pytest.mark.parametrize("size", [40, 260])
+def test_outside_counts_match_a_brute_force_count(size):
+    # a grower of more than half the nodes is counted from the outside nodes'
+    # adjacency, a smaller one from its own
+    inst = generate_instance(300, 4, 2, seed=5, radio_range=GOLDEN_R)
+    pedm = build_partial_edm(inst)
+    order = np.argsort(inst.points[:, 0], kind="stable")
+    Ci = set(order[:size].tolist())
+    want = {}
+    for w in range(pedm.n):
+        c = sum(1 for u in Ci if w not in Ci and w in pedm.adj[u])
+        if c:
+            want[w] = c
+    assert len(want) >= 15
+    assert dict(reducer._outside_counts(pedm.adj, Ci)) == want
+
+
 def test_singular_unions_reach_the_kernel_only_with_a_cross_edge(monkeypatch):
     # L4-354 (the first golden case) made 51 singular union attempts, 48 of
     # them without a measured edge between the two private sides, all failed
