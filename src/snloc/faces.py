@@ -39,7 +39,21 @@ a pseudo-inverse of that better block taken from the same SVD; the face
 with the worse conditioned block keeps its rows.  A rigid merge that keeps
 the grower's rows costs O(partner * r^2), so a chain of merges into one
 growing clique costs time linear in its final size; a singular merge adds
-the extra column and materializes its (r+2)-column result once.
+the extra column and materializes its (r+2)-column result once.  Appending
+rows re-orthonormalizes a face whose Gram has become ill conditioned; a
+determinant bound settles that test in the usual, well conditioned case,
+and eigenvalues only the rest.
+
+The temporary clique of a node absorption (the node and its neighbours in
+the grower) gets no FaceRep.  :func:`clique_parts` builds its face in one
+pass from its squared distances, in the form ``FaceRep._parts`` gives a
+face in (node ids, stored coordinates, whitener): the centred top-r
+eigenvectors of its centred Gram, with no QR, and the whitener
+diag(1, ..., 1, 1/sqrt(k)) that such coordinates have by construction,
+with no Gram, Cholesky factor or inverse.  ``_merge`` takes a partner in
+that form, and :func:`intersect_parts_rigid` is the rigid union with one;
+only a merge that keeps the partner's rows, when the grower's common block
+is the better conditioned one, builds a FaceRep for it.
 
 :func:`intersect_faces_wave` runs many rigid merges into one grower at
 once, against the grower's rows as they stand: the common blocks of all
@@ -49,6 +63,7 @@ are appended together.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
@@ -64,10 +79,12 @@ __all__ = [
     "ExtendedFaceRep",
     "FaceStack",
     "clique_faces",
+    "clique_parts",
     "face_from_clique",
     "face_from_gram",
     "face_from_points",
     "intersect_faces_rigid",
+    "intersect_parts_rigid",
     "intersect_faces_nonrigid",
     "intersect_faces_wave",
 ]
@@ -182,6 +199,32 @@ def _gram(V: np.ndarray) -> np.ndarray:
 _GRAM_COND_LIMIT = 1e6
 
 
+def _gram_ill_conditioned(gram: np.ndarray) -> bool:
+    """Whether the column-scaled Gram S = D^-1/2 G D^-1/2 (D the diagonal
+    of G) has a condition number above ``_GRAM_COND_LIMIT``, by its
+    eigenvalues."""
+    d = np.sqrt(np.diag(gram))
+    ev = np.linalg.eigvalsh(gram / np.outer(d, d))
+    return ev[0] * _GRAM_COND_LIMIT < ev[-1]
+
+
+def _gram_cond_bounded(gram: np.ndarray) -> bool:
+    """Whether a determinant bound alone shows that the column-scaled Gram
+    S of ``_gram_ill_conditioned`` is well conditioned.
+
+    S is positive definite with a unit diagonal, so its w eigenvalues sum
+    to w and none exceeds w; its condition number, the largest eigenvalue
+    times the product of all but the smallest over det S, is therefore at
+    most w^w / det S, and det S = det G / prod(diag G).  The bound must
+    clear the limit by a factor 2, far more than the round-off of either
+    computation, so a True here is a False of ``_gram_ill_conditioned``;
+    a False decides nothing.
+    """
+    w = gram.shape[0]
+    det = np.linalg.det(gram) / math.prod(gram.diagonal().tolist())
+    return 2.0 * w**w < _GRAM_COND_LIMIT * det
+
+
 class FaceRep:
     """Subspace of the PSD-cone face carried by one clique.
 
@@ -265,14 +308,6 @@ class FaceRep:
             return store.coords[:k][np.argsort(store.ids[:k])]
         return store.coords[[store.index[u] for u in nodes]]
 
-    def _affine(self, rows) -> np.ndarray:
-        """Stored rows [V, e] of the given row indices."""
-        coords = self._store.coords
-        A = np.empty((len(rows), coords.shape[1] + 1))
-        A[:, :-1] = coords[rows]
-        A[:, -1] = 1.0
-        return A
-
     def _whitener(self):
         """(W, L) with G = L L^T and W = L^-T, so [V, e] W is orthonormal."""
         if self._white is None:
@@ -290,7 +325,11 @@ class FaceRep:
         """This face grown by rows ``coords`` for the new node ids.
 
         The face at the tip of its store appends in place; any other face
-        copies the rows first, so this face is unchanged.
+        copies the rows first, so this face is unchanged.  The grown face
+        is re-orthonormalized when it has doubled since it last was, or
+        when its column-scaled Gram is ill conditioned; a determinant bound
+        (``_gram_cond_bounded``) settles the second test without
+        eigenvalues whenever it can.
         """
         k, n = self._size, len(ids)
         store = self._store
@@ -300,9 +339,8 @@ class FaceRep:
         gram = self._gram + _gram(coords)
         face = FaceRep._stored(store, k + n, gram, self._orth_size)
         face._zgram = self._zgram
-        d = np.sqrt(np.diag(gram))
-        ev = np.linalg.eigvalsh(gram / np.outer(d, d))
-        if k + n >= 2 * self._orth_size or ev[0] * _GRAM_COND_LIMIT < ev[-1]:
+        if (k + n >= 2 * self._orth_size
+                or not _gram_cond_bounded(gram) and _gram_ill_conditioned(gram)):
             face._reorthonormalize()
         return face
 
@@ -388,6 +426,32 @@ def face_from_clique(pedm, clique, r: int, tol: Tolerances) -> FaceRep:
     nodes = np.asarray(sorted(clique), dtype=np.int64)
     D = pedm.submatrix(nodes)  # NotAClique when a pair is missing
     return face_from_gram(nodes, kappa_pinv(D), r, tol)
+
+
+def clique_parts(nodes, D: np.ndarray, r: int, tol: Tolerances):
+    """A clique's face in the form of ``FaceRep._parts``, built in one pass
+    from the hollow, symmetric squared-distance matrix D of its nodes.
+
+    D is centred once, into the Gram B = -J D J / 2, and the stored
+    coordinates Q are B's top-r eigenvectors, centred: orthonormal columns
+    orthogonal to e, up to round-off, so [Q, e/sqrt(k)] is an orthonormal
+    basis of the face and W = diag(1, ..., 1, 1/sqrt(k)) whitens [Q, e].
+    That is the face of :func:`face_from_gram` without the QR that cleans
+    up round-off, and without a Gram, Cholesky factor or inverse.  Returns
+    (node ids, Q, W); raises RankDeficient when B has rank below r.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    k = nodes.size
+    # means taken as sums over k, which numpy's mean() computes more slowly
+    m = D.sum(axis=0) / k
+    # D is symmetric and so is m_a + m_b, to the bit: so is B
+    w, U = np.linalg.eigh(0.5 * ((m[:, None] + m) - D - m.sum() / k))
+    if not w[-r] > tol.rank.relative_cut * max(w[-1], np.finfo(float).eps):
+        raise RankDeficient(f"clique Gram has rank below {r}")
+    Q = U[:, : -r - 1 : -1]
+    W = np.eye(r + 1)
+    W[r, r] = 1.0 / math.sqrt(k)
+    return nodes, Q - Q.sum(axis=0) / k, W
 
 
 # a stack of clique faces built together holds at most this many entries of
@@ -495,74 +559,96 @@ def _pinv(u: np.ndarray, s: np.ndarray, vt: np.ndarray) -> np.ndarray:
     return vt.T @ (inv[:, None] * u.T)
 
 
-def _merge(F1: FaceRep, F2: FaceRep, tol: Tolerances, rank: int):
+def _affine(V: np.ndarray, rows) -> np.ndarray:
+    """Rows [V, e] of the given row indices of stored coordinates V."""
+    A = np.empty((len(rows), V.shape[1] + 1))
+    A[:, :-1] = V[rows]
+    A[:, -1] = 1.0
+    return A
+
+
+def _merge(F1: FaceRep, F2, tol: Tolerances, rank: int):
     """Shared front of both intersections: split, test, pick the base.
 
-    Walks F2's stored rows to find the common nodes, whitens the common rows
-    of each face with its Gram, and requires both common blocks to have rank
-    exactly ``rank`` (r+1 rigid, r singular), the better one to clear the
-    ``invert_floor``, and, when the overlap has more than r nodes, equal
-    ranges.  Each whitened block gets one thin SVD: its singular values
+    F2 is a FaceRep or, for a face that has none (the temporary clique of
+    a node absorption), its rows in the form of ``FaceRep._parts``: node
+    ids, stored coordinates V and the whitener W of [V, e].  Walks F2's
+    rows to find the common nodes, whitens the common rows of each face,
+    and requires both common blocks to have rank exactly ``rank`` (r+1
+    rigid, r singular), the better one to clear the ``invert_floor``, and,
+    when the overlap has more than r nodes, equal ranges.  Both whitened
+    blocks get one thin SVD, in one stacked call: its singular values
     decide rank and conditioning, its left singular vectors give the
     principal angle (one more SVD, of their r-by-r or (r+1)-by-(r+1)
     product), and the mapped block's three factors give its pseudo-inverse.
     The face whose common block is better conditioned (larger sigma_min,
     F2 on a tie) is the one mapped: its block U_o'' is pseudo-inverted and
     its new rows go into the stored coordinates of the other face, the
-    base, by M = W_o pinv(U_o'') U_b'' L_b^T; the base keeps its rows.
-    Returns (base, mapped rows, their node ids, (A_o', W_o, U_o'')): the
-    mapped face's new rows [V_o', e], its whitener and its whitened common
-    block.
+    base, by M = W_o pinv(U_o'') U_b'' L_b^T; the base keeps its rows.  An
+    F2 given as parts becomes a FaceRep only when it is the base, with
+    L = W^-T.  Returns (base, mapped rows, their node ids, (A_o', W_o,
+    U_o'')): the mapped face's new rows [V_o', e], its whitener and its
+    whitened common block.
     """
-    if F1.width != F2.width:
-        raise ValueError("faces have different basis widths")
+    face2 = F2 if isinstance(F2, FaceRep) else None
+    ids2, V2, W2 = F2._parts() if face2 is not None else F2
     r = F1.width - 1
+    if V2.shape[1] != r:
+        raise ValueError("faces have different basis widths")
     index, k1 = F1._store.index, F1._size
-    rows1, rows2 = [], []
-    for b, u in enumerate(F2._store.ids[: F2._size].tolist()):
+    rows1, rows2, fresh2 = [], [], []
+    for b, u in enumerate(ids2.tolist()):
         a = index.get(u, k1)
         if a < k1:
             rows1.append(a)
             rows2.append(b)
+        else:
+            fresh2.append(b)
     if len(rows1) < rank:
         raise IntersectionRankLoss(
             f"common block has {len(rows1)} nodes, need at least {rank}"
         )
     W1, L1 = F1._whitener()
-    W2, L2 = F2._whitener()
     U1pp, U2pp = blocks = np.empty((2, len(rows1), r + 1))
-    np.matmul(F1._affine(rows1), W1, out=U1pp)
-    np.matmul(F2._affine(rows2), W2, out=U2pp)
+    np.matmul(_affine(F1._store.coords, rows1), W1, out=U1pp)
+    np.matmul(_affine(V2, rows2), W2, out=U2pp)
     # one thin SVD per block, both in one stacked call: its singular values
     # feed the rank and conditioning tests, its left vectors the range
     # test, and the mapped block's factors its pseudo-inverse
     U, S, Vh = np.linalg.svd(blocks, full_matrices=False)
     svd1, svd2 = (U[0], S[0], Vh[0]), (U[1], S[1], Vh[1])
-    s1, s2 = S
+    s1, s2 = S.tolist()
     for s in (s1, s2):
         if s[rank - 1] <= _MIDDLE_CUT * s[0]:
             raise IntersectionRankLoss(f"common block rank below {rank}")
-        if s.size > rank and s[rank] > _MIDDLE_CUT * s[0]:
+        if len(s) > rank and s[rank] > _MIDDLE_CUT * s[0]:
             raise IntersectionRankLoss(f"common block rank above {rank}; merge is rigid")
     if max(s1[rank - 1], s2[rank - 1]) <= tol.invert_floor * max(s1[0], s2[0]):
         raise IntersectionRankLoss("common block too ill conditioned to invert")
     if len(rows1) > r:
         # largest principal angle between the blocks' top-rank ranges
         cos = np.linalg.svd(U[0][:, :rank].T @ U[1][:, :rank], compute_uv=False)[-1]
-        angle = float(np.arccos(np.clip(cos, -1.0, 1.0)))
+        angle = float(np.arccos(min(max(cos, -1.0), 1.0)))
         if angle > tol.range_tol:
             raise RangeMismatch(f"common blocks differ by {angle:.3e} rad")
     if s2[rank - 1] >= s1[rank - 1]:
-        base, Ub, Lb, other, Uo, Wo, common, svdo = F1, U1pp, L1, F2, U2pp, W2, rows2, svd2
+        base, Ub, Lb, Uo, Wo, svdo = F1, U1pp, L1, U2pp, W2, svd2
+        ids_o, V_o, new = ids2, V2, fresh2
     else:
-        base, Ub, Lb, other, Uo, Wo, common, svdo = F2, U2pp, L2, F1, U1pp, W1, rows1, svd1
-    new = np.ones(other._size, dtype=bool)
-    new[common] = False
-    new = np.flatnonzero(new)
-    Ao = other._affine(new)
+        if face2 is None:
+            # the merge keeps F2's rows, so F2 needs a face; it shares the
+            # arrays, as a store filled to capacity copies before it appends
+            face2 = FaceRep._stored(_RowStore.of(V2, ids2), ids2.size, _gram(V2), ids2.size)
+            face2._white = W2, np.linalg.inv(W2).T
+        base, Ub, Lb, Uo, Wo, svdo = face2, U2pp, face2._whitener()[1], U1pp, W1, svd1
+        ids_o, V_o = F1._store.ids[:k1], F1._store.coords[:k1]
+        new = np.ones(k1, dtype=bool)
+        new[rows1] = False
+        new = np.flatnonzero(new)
+    Ao = _affine(V_o, new)
     # the last column of M would reproduce e, which the base keeps exact
     M = Wo @ (_pinv(*svdo) @ Ub) @ Lb.T
-    return base, Ao @ M[:, :r], other._store.ids[new].tolist(), (Ao, Wo, Uo)
+    return base, Ao @ M[:, :r], ids_o[new].tolist(), (Ao, Wo, Uo)
 
 
 def intersect_faces_rigid(F1: FaceRep, F2: FaceRep, tol: Tolerances) -> FaceRep:
@@ -580,6 +666,16 @@ def intersect_faces_rigid(F1: FaceRep, F2: FaceRep, tol: Tolerances) -> FaceRep:
     F1 and F2 are left unchanged.
     """
     base, rows, ids, _ = _merge(F1, F2, tol, F1.width)
+    return base._extend(rows, ids)
+
+
+def intersect_parts_rigid(F1: FaceRep, parts, tol: Tolerances) -> FaceRep:
+    """:func:`intersect_faces_rigid` of F1 and a face that has no FaceRep,
+    given in the form of ``FaceRep._parts``: the temporary clique of a node
+    absorption, as :func:`clique_parts` gives it.  When F1's block is the
+    better conditioned one, the merge keeps the partner's rows, and only
+    then is a FaceRep built for it."""
+    base, rows, ids, _ = _merge(F1, parts, tol, F1.width)
     return base._extend(rows, ids)
 
 
@@ -674,7 +770,9 @@ def intersect_faces_nonrigid(
 ) -> ExtendedFaceRep:
     """Intersection of two faces whose overlap spans only r-1 dimensions.
 
-    The common row blocks must have rank exactly r.  The intersection of the
+    F2 may also be given in the form of ``FaceRep._parts``, as the
+    temporary clique of a node absorption is (:func:`clique_parts`).  The
+    common row blocks must have rank exactly r.  The intersection of the
     padded subspaces then has r+2 dimensions: the rigid-form columns, built
     on the stored rows of the face that :func:`intersect_faces_rigid` would
     keep, plus one extra column that is zero on that face's rows and equals

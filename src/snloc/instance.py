@@ -282,7 +282,10 @@ def build_partial_edm(inst: Instance) -> PartialEDM:
         noisy = (ij[:, 0] < first_anchor) & (sigma > 0)
         eps = np.zeros(d.size)
         eps[noisy] = noise_rng.standard_normal(np.count_nonzero(noisy))
-        for (i, j), dt, et, nz in zip(ij.tolist(), d.tolist(), eps.tolist(), noisy.tolist()):
+        # the two columns as flat lists: a list per pair would keep the
+        # cyclic garbage collector busy
+        for i, j, dt, et, nz in zip(ij[:, 0].tolist(), ij[:, 1].tolist(), d.tolist(),
+                                    eps.tolist(), noisy.tolist()):
             # Python's float power: numpy's square rounds differently
             v = (dt * (1.0 + sigma * et)) ** 2 if nz else dt * dt
             adj[i][j] = v

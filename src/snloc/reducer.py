@@ -17,12 +17,16 @@ neighbors beta in the clique, so each step is a thin front end that checks
 its precondition and builds the partner face, over one of two kernels:
 rigid (closed-form face intersection) or singular (two candidate
 realizations, committed only when exactly one survives the feasibility test
-against the known distances).  The distances a temporary clique lacks
-between nodes of beta, and the points a singular step picks its
-full-dimensional subsets from, come from the clique's stored rows and its
-frame Gram (``recovery.frame_gram``), which a face computes once per stored
-frame and carries through the merges that keep that frame; no step
-materializes a clique's orthonormal basis.
+against the known distances).  A temporary clique's face is built in one
+pass as arrays (``faces.clique_parts``: the centred eigenvectors of its
+centred Gram and their known whitener), with no FaceRep, no QR and no
+Cholesky factor, and both absorptions merge it in that form; the rigid one
+through ``intersect_parts_rigid``, the tests and row map of a rigid union.
+The distances a temporary clique lacks between nodes of beta, and the
+points a singular step picks its full-dimensional subsets from, come from
+the clique's stored rows and its frame Gram (``recovery.frame_gram``),
+which a face computes once per stored frame and carries through the merges
+that keep that frame; no step materializes a clique's orthonormal basis.
 
 The loop processes cliques by ascending id.  The clique under consideration
 (the "grower") keeps incremental overlap counters: cnt[l] is the number of
@@ -76,12 +80,13 @@ survivor, so the membership sets are exact at every step.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter
 from enum import IntEnum
 
 import numpy as np
 
-from .edm_core import eigh_descending, kappa_pinv, significant_rank
+from .edm_core import eigh_descending, significant_rank
 from .errors import (
     IntersectionRankLoss,
     InvalidConfig,
@@ -96,12 +101,13 @@ from .faces import (
     FaceStack,
     Tolerances,
     clique_faces,
+    clique_parts,
     face_from_clique,
-    face_from_gram,
     face_from_points,
     intersect_faces_nonrigid,
     intersect_faces_rigid,
     intersect_faces_wave,
+    intersect_parts_rigid,
 )
 from .recovery import frame_gram, frame_points, two_completions
 # the steps read coordinates through the frame Gram; points_from_face stays
@@ -300,14 +306,14 @@ def _commit(family: CliqueFamily, i: int, face, new_nodes, step: str, dead=None)
     return True
 
 
-def _rigid_merge(family: CliqueFamily, i: int, f2, tol: Tolerances):
-    """Rigid kernel: clique i's face intersected with the partner face f2, or
-    None when a face is missing or the overlap is degenerate or inconsistent."""
+def _rigid_merge(family: CliqueFamily, i: int, f2, tol: Tolerances, kernel):
+    """Rigid kernel ``kernel(face of clique i, f2, tol)``, or None when a face
+    is missing or the overlap is degenerate or inconsistent."""
     f1 = family.face_of(i, tol)
     if f1 is None or f2 is None:
         return None
     try:
-        return intersect_faces_rigid(f1, f2, tol)
+        return kernel(f1, f2, tol)
     except (IntersectionRankLoss, RangeMismatch):
         return None
 
@@ -486,39 +492,36 @@ def _mixed_submatrix(family: CliqueFamily, cid: int, nodes: list, tol: Tolerance
     Synthesized values are ephemeral; they are never written back into the
     measured data.  Returns None when a missing pair cannot be synthesized.
     """
-    pedm = family.pedm
-    k = len(nodes)
-    D = np.zeros((k, k))
-    missing = []
-    for a in range(k):
-        row = pedm.adj[nodes[a]]
-        for b in range(a + 1, k):
-            v = row.get(nodes[b])
-            if v is None:
-                missing.append((a, b))
-            else:
-                D[a, b] = D[b, a] = v
-    if missing:
+    adj = family.pedm.adj
+    # a node is not its own neighbour, and a measured distance is finite:
+    # NaN marks the diagonal and the missing pairs
+    D = np.array([[row.get(v, math.nan) for v in nodes] for row in map(adj.__getitem__, nodes)])
+    np.fill_diagonal(D, 0.0)
+    a, b = np.nonzero(np.isnan(D))
+    if a.size:
+        upper = a < b
+        a, b = a[upper].tolist(), b[upper].tolist()
         Ci = family.cliques[cid]
-        if any(nodes[a] not in Ci or nodes[b] not in Ci for a, b in missing):
+        if any(nodes[x] not in Ci or nodes[y] not in Ci for x, y in zip(a, b)):
             return None
         Z = _on_frame(family, cid, frame_gram, tol)
         if Z is None:
             return None
-        a, b = map(list, zip(*missing))
         face = family.faces[cid]
         diff = face.stored_rows([nodes[x] for x in a]) - face.stored_rows([nodes[x] for x in b])
         D[a, b] = D[b, a] = np.vecdot(diff @ Z, diff)
     return D
 
 
-def _temp_face(family: CliqueFamily, i: int, nodes: list, tol: Tolerances):
-    """Squared distances and face of the temporary clique ``nodes``, or None."""
+def _temp_clique(family: CliqueFamily, i: int, nodes: list, tol: Tolerances):
+    """Squared distances and face (``clique_parts``) of the temporary clique
+    ``nodes``, or None when a missing pair cannot be synthesized or its
+    Gram has rank below r."""
     D = _mixed_submatrix(family, i, nodes, tol)
     if D is None:
         return None
     try:
-        return D, face_from_gram(np.asarray(nodes), kappa_pinv(D), family.dim, tol)
+        return D, clique_parts(nodes, D, family.dim, tol)
     except RankDeficient:
         return None
 
@@ -548,7 +551,7 @@ def rigid_clique_union(family: CliqueFamily, i: int, j: int, tol: Tolerances) ->
         family._kill_into(j, i)
         family.step_counts[STEP_RIGID_UNION] += 1
         return True
-    merged = _rigid_merge(family, i, family.face_of(j, tol), tol)
+    merged = _rigid_merge(family, i, family.face_of(j, tol), tol, intersect_faces_rigid)
     return _commit(family, i, merged, Cj, STEP_RIGID_UNION, dead=j)
 
 
@@ -556,14 +559,16 @@ def rigid_node_absorption(family: CliqueFamily, i: int, j: int, tol: Tolerances)
     """Absorb node j into clique i when j is adjacent to >= r+1 of its nodes.
 
     The adjacent nodes plus j form a temporary clique (missing distances
-    among them are synthesized from i's stored rows and frame Gram); its face is
-    intersected with i's face exactly like a rigid union.
+    among them are synthesized from i's stored rows and frame Gram); its
+    face, built in one pass as arrays with no FaceRep, is intersected with
+    i's face by the tests and row map of a rigid union
+    (``intersect_parts_rigid``).
     """
     beta = _neighbors_in(family, i, j)
     if beta is None or len(beta) < family.dim + 1:
         return False
-    temp = _temp_face(family, i, sorted(beta + [j]), tol)
-    merged = None if temp is None else _rigid_merge(family, i, temp[1], tol)
+    temp = _temp_clique(family, i, sorted(beta + [j]), tol)
+    merged = None if temp is None else _rigid_merge(family, i, temp[1], tol, intersect_parts_rigid)
     return _commit(family, i, merged, [j], STEP_RIGID_ABSORB)
 
 
@@ -610,11 +615,11 @@ def nonrigid_node_absorption(family: CliqueFamily, i: int, j: int, tol: Toleranc
     if beta is None or len(beta) != r:
         return False
     temp_nodes = sorted(beta + [j])
-    temp = _temp_face(family, i, temp_nodes, tol)
+    temp = _temp_clique(family, i, temp_nodes, tol)
     if temp is None:
         return False
     # a beta of affine rank below r-1 leaves the temporary clique below rank
-    # r, so _temp_face has declined it (as would the kernel's rank test)
+    # r, so _temp_clique has declined it (as would the kernel's rank test)
     Dtemp, f2 = temp
     merged = _singular_merge(family, i, f2, beta, lambda: (temp_nodes, Dtemp), tol)
     return _commit(family, i, merged, [j], STEP_NONRIGID_ABSORB)

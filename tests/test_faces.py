@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snloc.edm_core import kappa, kappa_pinv
 from snloc.errors import (
@@ -13,11 +15,13 @@ from snloc.faces import (
     FaceRep,
     Tolerances,
     clique_faces,
+    clique_parts,
     face_from_clique,
     face_from_gram,
     face_from_points,
     intersect_faces_nonrigid,
     intersect_faces_rigid,
+    intersect_parts_rigid,
 )
 
 from helpers import (
@@ -503,3 +507,86 @@ def test_face_from_gram_rejects_rank_deficient():
     B = kappa_pinv(edm_of(pts))
     with pytest.raises(RankDeficient):
         face_from_gram(np.arange(4), B, 2, TOL)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_clique_parts_is_the_face_of_face_from_gram(r):
+    # the one-pass coordinates span the face that face_from_gram's QR'd
+    # basis spans, and the known whitener makes [Q, e] orthonormal
+    P = np.random.default_rng(r).random((9, r))
+    D = edm_of(P)
+    nodes, Q, W = clique_parts(np.arange(9), D, r, TOL)
+    assert np.array_equal(nodes, np.arange(9))
+    U = np.column_stack([Q, np.ones(9)]) @ W
+    assert np.max(np.abs(U.T @ U - np.eye(r + 1))) <= 1e-13
+    ref = face_from_gram(nodes, kappa_pinv(D), r, TOL).basis
+    assert np.max(np.abs(U @ U.T - ref @ ref.T)) <= 1e-13
+    with pytest.raises(RankDeficient):
+        clique_parts(np.arange(4), edm_of(np.outer(np.arange(4.0), np.ones(r))), r, TOL)
+
+
+@pytest.mark.parametrize("far", [False, True], ids=["keep-grower", "keep-clique"])
+def test_parts_union_matches_the_face_union(far):
+    # intersect_parts_rigid of a grower and a small clique given by
+    # clique_parts, against intersect_faces_rigid of the same grower and the
+    # clique's FaceRep from face_from_gram.  Nodes 0-3 are shared; the clique
+    # adds node 9, the grower holds 0-8.  Near the shared nodes, node 9 leaves
+    # the clique's block the better conditioned one, which is then mapped
+    # into the grower's rows; far from them, the grower's block is the
+    # better one, so the merge keeps the clique's rows and maps the grower's
+    rng = np.random.default_rng(21)
+    P = rng.random((10, 2))
+    P[9] = P[:4].mean(axis=0) + (np.array([40.0, 30.0]) if far else 0.05 * rng.random(2))
+    grower = face_of_points(np.arange(9), P[:9], 2)
+    nodes = np.array([0, 1, 2, 3, 9])
+    D = edm_of(P[nodes])
+    parts = clique_parts(nodes, D, 2, NOGATE)
+    clique_better = sigma_min_on(grower, nodes[:4]) <= np.linalg.svd(
+        np.column_stack([parts[1], np.ones(5)])[:4] @ parts[2], compute_uv=False)[-1]
+    assert clique_better != far
+    got = intersect_parts_rigid(grower, parts, NOGATE)
+    want = intersect_faces_rigid(grower, face_from_gram(nodes, kappa_pinv(D), 2, NOGATE), NOGATE)
+    assert np.array_equal(got.nodes, np.arange(10))
+    assert np.max(np.abs(got.basis @ got.basis.T - want.basis @ want.basis.T)) <= 1e-10
+    kept = got._store.ids[:5] if far else got._store.ids[:9]
+    assert np.array_equal(kept, nodes if far else np.arange(9))
+    if not far:
+        assert np.array_equal(got._store.coords[:9], grower._store.coords[:9])
+    # the clique's arrays are shared, never written
+    assert np.array_equal(parts[1], clique_parts(nodes, D, 2, NOGATE)[1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.sampled_from([2, 3]),
+    k=st.integers(4, 60),
+    gap=st.floats(-6.0, 0.0),
+    shift=st.floats(-2.0, 3.0),
+)
+def test_gram_cond_bound_settles_only_what_eigvalsh_agrees_with(seed, r, k, gap, shift):
+    # stored rows [V, e] whose last column is a combination of the others
+    # and of e up to 10^gap, shifted by 10^shift (nearly parallel to e):
+    # nearly dependent columns, on both sides of the conditioning limit
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((k, r))
+    V[:, -1] = (V[:, :-1] @ rng.standard_normal(r - 1) + rng.standard_normal()
+                + 10.0**gap * rng.standard_normal(k))
+    V += 10.0**shift * rng.standard_normal(r)
+    gram = faces_module._gram(V)
+    if faces_module._gram_cond_bounded(gram):
+        assert not faces_module._gram_ill_conditioned(gram)
+
+
+def test_gram_cond_bound_settles_well_conditioned_grams():
+    # the bound is no use unless it settles the usual case: stored rows
+    # fresh from a re-orthonormalization, and rows mapped into them
+    rng = np.random.default_rng(3)
+    for r in (2, 3):
+        Q = np.linalg.qr(rng.standard_normal((30, r)))[0]
+        assert faces_module._gram_cond_bounded(faces_module._gram(Q))
+        assert faces_module._gram_cond_bounded(faces_module._gram(Q + 0.3))
+        Q[:, -1] = Q[:, 0] + 1e-5 * rng.standard_normal(30)
+        gram = faces_module._gram(Q)
+        assert not faces_module._gram_cond_bounded(gram)
+        assert faces_module._gram_ill_conditioned(gram)

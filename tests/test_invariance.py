@@ -1,10 +1,12 @@
-"""Invariance of the solution under motions and scalings of the whole input.
+"""Invariance of the solution under motions, scalings and relabellings of
+the whole input.
 
 Small exact L2 instances (n=120, R=.18) make 14-22 rigid node absorptions
 each, so the absorption path that synthesizes distances from a clique's
 stored frame runs in every example.  Anchors move with the sensors, so the
-solution must move, or scale, the same way.  The examples are drawn the
-same way on every run and stored nowhere.
+solution must move, or scale, the same way.  A relabelling of the sensors
+must position the same sensors at the same points.  The examples are drawn
+the same way on every run and stored nowhere.
 """
 
 import dataclasses
@@ -54,3 +56,24 @@ def test_a_uniform_scaling_scales_the_solution(seed, scale):
     scaled_counts, scaled_ids, Y = _solve(scaled)
     assert scaled_counts == counts and scaled_ids == ids
     assert np.max(np.abs(Y - scale * X)) <= 1e-9 * scale
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 11), order=st.integers(0, 2**32 - 1))
+def test_relabelling_the_sensors_positions_the_same_points(seed, order):
+    # L2 at n=200, R=.16 (6-26 rigid absorptions); the anchors keep their
+    # ids, the last ones.  At L1 the positioned set does depend on the
+    # labels: grow_cliques extends the cliques by ascending node id
+    n, m = 200, 4
+    inst = generate_instance(n, m, 2, seed=seed, radio_range=0.16)
+    perm = np.random.default_rng(order).permutation(n - m)
+    points = inst.points.copy()
+    points[: n - m] = inst.points[perm]
+    relabelled = dataclasses.replace(inst, points=points)
+    rep = localize(build_partial_edm(inst), inst.anchors, level=StepLevel.L2)
+    rep2 = localize(build_partial_edm(relabelled), inst.anchors, level=StepLevel.L2)
+    assert rep.step_counts["rigid_absorb"] > 0
+    # sensor u of the relabelled instance is sensor perm[u] of the original
+    back = {int(perm[u]): x for u, x in rep2.positioned.items()}
+    assert back.keys() == rep.positioned.keys()
+    assert max(np.max(np.abs(back[u] - x)) for u, x in rep.positioned.items()) <= 1e-9

@@ -1,12 +1,24 @@
+import contextlib
 import hashlib
 import io
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import snloc.faces as faces
 from snloc import reducer, solver
-from snloc.errors import InvalidConfig
-from snloc.faces import Tolerances, face_from_clique
+from snloc.edm_core import RankTolerance, kappa_pinv
+from snloc.errors import IntersectionRankLoss, InvalidConfig, RangeMismatch, RankDeficient
+from snloc.faces import (
+    Tolerances,
+    clique_parts,
+    face_from_clique,
+    face_from_gram,
+    intersect_faces_rigid,
+    intersect_parts_rigid,
+)
 from snloc.instance import (
     CliqueSeed,
     build_partial_edm,
@@ -375,7 +387,7 @@ def test_nonrigid_absorption_declines_a_collinear_beta():
     fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3, 4))])
     cid = next(iter(fam.cliques))
     tol = Tolerances(use_range_bounds=True)
-    assert reducer._temp_face(fam, cid, [0, 1, 2, 5], tol) is None
+    assert reducer._temp_clique(fam, cid, [0, 1, 2, 5], tol) is None
     assert not nonrigid_node_absorption(fam, cid, 5, tol)
     assert fam.cliques[cid] == {0, 1, 2, 3, 4}
 
@@ -777,3 +789,122 @@ def test_noisy_dense_rmsd_stays_near_the_one_at_a_time_chain():
         assert len(rep.positioned) == 2000
         rmsd.append(rep.rmsd)
     assert np.mean(rmsd) <= 1e-3
+
+
+def test_temp_clique_declines_a_pair_it_cannot_synthesize():
+    # nodes 4 and 5 lie outside clique {0, 1, 2, 3} and have no measured
+    # distance: the clique's rows cannot give it, so there is no temporary
+    # clique; with the pair measured there is one
+    P = RNG.random((6, 2))
+    pairs = [(i, j) for i in range(6) for j in range(i + 1, 6) if (i, j) != (4, 5)]
+    pedm = pedm_from_pairs(P, pairs)
+    fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3))])
+    cid = next(c for c, nodes in fam.cliques.items() if 0 in nodes)
+    assert reducer._temp_clique(fam, cid, [0, 1, 4, 5], TOL) is None
+    pedm.add_pair(4, 5, float(((P[4] - P[5]) ** 2).sum()))
+    D, (nodes, Q, W) = reducer._temp_clique(fam, cid, [0, 1, 4, 5], TOL)
+    assert np.array_equal(nodes, [0, 1, 4, 5]) and Q.shape == (4, 2)
+    assert np.allclose(D, edm_of(P[[0, 1, 4, 5]]), rtol=0, atol=1e-15)
+
+
+def _declined_as_none(merge, *args):
+    try:
+        return merge(*args)
+    except (RankDeficient, IntersectionRankLoss, RangeMismatch):
+        return None
+
+
+def _old_absorption_merge(face, nodes, D, tol):
+    """A rigid absorption's merge as it was built before the one-pass path,
+    kept as its oracle: the temporary clique's FaceRep from face_from_gram
+    (an eigendecomposition and a QR), whose whitener the merge factors from
+    its Gram, intersected by intersect_faces_rigid."""
+    temp = face_from_gram(np.asarray(nodes), kappa_pinv(D), face.width - 1, tol)
+    return intersect_faces_rigid(face, temp, tol)
+
+
+def _one_pass_merge(face, nodes, D, tol):
+    return intersect_parts_rigid(face, clique_parts(nodes, D, face.width - 1, tol), tol)
+
+
+@contextlib.contextmanager
+def _thresholds_moved(tol, factor):
+    """tol, and the kernels' rank cut, with every threshold of a rigid merge
+    moved by the given factor towards accepting (factor > 1) or declining
+    (factor < 1)."""
+    cut = faces._MIDDLE_CUT
+    faces._MIDDLE_CUT = cut / factor
+    try:
+        yield replace(tol, range_tol=tol.range_tol * factor, invert_floor=tol.invert_floor / factor,
+                      rank=RankTolerance(tol.rank.relative_cut / factor))
+    finally:
+        faces._MIDDLE_CUT = cut
+
+
+def _row_in_frame(merged, face, j):
+    """Node j's stored row in a merged face, carried into face's stored frame
+    by the affine map that takes the merged face's rows of face's nodes onto
+    face's own."""
+    ids = face._store.ids[: face._size].tolist()
+    A = np.column_stack([merged.stored_rows(ids), np.ones(len(ids))])
+    T = np.linalg.lstsq(A, face.stored_rows(ids), rcond=None)[0]
+    return np.append(merged.stored_rows([j])[0], 1.0) @ T
+
+
+# the deciding quantities of a merge (the principal angle, above all, whose
+# arccos near 1 loses about 2e-4 of it at range_tol) differ between the two
+# routes by far less than 1e-3 relative: a decision that holds with every
+# threshold moved 1% either way is decided by more than 10x round-off
+_CLEAR_MARGIN = 1.01
+
+
+@pytest.mark.parametrize(
+    "n, m, R, level, kept",
+    [(200, 4, 0.16, StepLevel.L2, 0), (354, 8, GOLDEN_R, StepLevel.L3, 1)],
+    ids=["L2-200", "L3-354"],
+)
+def test_one_pass_absorption_matches_the_old_route(n, m, R, level, kept, monkeypatch):
+    # at every rigid absorption of an exact solve, on the grower as it
+    # stands: the one-pass merge makes the step's decision, and the old
+    # route makes the same one wherever the decision is clear; where both
+    # accept, node j's new row is the same in the grower's stored frame.
+    # L3-354 has an absorption whose merge keeps the temporary clique's
+    # rows, as the grower's common block is the better conditioned one
+    inst = generate_instance(n, m, 2, seed=0, radio_range=R)
+    step = reducer.rigid_node_absorption
+    seen = Counter()
+
+    def probed(family, i, j, tol):
+        beta = reducer._neighbors_in(family, i, j)
+        face = family.face_of(i, tol)
+        D = None
+        if beta is not None and len(beta) > family.dim and face is not None:
+            nodes = sorted(beta + [j])
+            D = reducer._mixed_submatrix(family, i, nodes, tol)
+        if D is not None:
+            new = _declined_as_none(_one_pass_merge, face, nodes, D, tol)
+            old = _declined_as_none(_old_absorption_merge, face, nodes, D, tol)
+            moved = set()
+            for factor in (1 / _CLEAR_MARGIN, _CLEAR_MARGIN):
+                with _thresholds_moved(tol, factor) as t:
+                    moved.add(_declined_as_none(_one_pass_merge, face, nodes, D, t) is None)
+            if len(moved) == 1:
+                assert (old is None) == (new is None)
+                seen["clear"] += 1
+            if old is not None and new is not None:
+                assert np.max(np.abs(_row_in_frame(new, face, j) - _row_in_frame(old, face, j))) <= 1e-10
+                seen["accepted"] += 1
+                k = face._size
+                seen["kept clique"] += not np.array_equal(new._store.ids[:k], face._store.ids[:k])
+        ok = step(family, i, j, tol)
+        if D is not None:
+            assert ok == (new is not None)
+        seen["attempts"] += 1
+        return ok
+
+    monkeypatch.setattr(reducer, "rigid_node_absorption", probed)
+    rep = localize(build_partial_edm(inst), inst.anchors, level=level)
+    assert seen["attempts"] >= rep.step_counts["rigid_absorb"] >= 19
+    assert seen["clear"] >= 0.9 * seen["attempts"]
+    assert seen["accepted"] == rep.step_counts["rigid_absorb"]
+    assert seen["kept clique"] >= kept
