@@ -241,9 +241,18 @@ def _solve_file(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.problem:
-        return _solve_file(args)
+    """Run the command line; a configuration that ``InvalidConfig`` rejects,
+    such as a rank cutoff outside (0, 1) or a NaN feasibility tolerance,
+    exits with a usage error (status 2)."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _solve_file(args) if args.problem else _run_experiment_args(args)
+    except InvalidConfig as exc:
+        parser.error(str(exc))
+
+
+def _run_experiment_args(args) -> int:
     cfg = ExperimentConfig(
         n=args.n,
         m=args.anchors,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficient
+from .errors import InvalidConfig, RankDeficient
 
 __all__ = [
     "RankTolerance",
@@ -47,7 +47,7 @@ class RankTolerance:
 
     def __post_init__(self):
         if not 0.0 < self.relative_cut < 1.0:
-            raise ValueError(f"relative_cut must be in (0, 1), got {self.relative_cut}")
+            raise InvalidConfig(f"relative_cut must be in (0, 1), got {self.relative_cut}")
 
 
 DEFAULT_TOL = RankTolerance()

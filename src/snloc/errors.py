@@ -5,8 +5,8 @@ class SnlError(Exception):
     """Base class for all errors raised by snloc."""
 
 
-class InvalidConfig(SnlError):
-    """An instance or experiment configuration is inconsistent."""
+class InvalidConfig(SnlError, ValueError):
+    """An instance, tolerance or experiment configuration is inconsistent."""
 
 
 class RankDeficient(SnlError):

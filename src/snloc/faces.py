@@ -30,35 +30,33 @@ r-1 dimensions the intersection picks up one extra column
 (:func:`intersect_faces_nonrigid`) and the union has exactly two candidate
 realizations, resolved later by a feasibility test.  Both intersections are
 computed from closed forms on the row blocks, not from a generic SVD of the
-padded subspaces; the generic route serves as a test oracle only.  Both work
-on the stored form through one front (``_merge``), which splits the rows,
-runs the rank, conditioning and range tests once on one thin SVD per
-common block, and maps the new rows of the face whose common block is
-better conditioned into the stored coordinates of the other face, through
-a pseudo-inverse of that better block taken from the same SVD; the face
-with the worse conditioned block keeps its rows.  A rigid merge that keeps
-the grower's rows costs O(partner * r^2), so a chain of merges into one
-growing clique costs time linear in its final size; a singular merge adds
-the extra column and materializes its (r+2)-column result once.  Appending
-rows re-orthonormalizes a face whose Gram has become ill conditioned; a
-determinant bound settles that test in the usual, well conditioned case,
-and eigenvalues only the rest.
+padded subspaces; the generic route serves as a test oracle only.  A rigid
+merge that keeps the grower's rows costs O(partner * r^2), so a chain of
+merges into one growing clique costs time linear in its final size; a
+singular merge adds the extra column and materializes its (r+2)-column
+result once.  Appending rows re-orthonormalizes a face whose Gram has
+become ill conditioned; a determinant bound settles that test in the
+usual, well conditioned case, and eigenvalues only the rest.
 
-The temporary clique of a node absorption (the node and its neighbours in
-the grower) gets no FaceRep.  :func:`clique_parts` builds its face in one
-pass from its squared distances, in the form ``FaceRep._parts`` gives a
-face in (node ids, stored coordinates, whitener): the centred top-r
-eigenvectors of its centred Gram, with no QR, and the whitener
-diag(1, ..., 1, 1/sqrt(k)) that such coordinates have by construction,
-with no Gram, Cholesky factor or inverse.  ``_merge`` takes a partner in
-that form, and :func:`intersect_parts_rigid` is the rigid union with one;
-only a merge that keeps the partner's rows, when the grower's common block
-is the better conditioned one, builds a FaceRep for it.
-
-:func:`intersect_faces_wave` runs many rigid merges into one grower at
-once, against the grower's rows as they stand: the common blocks of all
-partners, padded to one size, share one stacked SVD, and all accepted rows
-are appended together.
+Every merge runs through one front (``_front``), for one partner or many
+against the same face: it walks each partner's node ids through the face's
+row index, pads the common blocks to one size, whitens them and takes one
+stacked SVD, whose singular values run the rank, conditioning and range
+tests; one row map (``_maps``) then takes the new rows of the face whose
+common block is better conditioned into the stored coordinates of the
+other, through a pseudo-inverse of that block from the same SVD, and the
+face with the worse conditioned block keeps its rows.  Both intersections
+are its one-partner case.  :func:`intersect_faces_wave` is its many-partner
+case: rigid unions of one grower with many partners, against the grower's
+rows as they stand, all accepted rows appended together.  A partner may
+come without a FaceRep, as the temporary clique of a node absorption (the
+node and its neighbours in the grower) does: :func:`clique_parts` builds
+its face in one pass from its squared distances, in the form
+``FaceRep._parts`` gives a face in (node ids, stored coordinates,
+whitener): the centred top-r eigenvectors of its centred Gram, with no QR,
+and the whitener diag(1, ..., 1, 1/sqrt(k)) that such coordinates have by
+construction, with no Gram, Cholesky factor or inverse.  Only a merge that
+keeps such a partner's rows builds a FaceRep for it.
 """
 
 from __future__ import annotations
@@ -71,7 +69,7 @@ from itertools import chain
 import numpy as np
 
 from .edm_core import RankTolerance, eigh_descending, kappa_pinv, significant_rank
-from .errors import IntersectionRankLoss, RangeMismatch, RankDeficient
+from .errors import IntersectionRankLoss, InvalidConfig, RangeMismatch, RankDeficient
 
 __all__ = [
     "Tolerances",
@@ -122,6 +120,14 @@ class Tolerances:
     feas_tol: float = 1e-6
     use_range_bounds: bool = False
     invert_floor: float = 3e-2
+
+    def __post_init__(self):
+        # written so that NaN fails every test
+        for name in ("range_tol", "feas_tol"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise InvalidConfig(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.invert_floor < 1.0:
+            raise InvalidConfig(f"invert_floor must be in [0, 1), got {self.invert_floor}")
 
     @classmethod
     def for_noise(cls, sigma: float, **overrides) -> "Tolerances":
@@ -201,28 +207,23 @@ _GRAM_COND_LIMIT = 1e6
 
 def _gram_ill_conditioned(gram: np.ndarray) -> bool:
     """Whether the column-scaled Gram S = D^-1/2 G D^-1/2 (D the diagonal
-    of G) has a condition number above ``_GRAM_COND_LIMIT``, by its
-    eigenvalues."""
-    d = np.sqrt(np.diag(gram))
-    ev = np.linalg.eigvalsh(gram / np.outer(d, d))
-    return ev[0] * _GRAM_COND_LIMIT < ev[-1]
+    of G) has a condition number above ``_GRAM_COND_LIMIT``.
 
-
-def _gram_cond_bounded(gram: np.ndarray) -> bool:
-    """Whether a determinant bound alone shows that the column-scaled Gram
-    S of ``_gram_ill_conditioned`` is well conditioned.
-
-    S is positive definite with a unit diagonal, so its w eigenvalues sum
-    to w and none exceeds w; its condition number, the largest eigenvalue
+    A determinant bound settles the usual, well conditioned case first.  S
+    is positive definite with a unit diagonal, so its w eigenvalues sum to
+    w and none exceeds w; its condition number, the largest eigenvalue
     times the product of all but the smallest over det S, is therefore at
     most w^w / det S, and det S = det G / prod(diag G).  The bound must
     clear the limit by a factor 2, far more than the round-off of either
-    computation, so a True here is a False of ``_gram_ill_conditioned``;
-    a False decides nothing.
+    computation, for it to decide; the eigenvalues of S decide the rest.
     """
     w = gram.shape[0]
     det = np.linalg.det(gram) / math.prod(gram.diagonal().tolist())
-    return 2.0 * w**w < _GRAM_COND_LIMIT * det
+    if 2.0 * w**w < _GRAM_COND_LIMIT * det:
+        return False
+    d = np.sqrt(np.diag(gram))
+    ev = np.linalg.eigvalsh(gram / np.outer(d, d))
+    return ev[0] * _GRAM_COND_LIMIT < ev[-1]
 
 
 class FaceRep:
@@ -327,9 +328,7 @@ class FaceRep:
         The face at the tip of its store appends in place; any other face
         copies the rows first, so this face is unchanged.  The grown face
         is re-orthonormalized when it has doubled since it last was, or
-        when its column-scaled Gram is ill conditioned; a determinant bound
-        (``_gram_cond_bounded``) settles the second test without
-        eigenvalues whenever it can.
+        when its column-scaled Gram is ill conditioned.
         """
         k, n = self._size, len(ids)
         store = self._store
@@ -339,8 +338,7 @@ class FaceRep:
         gram = self._gram + _gram(coords)
         face = FaceRep._stored(store, k + n, gram, self._orth_size)
         face._zgram = self._zgram
-        if (k + n >= 2 * self._orth_size
-                or not _gram_cond_bounded(gram) and _gram_ill_conditioned(gram)):
+        if k + n >= 2 * self._orth_size or _gram_ill_conditioned(gram):
             face._reorthonormalize()
         return face
 
@@ -552,87 +550,125 @@ def face_from_points(nodes, P: np.ndarray, tol: Tolerances) -> FaceRep:
     return FaceRep(nodes, basis)
 
 
-def _pinv(u: np.ndarray, s: np.ndarray, vt: np.ndarray) -> np.ndarray:
-    """``np.linalg.pinv`` of a matrix, from its thin SVD: the same cutoff
-    (1e-15 of the largest singular value) and the same operations."""
-    inv = np.divide(1.0, s, where=s > 1e-15 * s.max(), out=np.zeros_like(s))
-    return vt.T @ (inv[:, None] * u.T)
+def _front(face: FaceRep, ids: list, coords: np.ndarray, white: np.ndarray, rank: int,
+           tol: Tolerances):
+    """Split, whiten and test the common blocks of one face and each of many
+    partners, given as in ``FaceRep._parts``: ids holds each partner's node
+    ids, coords all partners' stored coordinates V, stacked in order, and
+    white their whiteners W of [V, e], stacked.
+
+    Each partner's ids are walked through the face's row index.  Both common
+    blocks of every partner are whitened and padded with zero rows to the
+    largest common size, which changes neither singular values nor right
+    singular vectors, and take one stacked thin SVD.  Its singular values,
+    as Python floats, run the tests: both blocks of rank exactly ``rank``
+    (r+1 rigid, r singular), the better one above the ``invert_floor``, and,
+    for an overlap of more than r nodes, a largest principal angle between
+    the blocks' ranges of at most ``range_tol``.  Returns (rows1, fresh,
+    blocks, svd, verdicts): the face's rows of all partners' common nodes,
+    in order; per partner the rows of its new nodes, counted over all
+    partners' rows; the blocks, shape (2, partners, size, r+1), the face's
+    first, and their SVD (U, S, Vh), both None when no partner has ``rank``
+    common nodes; and per partner the IntersectionRankLoss or RangeMismatch
+    it fails with or, when it passes, whether its block is the better
+    conditioned one (larger sigma_min, the partner on a tie).
+    """
+    r = face.width - 1
+    if coords.shape[1] != r:
+        raise ValueError("faces have different basis widths")
+    index, k1 = face._store.index, face._size
+    # rows2: the common nodes' rows in coords
+    rows1, rows2, counts, fresh, offset = [], [], [], [], 0
+    for part in ids:
+        start, new = len(rows1), []
+        for b, u in enumerate(part.tolist(), offset):
+            a = index.get(u, k1)
+            if a < k1:
+                rows1.append(a)
+                rows2.append(b)
+            else:
+                new.append(b)
+        counts.append(len(rows1) - start)
+        fresh.append(new)
+        offset += part.size
+    count, size = len(ids), max(counts)
+    blocks = svd = None
+    sing = [[None] * count] * 2
+    if size >= rank:
+        # each block's rows at their place in the padded stack; with no
+        # block padded, they are in place
+        pos = slice(None) if min(counts) == size else np.array(
+            [p * size + j for p, c in enumerate(counts) for j in range(c)])
+        A = np.zeros((2, count * size, r + 1))
+        A[0, pos, :r] = face._store.coords.take(rows1, axis=0)
+        A[1, pos, :r] = coords.take(rows2, axis=0)
+        A[:, pos, r] = 1.0
+        A = A.reshape(2, count, size, r + 1)
+        blocks = np.empty_like(A)
+        np.matmul(A[0], face._whitener()[0], out=blocks[0])
+        np.matmul(A[1], white, out=blocks[1])
+        U, S, Vh = svd = np.linalg.svd(blocks, full_matrices=False)
+        sing = S.tolist()
+    cos = []
+
+    def angle(p: int) -> float:
+        if not cos:
+            # cosines of the largest principal angles between the blocks'
+            # top-rank ranges, of every partner in one call
+            cos.extend(np.linalg.svd(U[0, ..., :rank].mT @ U[1, ..., :rank],
+                                     compute_uv=False)[:, -1].tolist())
+        return float(np.arccos(min(max(cos[p], -1.0), 1.0)))
+
+    verdicts = []
+    for p, (c, s1, s2) in enumerate(zip(counts, *sing)):
+        if c < rank:
+            v = IntersectionRankLoss(f"common block has {c} nodes, need at least {rank}")
+        elif s1[rank - 1] <= _MIDDLE_CUT * s1[0] or s2[rank - 1] <= _MIDDLE_CUT * s2[0]:
+            v = IntersectionRankLoss(f"common block rank below {rank}")
+        elif len(s1) > rank and (s1[rank] > _MIDDLE_CUT * s1[0] or s2[rank] > _MIDDLE_CUT * s2[0]):
+            v = IntersectionRankLoss(f"common block rank above {rank}; merge is rigid")
+        elif max(s1[rank - 1], s2[rank - 1]) <= tol.invert_floor * max(s1[0], s2[0]):
+            v = IntersectionRankLoss("common block too ill conditioned to invert")
+        elif c > r and (theta := angle(p)) > tol.range_tol:
+            v = RangeMismatch(f"common blocks differ by {theta:.3e} rad")
+        else:
+            v = s2[rank - 1] >= s1[rank - 1]
+        verdicts.append(v)
+    return rows1, fresh, blocks, svd, verdicts
 
 
-def _affine(V: np.ndarray, rows) -> np.ndarray:
-    """Rows [V, e] of the given row indices of stored coordinates V."""
-    A = np.empty((len(rows), V.shape[1] + 1))
-    A[:, :-1] = V[rows]
-    A[:, -1] = 1.0
-    return A
+def _maps(Wo: np.ndarray, U: np.ndarray, s: np.ndarray, Vh: np.ndarray, Ub: np.ndarray,
+          Lb: np.ndarray) -> np.ndarray:
+    """The row map M = W_o pinv(U_o'') U_b'' L_b^T of one merge, or of a
+    stack of merges (leading axes), from the thin SVD (U, s, Vh) of the
+    mapped block U_o''.  The pseudo-inverse takes ``np.linalg.pinv``'s
+    cutoff (1e-15 of the largest singular value).  Other orders of the same
+    products change the round-off, which flips merges of r=3 instances with
+    range bounds."""
+    inv = np.divide(1.0, s, where=s > 1e-15 * s[..., :1], out=np.zeros(s.shape))
+    pinv = Vh.mT @ (inv[..., None] * U.mT)
+    return Wo @ (pinv @ Ub) @ Lb.mT
 
 
 def _merge(F1: FaceRep, F2, tol: Tolerances, rank: int):
-    """Shared front of both intersections: split, test, pick the base.
-
-    F2 is a FaceRep or, for a face that has none (the temporary clique of
-    a node absorption), its rows in the form of ``FaceRep._parts``: node
-    ids, stored coordinates V and the whitener W of [V, e].  Walks F2's
-    rows to find the common nodes, whitens the common rows of each face,
-    and requires both common blocks to have rank exactly ``rank`` (r+1
-    rigid, r singular), the better one to clear the ``invert_floor``, and,
-    when the overlap has more than r nodes, equal ranges.  Both whitened
-    blocks get one thin SVD, in one stacked call: its singular values
-    decide rank and conditioning, its left singular vectors give the
-    principal angle (one more SVD, of their r-by-r or (r+1)-by-(r+1)
-    product), and the mapped block's three factors give its pseudo-inverse.
-    The face whose common block is better conditioned (larger sigma_min,
-    F2 on a tie) is the one mapped: its block U_o'' is pseudo-inverted and
-    its new rows go into the stored coordinates of the other face, the
-    base, by M = W_o pinv(U_o'') U_b'' L_b^T; the base keeps its rows.  An
-    F2 given as parts becomes a FaceRep only when it is the base, with
-    L = W^-T.  Returns (base, mapped rows, their node ids, (A_o', W_o,
-    U_o'')): the mapped face's new rows [V_o', e], its whitener and its
-    whitened common block.
+    """``_front`` for one partner F2, a FaceRep or ``FaceRep._parts``, and
+    the choice of the base: the face whose common block is better
+    conditioned (F2 on a tie) is mapped by ``_maps`` into the stored
+    coordinates of the other, the base, which keeps its rows.  An F2 given
+    as parts becomes a FaceRep only when it is the base, with L = W^-T.
+    Returns (base, mapped rows, their node ids, (A_o', W_o, U_o'')): the
+    mapped face's new rows [V_o', e], its whitener and its whitened common
+    block.
     """
     face2 = F2 if isinstance(F2, FaceRep) else None
     ids2, V2, W2 = F2._parts() if face2 is not None else F2
-    r = F1.width - 1
-    if V2.shape[1] != r:
-        raise ValueError("faces have different basis widths")
-    index, k1 = F1._store.index, F1._size
-    rows1, rows2, fresh2 = [], [], []
-    for b, u in enumerate(ids2.tolist()):
-        a = index.get(u, k1)
-        if a < k1:
-            rows1.append(a)
-            rows2.append(b)
-        else:
-            fresh2.append(b)
-    if len(rows1) < rank:
-        raise IntersectionRankLoss(
-            f"common block has {len(rows1)} nodes, need at least {rank}"
-        )
+    rows1, (fresh2,), blocks, svd, (verdict,) = _front(F1, [ids2], V2, W2[None], rank, tol)
+    if not isinstance(verdict, bool):
+        raise verdict
+    U, S, Vh = svd
     W1, L1 = F1._whitener()
-    U1pp, U2pp = blocks = np.empty((2, len(rows1), r + 1))
-    np.matmul(_affine(F1._store.coords, rows1), W1, out=U1pp)
-    np.matmul(_affine(V2, rows2), W2, out=U2pp)
-    # one thin SVD per block, both in one stacked call: its singular values
-    # feed the rank and conditioning tests, its left vectors the range
-    # test, and the mapped block's factors its pseudo-inverse
-    U, S, Vh = np.linalg.svd(blocks, full_matrices=False)
-    svd1, svd2 = (U[0], S[0], Vh[0]), (U[1], S[1], Vh[1])
-    s1, s2 = S.tolist()
-    for s in (s1, s2):
-        if s[rank - 1] <= _MIDDLE_CUT * s[0]:
-            raise IntersectionRankLoss(f"common block rank below {rank}")
-        if len(s) > rank and s[rank] > _MIDDLE_CUT * s[0]:
-            raise IntersectionRankLoss(f"common block rank above {rank}; merge is rigid")
-    if max(s1[rank - 1], s2[rank - 1]) <= tol.invert_floor * max(s1[0], s2[0]):
-        raise IntersectionRankLoss("common block too ill conditioned to invert")
-    if len(rows1) > r:
-        # largest principal angle between the blocks' top-rank ranges
-        cos = np.linalg.svd(U[0][:, :rank].T @ U[1][:, :rank], compute_uv=False)[-1]
-        angle = float(np.arccos(min(max(cos, -1.0), 1.0)))
-        if angle > tol.range_tol:
-            raise RangeMismatch(f"common blocks differ by {angle:.3e} rad")
-    if s2[rank - 1] >= s1[rank - 1]:
-        base, Ub, Lb, Uo, Wo, svdo = F1, U1pp, L1, U2pp, W2, svd2
+    if verdict:
+        base, Lb, o, Wo = F1, L1, 1, W2
         ids_o, V_o, new = ids2, V2, fresh2
     else:
         if face2 is None:
@@ -640,129 +676,82 @@ def _merge(F1: FaceRep, F2, tol: Tolerances, rank: int):
             # arrays, as a store filled to capacity copies before it appends
             face2 = FaceRep._stored(_RowStore.of(V2, ids2), ids2.size, _gram(V2), ids2.size)
             face2._white = W2, np.linalg.inv(W2).T
-        base, Ub, Lb, Uo, Wo, svdo = face2, U2pp, face2._whitener()[1], U1pp, W1, svd1
+        base, Lb, o, Wo = face2, face2._whitener()[1], 0, W1
+        k1 = F1._size
         ids_o, V_o = F1._store.ids[:k1], F1._store.coords[:k1]
         new = np.ones(k1, dtype=bool)
         new[rows1] = False
         new = np.flatnonzero(new)
-    Ao = _affine(V_o, new)
+    Ao = np.ones((len(new), V_o.shape[1] + 1))
+    Ao[:, :-1] = V_o.take(new, axis=0)
     # the last column of M would reproduce e, which the base keeps exact
-    M = Wo @ (_pinv(*svdo) @ Ub) @ Lb.T
-    return base, Ao @ M[:, :r], ids_o[new].tolist(), (Ao, Wo, Uo)
+    M = _maps(Wo, U[o, 0], S[o, 0], Vh[o, 0], blocks[1 - o, 0], Lb)
+    return base, Ao @ M[:, :-1], ids_o[new].tolist(), (Ao, Wo, blocks[o, 0])
 
 
-def intersect_faces_rigid(F1: FaceRep, F2: FaceRep, tol: Tolerances) -> FaceRep:
+def intersect_faces_rigid(F1: FaceRep, F2, tol: Tolerances) -> FaceRep:
     """Face of the union of two cliques whose overlap spans r dimensions.
 
-    Requires the two common row blocks to have full column rank r+1 and
-    equal ranges.  The block that is better conditioned is the one
-    pseudo-inverted: the result keeps the stored rows of the other face,
-    F1 when F2's block is at least as well conditioned as F1's, and appends
-    the new nodes of the better conditioned face in the kept face's
-    coordinates, U_o' pinv(U_o'') U_b'', where U'' are the common blocks in
-    orthonormal bases of their faces (o the mapped face, b the kept one).
-    The cost is O(|F2| r^2) when F1 is kept and O(|F1| r^2) otherwise, plus
-    a copy of the kept rows unless that face is the tip of its row store;
-    F1 and F2 are left unchanged.
+    F2 may also be a face's ``FaceRep._parts``, as :func:`clique_parts`
+    gives the temporary clique of a node absorption.  Requires the two
+    common row blocks to have full column rank r+1 and equal ranges.  The
+    block
+    that is better conditioned is the one pseudo-inverted: the result
+    keeps the stored rows of the other face, F1 when F2's block is at least
+    as well conditioned as F1's, and appends the new nodes of the better
+    conditioned face in the kept face's coordinates, U_o' pinv(U_o'')
+    U_b'', where U'' are the common blocks in orthonormal bases of their
+    faces (o the mapped face, b the kept one).  The cost is O(|F2| r^2)
+    when F1 is kept and O(|F1| r^2) otherwise, plus a copy of the kept
+    rows unless that face is the tip of its row store; F1 and F2 are left
+    unchanged.
     """
     base, rows, ids, _ = _merge(F1, F2, tol, F1.width)
     return base._extend(rows, ids)
 
 
-def intersect_parts_rigid(F1: FaceRep, parts, tol: Tolerances) -> FaceRep:
-    """:func:`intersect_faces_rigid` of F1 and a face that has no FaceRep,
-    given in the form of ``FaceRep._parts``: the temporary clique of a node
-    absorption, as :func:`clique_parts` gives it.  When F1's block is the
-    better conditioned one, the merge keeps the partner's rows, and only
-    then is a FaceRep built for it."""
-    base, rows, ids, _ = _merge(F1, parts, tol, F1.width)
-    return base._extend(rows, ids)
+# the rigid absorption's name for the same kernel: a tracer that wraps
+# reducer.intersect_faces_rigid (bench/snlbench/tracing.py) reads .basis of
+# both arguments, which a partner given as parts does not have
+intersect_parts_rigid = intersect_faces_rigid
 
 
 def intersect_faces_wave(grower: FaceRep, partners: list, tol: Tolerances):
     """Rigid unions of one grower face with many partners at once.
 
-    Each partner comes as (node ids, stored coordinates V, whitener W), the
-    form of ``FaceRep._parts`` and ``FaceStack.parts``, and every partner is
-    tested against the grower's rows as they stand on entry, with the tests
-    of :func:`intersect_faces_rigid`.  A partner that passes them is
-    accepted when its common block is at least as well conditioned as the
-    grower's: its new rows are mapped into the grower's stored coordinates
-    as intersect_faces_rigid maps them.  It is deferred otherwise, since
-    that merge would keep the partner's rows and map the grower's.
-
-    The work is stacked: the common rows come from one id-to-row array, and
-    one SVD of all partners' common blocks and the grower's, padded to one
-    size, feeds the tests and the pseudo-inverses; one matmul gives the
-    partners' maps.  A node new to several accepted partners takes the
-    row of the first.  All rows are appended in one ``_extend``.  Returns
-    (face, accepted, deferred), two boolean arrays over the partners and
-    the grown face, which is None when no partner is accepted.
+    Each partner comes as ``FaceRep._parts`` or ``FaceStack.parts`` give
+    it, and all are tested against the grower's rows as they stand on
+    entry, in one ``_front`` call.  A partner that passes is accepted when
+    its common block is at least as well conditioned as the grower's: its
+    new rows are mapped into the grower's stored coordinates as
+    :func:`intersect_faces_rigid` maps them.  It is deferred otherwise,
+    since that merge would keep the partner's rows and map the grower's.  A
+    node new to several accepted partners takes the row of the first.  All
+    rows are appended in one ``_extend``.  Returns (face, accepted,
+    deferred), two boolean arrays over the partners and the grown face,
+    which is None when no partner is accepted.
     """
     r = grower.width - 1
-    k1 = grower._size
-    gids, gcoords = grower._store.ids[:k1], grower._store.coords[:k1]
-    W1, L1 = grower._whitener()
-    count = len(partners)
     ids, coords, white = zip(*partners)
-    owner = np.repeat(np.arange(count), [a.size for a in ids])
-    ids, coords, white = np.concatenate(ids), np.concatenate(coords), np.stack(white)
-    where = np.full(max(gids.max(), ids.max()) + 1, -1, dtype=np.intp)
-    where[gids] = np.arange(k1)
-    rows = where[ids]
-    inside = rows >= 0
-    shared = np.flatnonzero(inside)
-    who = owner[shared]
-    common = np.bincount(who, minlength=count)
-    size = common.max()
-    if size <= r:
-        return None, np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
-    # every partner's common block and the grower's rows of it, padded with
-    # zero rows to the largest common size: the zero rows change neither
-    # singular values nor right singular vectors, so one stacked SVD serves
-    # all partners
-    pos = who * size + np.arange(shared.size) - (np.cumsum(common) - common)[who]
-    A = np.zeros((2, count * size, r + 1))
-    A[0, pos, :r] = gcoords[rows[shared]]
-    A[1, pos, :r] = coords[shared]
-    A[:, pos, r] = 1.0
-    A = A.reshape(2, count, size, r + 1)
-    blocks = np.empty_like(A)
-    np.matmul(A[0], W1, out=blocks[0])
-    np.matmul(A[1], white, out=blocks[1])
-    U, S, Vh = np.linalg.svd(blocks, full_matrices=False)
-    # the tests of _merge: both blocks of rank r+1 (a block of r rows or
-    # fewer is not), the better one above the floor, equal ranges
-    low, high = S[..., r], S[..., 0]
-    ok = (low > _MIDDLE_CUT * high).all(axis=0)
-    ok &= low.max(axis=0) > tol.invert_floor * high.max(axis=0)
-    cos = np.linalg.svd(np.swapaxes(U[0], 1, 2) @ U[1], compute_uv=False)[:, -1]
-    ok &= cos >= np.cos(tol.range_tol)
-    # the better conditioned block is pseudo-inverted (see _merge)
-    partner_better = low[1] >= low[0]
-    accepted, deferred = ok & partner_better, ok & ~partner_better
+    coords, white = np.concatenate(coords), np.array(white)
+    _, fresh, blocks, svd, verdicts = _front(grower, ids, coords, white, r + 1, tol)
+    accepted = np.array([v is True for v in verdicts])
+    deferred = np.array([v is False for v in verdicts])
     if not accepted.any():
         return None, accepted, deferred
-    # each partner's map M = W pinv(U'') U_1'' L_1^T, the pseudo-inverse from
-    # the block's SVD with _pinv's cutoff, in _merge's order of products
-    # (other orders change round-off, which flips merges of r=3 instances
-    # with range bounds); the last column of M would reproduce e, which
-    # stays exact
-    s = S[1]
-    inv = np.divide(1.0, s, where=s > 1e-15 * s[:, :1], out=np.zeros_like(s))
-    pinv = np.swapaxes(Vh[1], 1, 2) @ (inv[:, :, None] * np.swapaxes(U[1], 1, 2))
-    maps = (white @ (pinv @ blocks[0]) @ L1.T)[..., :r]
-    new = np.flatnonzero(~inside & accepted[owner])
-    new_ids = ids[new].tolist()
-    if len(set(new_ids)) < len(new_ids):
-        # a node new to several accepted partners takes the first one's row
-        _, first = np.unique(ids[new], return_index=True)
-        new = new[np.sort(first)]
-        new_ids = ids[new].tolist()
-    A = np.ones((new.size, 1, r + 1))
-    A[:, 0, :r] = coords[new]
-    mapped = np.matmul(A, maps[owner[new]])[:, 0]
-    return grower._extend(mapped, new_ids), accepted, deferred
+    U, S, Vh = svd
+    maps = _maps(white, U[1], S[1], Vh[1], blocks[0], grower._whitener()[1])[..., :r]
+    ids = np.concatenate(ids).tolist()
+    first = {}
+    for p in np.flatnonzero(accepted).tolist():
+        for b in fresh[p]:
+            first.setdefault(ids[b], (b, p))
+    picks, owner = [b for b, _ in first.values()], [p for _, p in first.values()]
+    A = np.ones((len(picks), 1, r + 1))
+    A[:, 0, :r] = coords.take(picks, axis=0)
+    # a product per row: a product per partner rounds otherwise
+    mapped = np.matmul(A, maps[owner])[:, 0]
+    return grower._extend(mapped, list(first)), accepted, deferred
 
 
 def intersect_faces_nonrigid(

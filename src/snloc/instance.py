@@ -92,9 +92,12 @@ class PartialEDM:
     _index: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        _check_sizes(self.n, self.m, self.dim)
         _check_range_and_noise(self.radio_range, self.noise_factor)
         if not self.adj:
             self.adj = [dict() for _ in range(self.n)]
+        elif len(self.adj) != self.n:
+            raise InvalidConfig(f"adj has {len(self.adj)} entries, need n={self.n}")
 
     def add_pair(self, i: int, j: int, d2: float) -> None:
         try:
@@ -207,6 +210,13 @@ class CliqueSeed:
     members: tuple[int, ...]
 
 
+def _check_sizes(n: int, m: int, r: int) -> None:
+    if n <= m or m < 0:
+        raise InvalidConfig(f"need n > m >= 0, got n={n}, m={m}")
+    if r < 1:
+        raise InvalidConfig(f"embedding dimension must be >= 1, got r={r}")
+
+
 def _check_range_and_noise(radio_range: float, noise_factor: float) -> None:
     # written so that NaN fails both tests
     if not 0.0 < radio_range < math.inf:
@@ -231,12 +241,16 @@ def generate_instance(
     radio_range: float,
     noise_factor: float = 0.0,
 ) -> Instance:
-    """Drop n points uniformly in [0,1]^r; the last m are the anchors."""
-    if n <= m or m < 0:
-        raise InvalidConfig(f"need n > m >= 0, got n={n}, m={m}")
-    if r < 1:
-        raise InvalidConfig(f"embedding dimension must be >= 1, got r={r}")
+    """Drop n points uniformly in [0,1]^r; the last m are the anchors.  The
+    seed must be a non-negative integer."""
+    _check_sizes(n, m, r)
     _check_range_and_noise(radio_range, noise_factor)
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise InvalidConfig(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
     point_rng, _ = _streams(seed)
     points = point_rng.random((n, r))
     return Instance(

@@ -33,7 +33,9 @@ def localize(
     generation and error evaluation are outside it.  A solve is successful
     when at least one sensor was positioned.  anchors must be a finite
     (m, r) array and level one of the StepLevel values (InvalidConfig
-    otherwise, raised before any work).
+    otherwise, raised before any work).  The grown cliques hold at most
+    max_clique_size nodes, 3(r+1) when it is None; it must exceed r+1
+    (InvalidConfig).
     """
     r = pedm.dim
     level = step_level(level)
@@ -49,7 +51,7 @@ def localize(
     t0 = time.perf_counter()
     seeds = half_range_cliques(pedm)
     family = init_family(pedm, seeds)
-    grow_cliques(family, max_clique_size or 3 * (r + 1))
+    grow_cliques(family, 3 * (r + 1) if max_clique_size is None else max_clique_size)
     run(family, level=level, tol=tol, trace=trace)
     positioned: dict[int, np.ndarray] = {}
     residual = None

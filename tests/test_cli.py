@@ -137,6 +137,25 @@ def test_main_problem_file_round_trip(tmp_path, capsys):
     assert trace.read_text().startswith("step=")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--tol", "2"], "relative_cut"), (["--tol", "nan"], "relative_cut"),
+    (["--feas-tol", "nan"], "feas_tol"), (["--feas-tol", "-1"], "feas_tol"),
+    (["--max-clique-size", "0"], "max_size"),
+], ids=["tol-2", "tol-nan", "feas-tol-nan", "feas-tol-negative", "clique-size-0"])
+def test_cli_rejects_invalid_tolerances_with_a_usage_error(flags, message, tmp_path, capsys):
+    # --feas-tol nan used to run silently, and --tol 2 died with a bare
+    # ValueError traceback
+    inst = generate_instance(50, 4, 2, seed=1, radio_range=0.45)
+    problem = tmp_path / "prob.snl"
+    write_problem(problem, build_partial_edm(inst), inst.anchors)
+    experiment = ["--n", "50", "--anchors", "4", "--radio-range", "0.45", "--trials", "1"]
+    for argv in (experiment + flags, ["--problem", str(problem)] + flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 def test_cli_tolerances_default_to_the_noise(tmp_path, monkeypatch):
     # the flags' old defaults (--tol 1e-9, --feas-tol 1e-6) were always
     # passed, so a noisy run got feas_tol=1e-6 instead of 10 sigma

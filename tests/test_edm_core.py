@@ -9,7 +9,7 @@ from snloc.edm_core import (
     kappa_adjoint,
     kappa_pinv,
 )
-from snloc.errors import RankDeficient
+from snloc.errors import InvalidConfig, RankDeficient
 
 from helpers import edm_of
 
@@ -176,3 +176,9 @@ def test_rank_tolerance_validation():
         RankTolerance(relative_cut=0.0)
     with pytest.raises(ValueError):
         RankTolerance(relative_cut=1.5)
+
+
+@pytest.mark.parametrize("cut", [0.0, 1.0, 2.0, -1e-9, float("nan"), float("inf")])
+def test_rank_tolerance_rejects_a_cut_outside_the_unit_interval(cut):
+    with pytest.raises(InvalidConfig):
+        RankTolerance(relative_cut=cut)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from snloc.edm_core import kappa, kappa_pinv
 from snloc.errors import (
     IntersectionRankLoss,
+    InvalidConfig,
     NotAClique,
     RangeMismatch,
     RankDeficient,
@@ -48,6 +49,28 @@ def assert_face_invariants(face, k, width):
     assert np.allclose(gram, np.eye(width), atol=1e-9)
     e = np.ones(k)
     assert np.linalg.norm(face.basis @ np.eye(width)[-1] - e / np.sqrt(k)) <= 1e-9 * np.sqrt(k)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("bad", [
+    dict(range_tol=NAN), dict(range_tol=INF), dict(range_tol=-1e-6),
+    dict(feas_tol=NAN), dict(feas_tol=INF), dict(feas_tol=-1e-6),
+    dict(invert_floor=NAN), dict(invert_floor=-0.1), dict(invert_floor=1.0),
+], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_tolerances_reject_nan_infinite_or_out_of_range_values(bad):
+    # feas_tol=nan used to be accepted, and then every feasibility test
+    # passed, however far the candidate points were from the data
+    with pytest.raises(InvalidConfig):
+        Tolerances(**bad)
+    with pytest.raises(ValueError):
+        Tolerances.for_noise(1e-4, **bad)
+
+
+def test_tolerances_accept_the_edges_of_their_ranges():
+    Tolerances(range_tol=0.0, feas_tol=0.0, invert_floor=0.0)
+    Tolerances(invert_floor=0.999)
 
 
 def test_face_from_clique_collinear_r1():
@@ -360,14 +383,22 @@ def test_rigid_union_keeps_the_worse_conditioned_faces_rows():
 
 @pytest.mark.parametrize("tol", [TOL, NOGATE], ids=["floor", "no-floor"])
 def test_wave_matches_one_union_at_a_time(tol):
-    # a 30-node grower and five partners, each also merged alone with the
+    # a 30-node grower and seven partners, each also merged alone with the
     # intersect_faces_rigid of the same grower face: A and B share the new
     # nodes 30 and 31, and B places node 30 elsewhere, so the wave must keep
     # A's row; C's overlap is inconsistent (a range mismatch); D is larger
     # than the grower, whose common block is then the better conditioned,
-    # so D is deferred; E comes from a face stack, read without a FaceRep
+    # so D is deferred; E comes from a face stack, read without a FaceRep;
+    # F's overlap is collinear (rank loss); G's is nearly collinear, of
+    # full rank but below the invert_floor, so that only the floor rejects
+    # it.  The wave rejects a partner, neither accepting nor deferring it,
+    # exactly where its union alone raises, and its front names the error
+    # class the union raises
     rng = np.random.default_rng(17)
     P = strip_points(rng, 80, 2)
+    P[1] = 0.5 * (P[0] + P[2])
+    side = P[5] - P[3]
+    P[4] = 0.5 * (P[3] + P[5]) + 1e-3 * np.array([-side[1], side[0]])
     grower = face_of_points(np.arange(30), P[:30], 2)
 
     def moved(nodes, node):
@@ -381,35 +412,54 @@ def test_wave_matches_one_union_at_a_time(tol):
     D = face_of_points(np.arange(22, 70), P[22:70], 2)
     stack, a = clique_faces(complete_pedm(P), [set(range(20, 36))], 2, tol)[0]
     E = stack.face(a)
+    F_nodes, G_nodes = np.array([0, 1, 2, 70, 71]), np.array([3, 4, 5, 72, 73])
+    F = face_of_points(F_nodes, P[F_nodes], 2)
+    G = face_of_points(G_nodes, P[G_nodes], 2)
     for got, want in zip(stack.parts(a), E._parts()):
         assert np.array_equal(got, want)
-    partners = [A, B, C, D, E]
-    parts = [p._parts() for p in partners[:4]] + [stack.parts(a)]
+    partners = dict(zip("ABCDEFG", [A, B, C, D, E, F, G]))
+    parts = [p._parts() for p in partners.values()]
+    parts[4] = stack.parts(a)
     assert sigma_min_on(grower, np.arange(22, 30)) > sigma_min_on(D, np.arange(22, 30))
 
     face, accepted, deferred = faces_module.intersect_faces_wave(grower, parts, tol)
-    assert accepted.tolist() == [True, True, False, False, True]
-    assert deferred.tolist() == [False, False, False, True, False]
+    floor = tol.invert_floor > 0
+    assert accepted.tolist() == [True, True, False, False, True, False, not floor]
+    assert deferred.tolist() == [False, False, False, True, False, False, False]
     assert grower._size == 30
-    alone = {}
-    for name, partner in zip("ABCDE", partners):
+    alone, raised = {}, {}
+    for name, partner in partners.items():
         try:
             alone[name] = intersect_faces_rigid(grower, partner, tol)
         except (IntersectionRankLoss, RangeMismatch) as exc:
-            assert name == "C" and isinstance(exc, RangeMismatch)
-    assert set(alone) == set("ABDE")
+            raised[name] = type(exc)
+    want = {"C": RangeMismatch, "F": IntersectionRankLoss}
+    if floor:
+        want["G"] = IntersectionRankLoss
+    assert raised == want
+    ids, coords, white = zip(*parts)
+    verdicts = faces_module._front(grower, ids, np.concatenate(coords), np.array(white), 3,
+                                   tol)[4]
+    for name, verdict, a, d in zip(partners, verdicts, accepted, deferred):
+        assert (not a and not d) == (name in raised)
+        assert type(verdict) is raised.get(name, bool)
+    # F fails the rank test, G (with the floor) the floor test
+    assert "rank below" in str(verdicts[5])
+    assert not floor or "ill conditioned" in str(verdicts[6])
     # the deferred merge keeps D's rows and maps the grower's
     assert np.array_equal(alone["D"]._store.ids[:48], np.arange(22, 70))
     rows = {}
-    for name in "ABE":
+    for name in "ABE" if floor else "ABEG":
         out = alone[name]
         assert np.array_equal(out._store.ids[:30], np.arange(30))
         rows[name] = dict(zip(out._store.ids[30 : out._size].tolist(),
                               out._store.coords[30 : out._size]))
-    new = face._store.ids[30 : face._size].tolist()
-    assert new == [30, 31, 32, 33, 34, 35]
-    assert np.array_equal(face._store.coords[:30], grower._store.coords[:30])
     first = {30: "A", 31: "A", 32: "B", 33: "E", 34: "E", 35: "E"}
+    if not floor:
+        first.update({72: "G", 73: "G"})
+    new = face._store.ids[30 : face._size].tolist()
+    assert new == list(first)
+    assert np.array_equal(face._store.coords[:30], grower._store.coords[:30])
     for u, row in zip(new, face._store.coords[30 : face._size]):
         assert np.max(np.abs(row - rows[first[u]][u])) <= 1e-12
     assert np.max(np.abs(face._store.coords[30] - rows["B"][30])) > 1e-6
@@ -567,26 +617,37 @@ def test_parts_union_matches_the_face_union(far):
 def test_gram_cond_bound_settles_only_what_eigvalsh_agrees_with(seed, r, k, gap, shift):
     # stored rows [V, e] whose last column is a combination of the others
     # and of e up to 10^gap, shifted by 10^shift (nearly parallel to e):
-    # nearly dependent columns, on both sides of the conditioning limit
+    # nearly dependent columns, on both sides of the conditioning limit.
+    # The test, determinant bound first, agrees with the eigenvalues alone
     rng = np.random.default_rng(seed)
     V = rng.standard_normal((k, r))
     V[:, -1] = (V[:, :-1] @ rng.standard_normal(r - 1) + rng.standard_normal()
                 + 10.0**gap * rng.standard_normal(k))
     V += 10.0**shift * rng.standard_normal(r)
     gram = faces_module._gram(V)
-    if faces_module._gram_cond_bounded(gram):
-        assert not faces_module._gram_ill_conditioned(gram)
+    assert faces_module._gram_ill_conditioned(gram) == _ill_conditioned_by_eigenvalues(gram)
 
 
-def test_gram_cond_bound_settles_well_conditioned_grams():
-    # the bound is no use unless it settles the usual case: stored rows
-    # fresh from a re-orthonormalization, and rows mapped into them
+def _ill_conditioned_by_eigenvalues(gram):
+    d = np.sqrt(np.diag(gram))
+    ev = np.linalg.eigvalsh(gram / np.outer(d, d))
+    return ev[0] * faces_module._GRAM_COND_LIMIT < ev[-1]
+
+
+def test_gram_cond_bound_settles_well_conditioned_grams(monkeypatch):
+    # the bound is no use unless it settles the usual case, with no
+    # eigenvalues: stored rows fresh from a re-orthonormalization, and rows
+    # mapped into them
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
     rng = np.random.default_rng(3)
     for r in (2, 3):
         Q = np.linalg.qr(rng.standard_normal((30, r)))[0]
-        assert faces_module._gram_cond_bounded(faces_module._gram(Q))
-        assert faces_module._gram_cond_bounded(faces_module._gram(Q + 0.3))
+        assert not faces_module._gram_ill_conditioned(faces_module._gram(Q))
+        assert not faces_module._gram_ill_conditioned(faces_module._gram(Q + 0.3))
+        assert not calls
         Q[:, -1] = Q[:, 0] + 1e-5 * rng.standard_normal(30)
-        gram = faces_module._gram(Q)
-        assert not faces_module._gram_cond_bounded(gram)
-        assert faces_module._gram_ill_conditioned(gram)
+        assert faces_module._gram_ill_conditioned(faces_module._gram(Q))
+        assert len(calls) == 1
+        calls.clear()

@@ -45,6 +45,32 @@ def test_generate_rejects_bad_config():
         generate_instance(5, 2, 2, seed=0, radio_range=-1.0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_generate_rejects_a_negative_or_non_integer_seed(seed):
+    with pytest.raises(InvalidConfig):
+        generate_instance(5, 2, 2, seed=seed, radio_range=0.1)
+
+
+def test_generate_takes_numpy_integer_seeds():
+    got = generate_instance(6, 2, 2, seed=np.int64(7), radio_range=0.5)
+    assert np.array_equal(got.points, generate_instance(6, 2, 2, seed=7, radio_range=0.5).points)
+
+
+@pytest.mark.parametrize("n, m, dim", [(3, 5, 2), (3, 3, 2), (3, -1, 2), (3, 0, 0)],
+                         ids=["m-above-n", "m-equals-n", "m-negative", "dim-zero"])
+def test_partial_edm_rejects_bad_sizes(n, m, dim):
+    # PartialEDM(n=3, m=5, ...) used to be accepted, and localize then built
+    # an anchor clique with negative node ids
+    with pytest.raises(InvalidConfig):
+        PartialEDM(n=n, m=m, dim=dim, radio_range=0.5)
+
+
+def test_partial_edm_rejects_adjacency_of_another_length():
+    with pytest.raises(InvalidConfig):
+        PartialEDM(n=3, m=0, dim=2, radio_range=0.5, adj=[{}, {}])
+    assert len(PartialEDM(n=3, m=0, dim=2, radio_range=0.5, adj=[{}, {}, {}]).adj) == 3
+
+
 def test_noise_stream_does_not_move_points():
     quiet = generate_instance(50, 4, 2, seed=5, radio_range=0.4)
     noisy = generate_instance(50, 4, 2, seed=5, radio_range=0.4, noise_factor=1e-2)

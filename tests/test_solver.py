@@ -114,6 +114,14 @@ def test_localize_fails_on_collinear_anchors():
         assert report.positioned == {}
 
 
+@pytest.mark.parametrize("size", [0, 1, 3])
+def test_localize_rejects_a_clique_size_of_r_plus_one_or_less(size):
+    # max_clique_size=0 used to be read as "use the default"
+    inst = generate_instance(40, 4, 2, seed=2, radio_range=0.5)
+    with pytest.raises(InvalidConfig):
+        localize(build_partial_edm(inst), inst.anchors, max_clique_size=size)
+
+
 @pytest.mark.parametrize("level", [0, 5, "L2"])
 def test_localize_rejects_invalid_level(level, monkeypatch):
     # used to surface as numpy's "not a valid StepLevel" ValueError from
