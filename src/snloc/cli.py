@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .edm_core import RankTolerance
-from .errors import InvalidConfig
+from .errors import InvalidConfig, ParseError
 from .faces import Tolerances
 from .instance import (
     average_degree,
@@ -242,13 +242,14 @@ def _solve_file(args) -> int:
 
 def main(argv=None) -> int:
     """Run the command line; a configuration that ``InvalidConfig`` rejects,
-    such as a rank cutoff outside (0, 1) or a NaN feasibility tolerance,
-    exits with a usage error (status 2)."""
+    such as a rank cutoff outside (0, 1) or a NaN feasibility tolerance, and
+    a malformed problem file, whose message names the line, exit with a
+    usage error (status 2)."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return _solve_file(args) if args.problem else _run_experiment_args(args)
-    except InvalidConfig as exc:
+    except (InvalidConfig, ParseError) as exc:
         parser.error(str(exc))
 
 

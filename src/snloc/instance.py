@@ -1,12 +1,12 @@
 """Random problem instances, partial distance matrices, and problem files.
 
 Nodes are indexed 0..n-1 internally; the last m indices are anchors.  A
-:class:`PartialEDM` stores the known squared distances as per-node adjacency
-dictionaries, which is the shape every other module consumes (neighbor scans,
-principal submatrices, membership tests).  For the seed stage of a solve it
-also answers vectorized pair lookups from a sorted index of the measured
-pairs, built from the dictionaries on first use and dropped once the seed
-faces exist.
+:class:`PartialEDM` holds the known squared distances in one immutable
+array form, built once from the measured pairs: both directions of every
+pair, sorted by (i, j), as row pointers, neighbour ids and squared
+distances.  Every other module reads that form, as row slices (neighbor
+scans), gathers over many rows, or vectorized pair lookups (principal
+submatrices, membership tests).
 
 Randomness: one 64-bit master seed per instance.  ``SeedSequence(seed)`` is
 split into two child streams, child 0 for point coordinates and child 1 for
@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -65,141 +64,147 @@ class Instance:
         return self.points[: self.n - self.m]
 
 
-# the pair index is built, and half_range_cliques checks the pairs of its
-# near sets, in blocks of about this many pairs, which bounds each temporary
-# at 256 KiB
+# half_range_cliques checks the pairs of its near sets in blocks of about
+# this many pairs, which bounds each temporary at 256 KiB
 _PAIR_BLOCK = 1 << 15
 
 
-@dataclass(eq=False)
 class PartialEDM:
     """Known squared distances of a localization problem.
 
-    adj[i] maps each known neighbor j to the (possibly noisy) squared
-    distance; entries are mirrored so (i, j) is known iff (j, i) is.  The
-    last m nodes are anchors and are mutually known by construction.
+    Built once from the measured pairs, given as arrays i, j and d2 with
+    one entry per unordered pair, in either orientation, and not changed
+    afterwards.  Both directions of every pair are kept in one sorted
+    array form: ``indices`` holds node u's measured neighbours, ascending,
+    at ``indptr[u]:indptr[u + 1]``, and ``d2`` the squared distances in
+    the same order; ``lookup`` searches the sorted keys i*n + j of the same
+    entries.  The last m nodes are anchors, which ``build_partial_edm``
+    measures mutually.
     """
 
-    n: int
-    m: int
-    dim: int
-    radio_range: float
-    noise_factor: float = 0.0
-    adj: list[dict[int, float]] = field(default_factory=list)
-    # (keys, d2): the sorted keys i*n + j of the measured pairs, both
-    # directions, then one sentinel key n*n above them all, and the squared
-    # distances in the same order; built by lookup, dropped by drop_lookup
-    _index: tuple | None = field(default=None, init=False, repr=False)
+    def __init__(self, n: int, m: int, dim: int, radio_range: float,
+                 noise_factor: float = 0.0, i=(), j=(), d2=()):
+        _check_sizes(n, m, dim)
+        _check_range_and_noise(radio_range, noise_factor)
+        self.n, self.m, self.dim = n, m, dim
+        self.radio_range, self.noise_factor = radio_range, noise_factor
+        i, j, d2 = _checked_pairs(n, i, j, d2)
+        keys = np.concatenate([i * n + j, j * n + i, [n * n]])
+        order = np.argsort(keys, kind="stable")
+        # (keys, squared distances): both directions sorted by (i, j), then
+        # one sentinel key n*n above them all, which keeps every position
+        # that lookup's binary search returns in range
+        self._keys = keys[order]
+        self._values = np.concatenate([d2, d2, [math.nan]])[order]
+        repeat = np.flatnonzero(self._keys[1:] == self._keys[:-1])
+        if repeat.size:
+            a, b = divmod(int(self._keys[repeat[0]]), n)
+            raise InvalidConfig(f"pair ({a}, {b}) is given more than once")
+        size = self._keys.size - 1
+        self.indices = self._keys[:size] % n
+        self.d2 = self._values[:size]
+        self.indptr = np.searchsorted(self._keys, np.arange(n + 1, dtype=np.int64) * n)
+        # views of the same two arrays: a row sliced from them costs about a
+        # third less than from the arrays, and the merges read rows one by one
+        self._indices_view, self._indptr_view = memoryview(self.indices), memoryview(self.indptr)
 
-    def __post_init__(self):
-        _check_sizes(self.n, self.m, self.dim)
-        _check_range_and_noise(self.radio_range, self.noise_factor)
-        if not self.adj:
-            self.adj = [dict() for _ in range(self.n)]
-        elif len(self.adj) != self.n:
-            raise InvalidConfig(f"adj has {len(self.adj)} entries, need n={self.n}")
+    def row(self, u: int) -> list[int]:
+        """Node u's measured neighbours, ascending."""
+        ptr = self._indptr_view
+        return self._indices_view[ptr[u] : ptr[u + 1]].tolist()
 
-    def add_pair(self, i: int, j: int, d2: float) -> None:
-        try:
-            i, j = operator.index(i), operator.index(j)
-        except TypeError:
-            raise InvalidConfig(f"node ids must be integers, got ({i!r}, {j!r})") from None
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise InvalidConfig(f"node ids ({i}, {j}) must lie in [0, {self.n})")
-        if i == j:
-            raise InvalidConfig("self distances are not stored")
-        if not 0.0 <= d2 < math.inf:
-            raise InvalidConfig(
-                f"squared distance for pair ({i}, {j}) must be finite and >= 0, got {d2}"
-            )
-        self.adj[i][j] = d2
-        self.adj[j][i] = d2
-        self._index = None
+    @property
+    def adj(self):
+        """Each node's row (``row``), in node order."""
+        return map(self.row, range(self.n))
 
-    def is_known(self, i: int, j: int) -> bool:
-        return j in self.adj[i]
+    def gather(self, nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(owner, neighbour, d2) of every entry of the rows of nodes, row
+        after row: owner indexes nodes, neighbour is the measured node."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        lo = self.indptr[nodes]
+        count = self.indptr[nodes + 1] - lo
+        owner = np.repeat(np.arange(nodes.size), count)
+        pos = np.arange(owner.size) + (lo - (np.cumsum(count) - count))[owner]
+        return owner, self.indices[pos], self.d2[pos]
 
     def greedy_clique(self, candidates, limit: int | None = None) -> list[int]:
         """The candidates, in the given order, that are each measured to every
         candidate taken before them, up to limit of them.  Callers pass
         candidates measured to the clique they extend."""
         taken: list[int] = []
+        # the nodes measured to every node taken so far
+        common = None
         for j in candidates:
-            if all(map(self.adj[j].__contains__, taken)):
+            if common is None or j in common:
                 taken.append(j)
                 if len(taken) == limit:
                     break
+                row = self.row(j)
+                common = set(row) if common is None else common.intersection(row)
         return taken
-
-    def _pair_index(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._index is None:
-            n, adj = self.n, self.adj
-            deg = np.fromiter(map(len, adj), dtype=np.int64, count=n)
-            size = int(deg.sum())
-            keys = np.empty(size + 1, dtype=np.int64)
-            d2 = np.empty(size + 1)
-            keys[size], d2[size] = n * n, math.nan
-            # in blocks of about _PAIR_BLOCK pairs, so that the temporaries
-            # stay small (built in one piece, the index raised the peak
-            # memory of three rigid-scaling bench passes by 3%); a block's
-            # sorted keys follow the previous block's
-            step = max(1, _PAIR_BLOCK * n // max(size, 1))
-            start = 0
-            for lo in range(0, n, step):
-                rows, counts = adj[lo : lo + step], deg[lo : lo + step]
-                end = start + int(counts.sum())
-                block = np.repeat(np.arange(lo, lo + len(rows), dtype=np.int64) * n, counts)
-                block += np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=end - start)
-                # each node's keys are mostly in order already
-                order = np.argsort(block, kind="stable")
-                keys[start:end] = block[order]
-                d2[start:end] = np.fromiter(chain.from_iterable(map(dict.values, rows)),
-                                            dtype=float, count=end - start)[order]
-                start = end
-            self._index = keys, d2
-        return self._index
 
     def lookup(self, i, j) -> tuple[np.ndarray, np.ndarray]:
         """(known, d2) of the node pairs (i, j), elementwise over integer
-        arrays; d2 means nothing where known is False.
-
-        The first call builds the sorted pair index, which stays until
-        ``drop_lookup`` or ``add_pair``."""
-        keys, d2 = self._pair_index()
+        arrays that broadcast; d2 means nothing where known is False."""
         query = np.asarray(i, dtype=np.int64) * self.n + j
-        # the sentinel key keeps every position in range
-        pos = np.searchsorted(keys, query)
-        return keys[pos] == query, d2[pos]
-
-    def drop_lookup(self) -> None:
-        """Free the pair index that ``lookup`` built."""
-        self._index = None
+        pos = np.searchsorted(self._keys, query)
+        return self._keys[pos] == query, self._values[pos]
 
     def known_pairs(self):
-        """Iterate (i, j, d2) over known pairs with i < j."""
-        for i, nbrs in enumerate(self.adj):
-            for j, d2 in nbrs.items():
-                if i < j:
-                    yield i, j, d2
+        """Iterate (i, j, d2) over known pairs with i < j, sorted."""
+        rows = self._keys[:-1] // self.n
+        upper = rows < self.indices
+        return zip(rows[upper].tolist(), self.indices[upper].tolist(), self.d2[upper].tolist())
 
     def submatrix(self, nodes) -> np.ndarray:
         """Dense squared-distance matrix of a node subset.
 
         Raises NotAClique when some pair in the subset is unknown.
         """
-        nodes = list(nodes)
-        k = len(nodes)
-        D = np.zeros((k, k))
-        for a in range(k):
-            row = self.adj[nodes[a]]
-            for b in range(a + 1, k):
-                try:
-                    D[a, b] = D[b, a] = row[nodes[b]]
-                except KeyError:
-                    raise NotAClique(
-                        f"pair ({nodes[a]}, {nodes[b]}) has no known distance"
-                    ) from None
+        nodes = np.asarray(list(nodes), dtype=np.int64)
+        known, D = self.lookup(nodes[:, None], nodes[None, :])
+        np.fill_diagonal(known, True)
+        if not known.all():
+            # the first missing pair in row order has a < b
+            a, b = np.argwhere(~known)[0]
+            raise NotAClique(f"pair ({nodes[a]}, {nodes[b]}) has no known distance")
+        np.fill_diagonal(D, 0.0)
         return D
+
+
+def _checked_pairs(n: int, i, j, d2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pair arrays as int64, int64 and float64, or InvalidConfig when
+    they are not three equally long 1-D arrays, a node id is not an integer
+    in [0, n), a pair joins a node to itself, or a squared distance is not
+    finite and >= 0."""
+    i, j = np.asarray(i), np.asarray(j)
+    try:
+        d2 = np.asarray(d2, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidConfig("squared distances must be numbers") from None
+    if not i.ndim == j.ndim == d2.ndim == 1 or not i.size == j.size == d2.size:
+        raise InvalidConfig(
+            f"need three 1-D pair arrays of one length, got shapes {i.shape}, {j.shape}, {d2.shape}"
+        )
+    for ids in (i, j):
+        if ids.size and ids.dtype.kind not in "iu":
+            raise InvalidConfig(f"node ids must be integers, got {ids.dtype} ids")
+    i, j = i.astype(np.int64), j.astype(np.int64)
+    bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n))
+    if bad.size:
+        a = bad[0]
+        raise InvalidConfig(f"node ids ({i[a]}, {j[a]}) must lie in [0, {n})")
+    if np.any(i == j):
+        raise InvalidConfig("self distances are not stored")
+    # written so that NaN fails the test
+    bad = np.flatnonzero(~((d2 >= 0.0) & (d2 < math.inf)))
+    if bad.size:
+        a = bad[0]
+        raise InvalidConfig(
+            f"squared distance for pair ({i[a]}, {j[a]}) must be finite and >= 0, got {d2[a]}"
+        )
+    return i, j, d2
 
 
 @dataclass(frozen=True)
@@ -211,6 +216,11 @@ class CliqueSeed:
 
 
 def _check_sizes(n: int, m: int, r: int) -> None:
+    for name, value in (("n", n), ("m", m), ("r", r)):
+        try:
+            operator.index(value)
+        except TypeError:
+            raise InvalidConfig(f"{name} must be an integer, got {value!r}") from None
     if n <= m or m < 0:
         raise InvalidConfig(f"need n > m >= 0, got n={n}, m={m}")
     if r < 1:
@@ -274,44 +284,35 @@ def build_partial_edm(inst: Instance) -> PartialEDM:
     """
     n, m, R = inst.n, inst.m, inst.radio_range
     sigma = inst.noise_factor
-    pedm = PartialEDM(
-        n=n, m=m, dim=inst.r, radio_range=R, noise_factor=sigma
-    )
     P = inst.points
-    pairs = cKDTree(P).query_pairs(R, output_type="ndarray").reshape(-1, 2)
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    noise_rng = _streams(inst.seed)[1]
     first_anchor = n - m
-    adj = pedm.adj
-    # in chunks, so that the temporaries stay small
-    for s in range(0, len(pairs), 4096):
-        ij = pairs[s : s + 4096]
-        diff = P[ij[:, 0]] - P[ij[:, 1]]
-        # sqrt(vecdot) gives the same bits as a scalar norm() of each difference
-        d = np.sqrt(np.vecdot(diff, diff))
-        keep = d < R
-        ij, d = ij[keep], d[keep]
-        # one draw per noisy pair in lexicographic order: the same stream as
-        # one scalar draw each
-        noisy = (ij[:, 0] < first_anchor) & (sigma > 0)
-        eps = np.zeros(d.size)
-        eps[noisy] = noise_rng.standard_normal(np.count_nonzero(noisy))
-        # the two columns as flat lists: a list per pair would keep the
-        # cyclic garbage collector busy
-        for i, j, dt, et, nz in zip(ij[:, 0].tolist(), ij[:, 1].tolist(), d.tolist(),
-                                    eps.tolist(), noisy.tolist()):
-            # Python's float power: numpy's square rounds differently
-            v = (dt * (1.0 + sigma * et)) ** 2 if nz else dt * dt
-            adj[i][j] = v
-            adj[j][i] = v
+    pairs = cKDTree(P).query_pairs(R, output_type="ndarray").reshape(-1, 2)
+    # pairs of anchors are measured below, whatever their distance
+    pairs = pairs[pairs[:, 0] < first_anchor]
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    diff = P[pairs[:, 0]] - P[pairs[:, 1]]
+    # sqrt(vecdot) gives the same bits as a scalar norm() of each difference
+    d = np.sqrt(np.vecdot(diff, diff))
+    keep = d < R
+    pairs, d = pairs[keep], d[keep]
+    d2 = d * d
+    if sigma > 0:
+        # one draw per pair in lexicographic order: the same stream as one
+        # scalar draw each; Python's float power, as numpy's square rounds
+        # differently
+        eps = _streams(inst.seed)[1].standard_normal(d.size)
+        d2 = np.array([(dt * (1.0 + sigma * et)) ** 2
+                       for dt, et in zip(d.tolist(), eps.tolist())])
     # anchors know each other regardless of range, without noise
-    for a in range(first_anchor, n):
-        diff = P[a + 1 :] - P[a]
-        d = np.sqrt(np.vecdot(diff, diff))
-        for b, v in enumerate((d * d).tolist(), start=a + 1):
-            adj[a][b] = v
-            adj[b][a] = v
-    return pedm
+    a, b = np.triu_indices(m, 1)
+    a, b = a + first_anchor, b + first_anchor
+    diff = P[b] - P[a]
+    d = np.sqrt(np.vecdot(diff, diff))
+    return PartialEDM(
+        n=n, m=m, dim=inst.r, radio_range=R, noise_factor=sigma,
+        i=np.concatenate([pairs[:, 0], a]), j=np.concatenate([pairs[:, 1], b]),
+        d2=np.concatenate([d2, d * d]),
+    )
 
 
 def half_range_cliques(pedm: PartialEDM) -> list[CliqueSeed]:
@@ -322,17 +323,16 @@ def half_range_cliques(pedm: PartialEDM) -> list[CliqueSeed]:
     can be perturbed, membership is verified pairwise and offending nodes are
     dropped (nearest kept first); the returned sets are always cliques.
 
-    The near sets come from the pair index, grouped by size, and all their
-    pairs are checked in vectorized lookups.  A node whose near set is
-    measured in full takes all of it, which is what the nearest-first pass
-    gives then; only the others run that pass.
+    The near sets come from the rows of the measured pairs, grouped by size,
+    and all their pairs are checked in vectorized lookups.  A node whose
+    near set is measured in full takes all of it, which is what the
+    nearest-first pass gives then; only the others run that pass.
     """
     n = pedm.n
     half_sq = (pedm.radio_range / 2.0) ** 2
-    keys, d2 = pedm._pair_index()
-    near_keys = keys[d2 <= half_sq]
-    centers = near_keys // n
-    near_cols = near_keys - centers * n
+    near = pedm.d2 <= half_sq
+    centers = pedm._keys[:-1][near] // n
+    near_cols, near_d2 = pedm.indices[near], pedm.d2[near]
     size = np.bincount(centers, minlength=n)
     start = np.cumsum(size) - size
     members: list = [None] * n
@@ -343,7 +343,8 @@ def half_range_cliques(pedm: PartialEDM) -> list[CliqueSeed]:
     for s in np.unique(size).tolist():
         nodes = np.flatnonzero(size == s)
         # (c, s): each node's near set, in ascending id order
-        sets = near_cols[start[nodes, None] + np.arange(s)]
+        at = start[nodes, None] + np.arange(s)
+        sets = near_cols[at]
         full = np.empty(nodes.size, dtype=bool)
         iu, ju = np.triu_indices(s, 1)
         step = max(1, _PAIR_BLOCK // max(iu.size, 1))
@@ -353,24 +354,18 @@ def half_range_cliques(pedm: PartialEDM) -> list[CliqueSeed]:
         whole = np.sort(np.column_stack([sets[full], nodes[full]]), axis=1)
         for i, clique in zip(nodes[full].tolist(), whole.tolist()):
             members[i] = tuple(map(ids.__getitem__, clique))
-        for i, near in zip(nodes[~full].tolist(), sets[~full].tolist()):
-            members[i] = _nearest_first(pedm, i, near)
+        for i, near_ids, d2 in zip(nodes[~full].tolist(), sets[~full].tolist(),
+                                   near_d2[at[~full]].tolist()):
+            # nearest first, ties by id, taking each node measured to every
+            # member so far
+            order = [j for _, j in sorted(zip(d2, near_ids))]
+            members[i] = tuple(sorted([i] + pedm.greedy_clique(order)))
     return [CliqueSeed(center=i, members=m) for i, m in zip(ids, members)]
-
-
-def _nearest_first(pedm: PartialEDM, i: int, near) -> tuple[int, ...]:
-    """Sorted members of the clique that grows from center i through its
-    near nodes, nearest first (ties by id), taking each node measured to
-    every member so far."""
-    row = pedm.adj[i]
-    return tuple(sorted([i] + pedm.greedy_clique(sorted(near, key=lambda j: (row[j], j)))))
 
 
 def average_degree(pedm: PartialEDM) -> float:
     """Mean number of known neighbors per node, anchor-anchor edges included."""
-    if pedm.n == 0:
-        return 0.0
-    return sum(len(nbrs) for nbrs in pedm.adj) / pedm.n
+    return pedm.indices.size / pedm.n
 
 
 # --- problem / solution files ---------------------------------------------
@@ -401,7 +396,7 @@ def write_problem(path, pedm: PartialEDM, anchors: np.ndarray) -> None:
             f"snl v1 {pedm.n} {pedm.m} {pedm.dim} "
             f"{pedm.radio_range!r} {pedm.noise_factor!r}\n"
         )
-        for i, j, d2 in sorted(pedm.known_pairs()):
+        for i, j, d2 in pedm.known_pairs():
             fh.write(f"{i + 1} {j + 1} {d2:.17g}\n")
         fh.write("anchors\n")
         for row in anchors:
@@ -425,7 +420,8 @@ def read_problem(path) -> tuple[PartialEDM, np.ndarray]:
         raise ParseError(f"header needs n > m >= 0 and r >= 1, got n={n} m={m} r={r}", 1)
     if not (0.0 < R < math.inf and 0.0 <= sigma < math.inf):
         raise ParseError(f"header needs finite R > 0 and sigma >= 0, got R={R} sigma={sigma}", 1)
-    pedm = PartialEDM(n=n, m=m, dim=r, radio_range=R, noise_factor=sigma)
+    # (i, j) -> d2 of the pairs read so far, 0-based
+    known: dict[tuple[int, int], float] = {}
     anchors = np.zeros((m, r))
     mode = "pairs"
     anchor_row = 0
@@ -446,11 +442,11 @@ def read_problem(path) -> tuple[PartialEDM, np.ndarray]:
                 raise ParseError(f"malformed pair line {text!r}", lineno) from None
             if not (1 <= i < j <= n):
                 raise ParseError(f"pair indices out of order or range: {text!r}", lineno)
-            if pedm.is_known(i - 1, j - 1):
+            if (i - 1, j - 1) in known:
                 raise ParseError(f"duplicate pair ({i}, {j})", lineno)
             if not 0.0 <= d2 < math.inf:
                 raise ParseError(f"squared distance must be finite and >= 0: {text!r}", lineno)
-            pedm.add_pair(i - 1, j - 1, d2)
+            known[i - 1, j - 1] = d2
         else:
             parts = text.split()
             if anchor_row >= m:
@@ -468,6 +464,9 @@ def read_problem(path) -> tuple[PartialEDM, np.ndarray]:
         raise ParseError("missing 'anchors' section", len(lines))
     if anchor_row != m:
         raise ParseError(f"expected {m} anchor lines, found {anchor_row}", len(lines))
+    ij = np.array(list(known), dtype=np.int64).reshape(-1, 2)
+    pedm = PartialEDM(n=n, m=m, dim=r, radio_range=R, noise_factor=sigma,
+                      i=ij[:, 0], j=ij[:, 1], d2=list(known.values()))
     return pedm, anchors
 
 

@@ -128,7 +128,7 @@ def _find_rigid_seed(nodes: np.ndarray, pedm, r: int, tol: Tolerances):
     for si in start_idx:
         s = int(nodes[si])
         members = [s] + pedm.greedy_clique(
-            (j for j in sorted(pedm.adj[s]) if j in node_set), max_size - 1
+            (j for j in pedm.row(s) if j in node_set), max_size - 1
         )
         if len(members) < r + 1:
             continue

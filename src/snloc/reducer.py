@@ -33,8 +33,8 @@ The loop processes cliques by ascending id.  The clique under consideration
 shared nodes with clique l, acnt[w] the number of grower nodes adjacent to
 the outside node w.  One routine counts both, for the grower's own nodes
 when its turn starts and for each merge's new nodes, so candidate search
-never rescans the whole family; acnt is counted on first use, from the
-outside nodes' adjacency once the grower holds more than half the nodes.  One table gives the steps
+never rescans the whole family; acnt is counted on first use, in one
+bincount over the rows of the grower's nodes.  One table gives the steps
 in priority order; each picks from cnt (unions) or acnt (absorptions) an
 overlap >= r+1 (rigid) or exactly r (singular).  The rigid steps take the
 largest overlap, ties by ascending id, from a max-heap over (count, -id)
@@ -197,13 +197,10 @@ class CliqueFamily:
 
     def build_seed_faces(self, tol: Tolerances) -> None:
         """Build the face of every clique that has none, in stacked
-        calls (``clique_faces``), and free the pair index they read;
-        face_of makes each FaceRep on first use."""
+        calls (``clique_faces``); face_of makes each FaceRep on first use."""
         todo = [cid for cid in self.cliques
                 if cid not in self.faces and cid not in self.seed_faces]
         entries = clique_faces(self.pedm, [self.cliques[cid] for cid in todo], self.dim, tol)
-        # the seed stage is over; the merges read adj
-        self.pedm.drop_lookup()
         for cid, entry in zip(todo, entries):
             if entry is None:
                 self.faces[cid] = None
@@ -272,15 +269,16 @@ def grow_cliques(family: CliqueFamily, max_size: int) -> None:
     if max_size <= family.dim + 1:
         raise InvalidConfig(f"max_size must exceed r+1, got {max_size}")
     pedm = family.pedm
+    degree = np.diff(pedm.indptr).tolist()
     for cid in sorted(family.cliques):
         nodes = family.cliques[cid]
         if len(nodes) >= max_size:
             continue
-        base = min(nodes, key=lambda u: len(pedm.adj[u]))
-        cand = set(pedm.adj[base]) - nodes
+        base = min(nodes, key=degree.__getitem__)
+        cand = set(pedm.row(base)) - nodes
         for u in nodes:
             if u != base:
-                cand &= pedm.adj[u].keys()
+                cand.intersection_update(pedm.row(u))
         for j in pedm.greedy_clique(sorted(cand), max_size - len(nodes)):
             nodes.add(j)
             family.membership[j].add(cid)
@@ -378,15 +376,13 @@ def _pick_delta(comp, beta: list, r: int, tol: Tolerances):
 def _measured_edges(nodes, pedm):
     """(row, row, squared distance) of every measured pair among ``nodes``,
     rows indexing ``nodes``, as three arrays."""
-    idx = {int(u): a for a, u in enumerate(nodes)}
-    rows_a, rows_b, known = [], [], []
-    for u, a in idx.items():
-        for v, d2 in pedm.adj[u].items():
-            if v > u and v in idx:
-                rows_a.append(a)
-                rows_b.append(idx[v])
-                known.append(d2)
-    return np.array(rows_a, dtype=np.intp), np.array(rows_b, dtype=np.intp), np.array(known)
+    nodes = np.asarray(nodes, dtype=np.int64)
+    rows_a, nbrs, known = pedm.gather(nodes)
+    order = np.argsort(nodes)
+    pos = np.minimum(np.searchsorted(nodes, nbrs, sorter=order), nodes.size - 1)
+    rows_b = order[pos]
+    hit = (nodes[rows_b] == nbrs) & (nbrs > nodes[rows_a])
+    return rows_a[hit], rows_b[hit], known[hit]
 
 
 def _is_feasible(comp, pedm, tol: Tolerances, edges=None) -> bool:
@@ -407,17 +403,16 @@ def _is_feasible(comp, pedm, tol: Tolerances, edges=None) -> bool:
         R2 = pedm.radio_range ** 2
         slack = tol.feas_tol + 6.0 * sigma * R2
         k = nodes.size
-        ids = nodes.tolist()
         # all pairs, in row blocks of about 2^18 pairs; only the pairs that come
-        # out too close need the adjacency lookup
+        # out too close need the pair lookup
         step = max(1, (1 << 18) // max(k, 1))
         for start in range(0, k, step):
             diff = coords[start : start + step, None, :] - coords[None, :, :]
             a_idx, b_idx = np.nonzero(np.vecdot(diff, diff) < R2 - slack)
             a_idx += start
-            for a, b in zip(a_idx.tolist(), b_idx.tolist()):
-                if b > a and ids[b] not in pedm.adj[ids[a]]:
-                    return False
+            upper = b_idx > a_idx
+            if not pedm.lookup(nodes[a_idx[upper]], nodes[b_idx[upper]])[0].all():
+                return False
     return True
 
 
@@ -464,16 +459,13 @@ def _common_nodes(family: CliqueFamily, i: int, j: int):
     return cliques[i] & cliques[j]
 
 
-def _cross_edges(adj, Ci, Cj) -> int:
+def _cross_edges(pedm, Ci, Cj) -> int:
     """Measured edges between Cj minus Ci and Ci minus Cj (cross edges); scans
-    Cj's private nodes, as the partner j is usually the smaller clique."""
-    count = 0
-    for u in Cj:
-        if u not in Ci:
-            for v in adj[u]:
-                if v in Ci and v not in Cj:
-                    count += 1
-    return count
+    the rows of the smaller clique's private nodes."""
+    if len(Cj) > len(Ci):
+        Ci, Cj = Cj, Ci
+    return sum(1 for u in Cj if u not in Ci
+               for v in pedm.row(u) if v in Ci and v not in Cj)
 
 
 def _neighbors_in(family: CliqueFamily, i: int, j: int):
@@ -482,7 +474,7 @@ def _neighbors_in(family: CliqueFamily, i: int, j: int):
     Ci = family.cliques.get(i)
     if Ci is None or j in Ci:
         return None
-    return sorted(u for u in family.pedm.adj[j] if u in Ci)
+    return [u for u in family.pedm.row(j) if u in Ci]
 
 
 def _mixed_submatrix(family: CliqueFamily, cid: int, nodes: list, tol: Tolerances):
@@ -492,10 +484,11 @@ def _mixed_submatrix(family: CliqueFamily, cid: int, nodes: list, tol: Tolerance
     Synthesized values are ephemeral; they are never written back into the
     measured data.  Returns None when a missing pair cannot be synthesized.
     """
-    adj = family.pedm.adj
+    ids = np.asarray(nodes, dtype=np.int64)
+    known, D = family.pedm.lookup(ids[:, None], ids[None, :])
     # a node is not its own neighbour, and a measured distance is finite:
     # NaN marks the diagonal and the missing pairs
-    D = np.array([[row.get(v, math.nan) for v in nodes] for row in map(adj.__getitem__, nodes)])
+    D[~known] = math.nan
     np.fill_diagonal(D, 0.0)
     a, b = np.nonzero(np.isnan(D))
     if a.size:
@@ -589,7 +582,7 @@ def nonrigid_clique_union(family: CliqueFamily, i: int, j: int, tol: Tolerances)
     # the two candidates differ only in the distances between the private
     # sides: without a measured one no data can decide (on noisy data an
     # accept would be a round-off coin flip), but the range bounds still can
-    if not tol.use_range_bounds and not _cross_edges(family.pedm.adj, Ci, Cj):
+    if not tol.use_range_bounds and not _cross_edges(family.pedm, Ci, Cj):
         return False
     beta = sorted(common)
     merged = _singular_merge(
@@ -726,19 +719,14 @@ def _wave_merge(family: CliqueFamily, gid: int, wave, tol: Tolerances):
             [l for l, _ in wave if l in later])
 
 
-def _outside_counts(adj, Ci) -> dict:
+def _outside_counts(pedm, Ci) -> dict:
     """Each node outside Ci that has a neighbour in Ci -> its number of
-    neighbours in Ci.  Counted from Ci's adjacency, or from the outside
-    nodes' when Ci holds more than half the nodes, which walks less."""
-    if 2 * len(Ci) > len(adj):
-        counts = {}
-        for w, nbrs in enumerate(adj):
-            if w not in Ci:
-                c = len(Ci.intersection(nbrs))
-                if c:
-                    counts[w] = c
-        return counts
-    return Counter(w for u in Ci for w in adj[u] if w not in Ci)
+    neighbours in Ci, in one bincount over the rows of Ci's nodes."""
+    nodes = np.fromiter(Ci, dtype=np.int64, count=len(Ci))
+    counts = np.bincount(pedm.gather(nodes)[1], minlength=pedm.n)
+    counts[nodes] = 0
+    w = np.flatnonzero(counts)
+    return dict(zip(w.tolist(), counts[w].tolist()))
 
 
 def _exhaust_grower(family, gid, level, tol, trace) -> bool:
@@ -749,7 +737,7 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
     the grower mutates, so opportunities between other cliques are
     unaffected and get their turn later in the pass.
     """
-    adj = family.pedm.adj
+    pedm = family.pedm
     r = family.dim
     Ci = family.cliques[gid]
     # a singular absorption decides only with the range bounds
@@ -772,7 +760,7 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
     def count_neighbors(nodes):
         for u in nodes:
             acnt.pop(u, None)
-            for w in adj[u]:
+            for w in pedm.row(u):
                 if w not in Ci:
                     bump(acnt, heaps[True], w)
 
@@ -792,7 +780,7 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
             return len(Ci)
         x = cross.get(l)
         if x is None:
-            x = cross[l] = _cross_edges(adj, Ci, family.cliques[l])
+            x = cross[l] = _cross_edges(pedm, Ci, family.cliques[l])
         return x
 
     def record(step, l):
@@ -841,7 +829,7 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
         for name, step, absorb, singular in rows:
             if absorb and acnt is None:
                 # the heap entries that bumping each count one by one pushes
-                acnt = _outside_counts(adj, Ci)
+                acnt = _outside_counts(pedm, Ci)
                 heap = heaps[True]
                 heap.extend((-c, w) for w, k in acnt.items() for c in range(r + 1, k + 1))
                 heapq.heapify(heap)

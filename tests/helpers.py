@@ -26,12 +26,8 @@ def complete_pedm(P: np.ndarray, m: int = 0, radio_range: float = 10.0) -> Parti
     """PartialEDM with every pairwise distance known."""
     P = np.asarray(P, dtype=float)
     n, r = P.shape
-    pedm = PartialEDM(n=n, m=m, dim=r, radio_range=radio_range)
-    D = edm_of(P)
-    for i in range(n):
-        for j in range(i + 1, n):
-            pedm.add_pair(i, j, float(D[i, j]))
-    return pedm
+    i, j = np.triu_indices(n, 1)
+    return PartialEDM(n=n, m=m, dim=r, radio_range=radio_range, i=i, j=j, d2=edm_of(P)[i, j])
 
 
 def pedm_from_pairs(P: np.ndarray, pairs, m: int = 0, radio_range: float = 10.0,
@@ -41,12 +37,24 @@ def pedm_from_pairs(P: np.ndarray, pairs, m: int = 0, radio_range: float = 10.0,
     in the order of pairs, as ``build_partial_edm`` perturbs them."""
     P = np.asarray(P, dtype=float)
     n, r = P.shape
-    pedm = PartialEDM(n=n, m=m, dim=r, radio_range=radio_range, noise_factor=sigma)
+    pairs = list(pairs)
+    d2 = []
     for i, j in pairs:
         d = P[i] - P[j]
         scale = 1.0 + sigma * rng.standard_normal() if sigma > 0 else 1.0
-        pedm.add_pair(i, j, float(d @ d) * scale * scale)
-    return pedm
+        d2.append(float(d @ d) * scale * scale)
+    i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return PartialEDM(n=n, m=m, dim=r, radio_range=radio_range, noise_factor=sigma,
+                      i=i, j=j, d2=d2)
+
+
+def adjacency(pedm) -> list[dict]:
+    """Brute-force reference of the measured pairs: one dict per node,
+    mapping each neighbour to the squared distance, from ``known_pairs``."""
+    adj = [{} for _ in range(pedm.n)]
+    for i, j, d2 in pedm.known_pairs():
+        adj[i][j] = adj[j][i] = d2
+    return adj
 
 
 def face_of_points(nodes, P: np.ndarray, r: int, tol: Tolerances | None = None) -> FaceRep:
@@ -63,7 +71,8 @@ def scalar_partial_edm(inst) -> PartialEDM:
     from scipy.spatial import cKDTree
 
     n, m, R, sigma = inst.n, inst.m, inst.radio_range, inst.noise_factor
-    pedm = PartialEDM(n=n, m=m, dim=inst.r, radio_range=R, noise_factor=sigma)
+    # (i, j) -> squared distance, i < j
+    known = {}
     pairs = cKDTree(inst.points).query_pairs(R, output_type="ndarray")
     if pairs.size:
         pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
@@ -77,14 +86,16 @@ def scalar_partial_edm(inst) -> PartialEDM:
             continue
         if sigma > 0 and not (i >= first_anchor and j >= first_anchor):
             eps = noise_rng.standard_normal()
-            pedm.add_pair(i, j, (d * (1.0 + sigma * eps)) ** 2)
+            known[i, j] = (d * (1.0 + sigma * eps)) ** 2
         else:
-            pedm.add_pair(i, j, d * d)
+            known[i, j] = d * d
     for a in range(first_anchor, n):
         for b in range(a + 1, n):
             d = float(np.linalg.norm(inst.points[a] - inst.points[b]))
-            pedm.add_pair(a, b, d * d)
-    return pedm
+            known[a, b] = d * d
+    i, j = np.array(list(known), dtype=np.int64).reshape(-1, 2).T
+    return PartialEDM(n=n, m=m, dim=inst.r, radio_range=R, noise_factor=sigma,
+                      i=i, j=j, d2=list(known.values()))
 
 
 def scalar_half_range_cliques(pedm):
@@ -92,16 +103,17 @@ def scalar_half_range_cliques(pedm):
     pass over its near set through the adjacency dictionaries."""
     from snloc.instance import CliqueSeed
 
+    adj = adjacency(pedm)
     half_sq = (pedm.radio_range / 2.0) ** 2
     seeds = []
     for i in range(pedm.n):
         near = sorted(
-            (j for j, d2 in pedm.adj[i].items() if d2 <= half_sq),
-            key=lambda j: (pedm.adj[i][j], j),
+            (j for j, d2 in adj[i].items() if d2 <= half_sq),
+            key=lambda j: (adj[i][j], j),
         )
         members = [i]
         for j in near:
-            row = pedm.adj[j]
+            row = adj[j]
             if all(u == i or u in row for u in members):
                 members.append(j)
         seeds.append(CliqueSeed(center=i, members=tuple(sorted(members))))
@@ -113,8 +125,9 @@ def scalar_known_distances_ok(comp, pedm, tol: Tolerances) -> bool:
     edge at a time, as the reducer checked them before vectorizing."""
     idx = {int(u): a for a, u in enumerate(comp.nodes)}
     sigma = pedm.noise_factor
+    adj = adjacency(pedm)
     for u, a in idx.items():
-        for v, d2 in pedm.adj[u].items():
+        for v, d2 in adj[u].items():
             if v > u and v in idx:
                 diff = comp.coords[a] - comp.coords[idx[v]]
                 if abs(float(diff @ diff) - d2) > tol.feas_tol + 6.0 * sigma * d2:

@@ -156,6 +156,16 @@ def test_cli_rejects_invalid_tolerances_with_a_usage_error(flags, message, tmp_p
         assert message in capsys.readouterr().err
 
 
+def test_cli_reports_a_malformed_problem_file_as_a_usage_error(tmp_path, capsys):
+    # a bad pair line used to end the run in a ParseError traceback
+    problem = tmp_path / "bad.snl"
+    problem.write_text("snl v1 4 1 2 0.5 0\n1 2 0.25\n1 2 x\nanchors\n0.1 0.2\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--problem", str(problem)])
+    assert exit_info.value.code == 2
+    assert "line 3: malformed pair line '1 2 x'" in capsys.readouterr().err
+
+
 def test_cli_tolerances_default_to_the_noise(tmp_path, monkeypatch):
     # the flags' old defaults (--tol 1e-9, --feas-tol 1e-6) were always
     # passed, so a noisy run got feas_tol=1e-6 instead of 10 sigma

@@ -16,7 +16,13 @@ from snloc.instance import (
     write_solution,
 )
 
-from helpers import complete_pedm, pedm_from_pairs, scalar_half_range_cliques, scalar_partial_edm
+from helpers import (
+    adjacency,
+    complete_pedm,
+    pedm_from_pairs,
+    scalar_half_range_cliques,
+    scalar_partial_edm,
+)
 
 
 def test_generate_deterministic():
@@ -65,10 +71,29 @@ def test_partial_edm_rejects_bad_sizes(n, m, dim):
         PartialEDM(n=n, m=m, dim=dim, radio_range=0.5)
 
 
-def test_partial_edm_rejects_adjacency_of_another_length():
+@pytest.mark.parametrize("n, m, dim", [(3.5, 0, 2), (4, 1.0, 2), (4, 1, 2.0), ("4", 1, 2)],
+                         ids=["n-float", "m-float", "dim-float", "n-str"])
+def test_partial_edm_rejects_non_integer_sizes(n, m, dim):
+    # these raised a bare TypeError from the size comparison or from range()
     with pytest.raises(InvalidConfig):
-        PartialEDM(n=3, m=0, dim=2, radio_range=0.5, adj=[{}, {}])
-    assert len(PartialEDM(n=3, m=0, dim=2, radio_range=0.5, adj=[{}, {}, {}]).adj) == 3
+        PartialEDM(n=n, m=m, dim=dim, radio_range=0.5)
+
+
+@pytest.mark.parametrize("n, m, r", [(5.5, 2, 2), (5, 2, 2.0)], ids=["n-float", "r-float"])
+def test_generate_rejects_non_integer_sizes(n, m, r):
+    with pytest.raises(InvalidConfig):
+        generate_instance(n, m, r, seed=0, radio_range=0.5)
+
+
+@pytest.mark.parametrize(
+    "i, j, d2",
+    [([0, 1], [1], [0.5, 0.5]), ([0], [1], [0.5, 0.5]), ([[0]], [[1]], [[0.5]]), (0, 1, 0.5)],
+    ids=["ids-of-two-lengths", "d2-longer", "two-d", "scalars"],
+)
+def test_partial_edm_rejects_pair_arrays_of_other_shapes(i, j, d2):
+    with pytest.raises(InvalidConfig):
+        PartialEDM(n=3, m=0, dim=2, radio_range=0.5, i=i, j=j, d2=d2)
+    assert PartialEDM(n=3, m=0, dim=2, radio_range=0.5, i=[0], j=[1], d2=[0.5]).indices.size == 2
 
 
 def test_noise_stream_does_not_move_points():
@@ -91,13 +116,14 @@ def test_build_exact_when_noiseless():
      (300, 6, 3, 0.3, 1e-4), (40, 30, 2, 0.2, 1e-2)],
 )
 def test_build_matches_scalar_reference(n, m, r, R, sigma):
-    # same values bit for bit and the same dict insertion order, which the
-    # reduction loop's iteration order depends on
+    # the same pairs and the same values, bit for bit
     for seed in (0, 1):
         inst = generate_instance(n, m, r, seed=seed, radio_range=R, noise_factor=sigma)
         got = build_partial_edm(inst)
         ref = scalar_partial_edm(inst)
-        assert [list(a.items()) for a in got.adj] == [list(a.items()) for a in ref.adj]
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert got.d2.tobytes() == ref.d2.tobytes()
 
 
 def test_build_threshold_is_strict():
@@ -106,11 +132,11 @@ def test_build_threshold_is_strict():
     pts = np.array([[0.1, 0.1], [0.1 + R + 0.01, 0.1], [0.9, 0.9], [0.2, 0.8]])
     inst = Instance(n=4, m=0, r=2, points=pts, radio_range=R, noise_factor=0.0, seed=0)
     pedm = build_partial_edm(inst)
-    assert not pedm.is_known(0, 1)
+    assert not pedm.lookup(0, 1)[0]
     pts2 = pts.copy()
     pts2[1, 0] = 0.1 + R - 0.01
     inst2 = Instance(n=4, m=0, r=2, points=pts2, radio_range=R, noise_factor=0.0, seed=0)
-    assert build_partial_edm(inst2).is_known(0, 1)
+    assert build_partial_edm(inst2).lookup(0, 1)[0]
 
 
 def test_build_anchor_block_always_known_and_exact():
@@ -121,14 +147,15 @@ def test_build_anchor_block_always_known_and_exact():
         for b in anchors:
             if a < b:
                 true = float(np.sum((inst.points[a] - inst.points[b]) ** 2))
-                assert pedm.adj[a][b] == pytest.approx(true, rel=1e-14)
+                known, d2 = pedm.lookup(a, b)
+                assert known and d2 == pytest.approx(true, rel=1e-14)
 
 
 def test_build_symmetry():
     inst = generate_instance(80, 4, 2, seed=2, radio_range=0.3, noise_factor=1e-3)
     pedm = build_partial_edm(inst)
     for i, j, d2 in pedm.known_pairs():
-        assert pedm.adj[j][i] == d2
+        assert pedm.lookup(j, i) == (True, d2)
 
 
 def test_noise_magnitude_half_normal():
@@ -176,10 +203,8 @@ def test_half_range_pairwise_known():
     inst = generate_instance(150, 4, 2, seed=5, radio_range=0.25, noise_factor=1e-2)
     pedm = build_partial_edm(inst)
     for seed in half_range_cliques(pedm):
-        members = list(seed.members)
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                assert pedm.is_known(members[a], members[b])
+        # NotAClique unless every pair is measured
+        pedm.submatrix(seed.members)
 
 
 @pytest.mark.parametrize(
@@ -194,7 +219,8 @@ def test_half_range_matches_scalar_reference(n, m, r, R, sigma, seed):
     # noise leaves pairs inside half the range unmeasured, so some nodes
     # drop part of their near set (12 at seed 1)
     half_sq = (R / 2) ** 2
-    dropped = sum(len(s.members) <= sum(d2 <= half_sq for d2 in pedm.adj[s.center].values())
+    adj = adjacency(pedm)
+    dropped = sum(len(s.members) <= sum(d2 <= half_sq for d2 in adj[s.center].values())
                   for s in seeds)
     assert (dropped > 0) == (sigma > 0)
 
@@ -217,7 +243,7 @@ def test_average_degree():
     assert average_degree(path3) == pytest.approx(4.0 / 3.0)
     inst = generate_instance(80, 4, 2, seed=4, radio_range=0.3)
     pedm = build_partial_edm(inst)
-    brute = sum(len(pedm.adj[j]) for j in range(80)) / 80
+    brute = sum(len(row) for row in adjacency(pedm)) / 80
     assert average_degree(pedm) == pytest.approx(brute)
 
 
@@ -288,37 +314,42 @@ def test_problem_file_rejects_non_finite_values(tmp_path, body, line):
     assert err.value.line == line
 
 
-def test_add_pair_rejects_non_finite_and_negative():
-    pedm = PartialEDM(n=3, m=0, dim=2, radio_range=1.0)
+def test_partial_edm_rejects_non_finite_and_negative_d2():
     for bad in (float("nan"), float("inf"), -float("inf"), -0.5):
         with pytest.raises(InvalidConfig):
-            pedm.add_pair(0, 1, bad)
-    assert not pedm.is_known(0, 1)
+            PartialEDM(n=3, m=0, dim=2, radio_range=1.0, i=[0, 1], j=[2, 0], d2=[0.5, bad])
+    with pytest.raises(InvalidConfig):
+        PartialEDM(n=3, m=0, dim=2, radio_range=1.0, i=[0], j=[1], d2=["x"])
 
 
-def test_add_pair_rejects_node_ids_out_of_range():
-    # -1 used to land in adj[0] and adj[2] of an n=3 instance, and 5 raised
-    # a bare IndexError
-    pedm = pedm_from_pairs(np.zeros((3, 2)), [(0, 2)])
-    before = [dict(row) for row in pedm.adj]
-    for i, j in ((-1, 0), (0, 5), (0, 3), (1.0, 2), ("0", 1)):
+def test_partial_edm_rejects_bad_node_ids():
+    # -1 used to land in the rows of nodes 0 and 2 of an n=3 instance, and
+    # 5 raised a bare IndexError
+    for i, j in ((-1, 0), (0, 5), (0, 3), (1.0, 2), ("0", 1), (1, 1)):
         with pytest.raises(InvalidConfig):
-            pedm.add_pair(i, j, 0.5)
-    assert pedm.adj == before
-    pedm.add_pair(np.int64(0), np.int32(1), 0.5)
-    assert pedm.adj[1] == {0: 0.5}
+            PartialEDM(n=3, m=0, dim=2, radio_range=1.0, i=[0, i], j=[2, j], d2=[0.25, 0.5])
+    pedm = PartialEDM(n=3, m=0, dim=2, radio_range=1.0, i=np.array([0], dtype=np.int32),
+                      j=np.array([1], dtype=np.uint8), d2=[0.5])
+    assert pedm.row(1) == [0] and pedm.lookup(1, 0) == (True, 0.5)
 
 
-def test_lookup_sees_pairs_added_after_it():
+@pytest.mark.parametrize("pairs", [[(0, 1), (2, 3), (0, 1)], [(0, 1), (1, 0)]],
+                         ids=["same-orientation", "mirrored"])
+def test_partial_edm_rejects_a_duplicate_pair(pairs):
+    i, j = np.array(pairs).T
+    with pytest.raises(InvalidConfig, match=r"pair \(0, 1\)"):
+        PartialEDM(n=4, m=0, dim=2, radio_range=1.0, i=i, j=j, d2=np.ones(len(pairs)))
+
+
+def test_lookup_answers_known_and_unknown_pairs():
     pedm = pedm_from_pairs(np.zeros((4, 2)), [(0, 2)])
     known, d2 = pedm.lookup(np.array([0, 2, 0, 3]), np.array([2, 0, 1, 3]))
     assert known.tolist() == [True, True, False, False]
     assert d2[:2].tolist() == [0.0, 0.0]
-    pedm.add_pair(1, 0, 0.25)
-    known, d2 = pedm.lookup(np.array([0, 1]), np.array([1, 0]))
-    assert known.all() and d2.tolist() == [0.25, 0.25]
-    pedm.drop_lookup()
-    assert pedm.lookup([3], [0])[0].tolist() == [False]
+    # the largest key sits below the sentinel
+    assert pedm.lookup([3], [3])[0].tolist() == [False]
+    empty = PartialEDM(n=2, m=0, dim=2, radio_range=1.0)
+    assert empty.lookup([0, 1], [1, 0])[0].tolist() == [False, False]
 
 
 def test_write_problem_rejects_non_finite_anchors(tmp_path):

@@ -41,6 +41,7 @@ from snloc.reducer import (
 from snloc.solver import localize
 
 from helpers import (
+    adjacency,
     check_consistency,
     complete_pedm,
     edm_of,
@@ -119,10 +120,8 @@ def test_grow_cliques_produces_cliques():
     fam = init_family(pedm, half_range_cliques(pedm))
     grow_cliques(fam, 9)
     for cid in fam.cliques:
-        nodes = sorted(fam.cliques[cid])
-        for a in range(len(nodes)):
-            for b in range(a + 1, len(nodes)):
-                assert pedm.is_known(nodes[a], nodes[b])
+        # NotAClique unless every pair is measured
+        pedm.submatrix(sorted(fam.cliques[cid]))
     with pytest.raises(InvalidConfig):
         grow_cliques(fam, 3)
 
@@ -475,8 +474,9 @@ def test_run_soundness_known_distances_reproduced():
     face = fam.face_of(cid, TOL)
     comp = points_from_face(face, pedm, TOL)
     idx = {int(u): i for i, u in enumerate(comp.nodes)}
+    adj = adjacency(pedm)
     for u in idx:
-        for v, d2 in pedm.adj[u].items():
+        for v, d2 in adj[u].items():
             if v > u and v in idx:
                 diff = comp.coords[idx[u]] - comp.coords[idx[v]]
                 assert abs(float(diff @ diff) - d2) <= 1e-9
@@ -660,33 +660,34 @@ def test_cross_edges_match_a_brute_force_count():
     ids = sorted(fam.cliques)
     cliques = [fam.cliques[c] for c in ids]
     assert max(len(C) for C in cliques) > 30
+    adj = adjacency(pedm)
     pairs = 0
     for Ci in cliques:
         for Cj in cliques:
             if Ci is Cj or not Ci & Cj:
                 continue
             only_i, only_j = Ci - Cj, Cj - Ci
-            want = sum(1 for u in only_i for v in only_j if v in pedm.adj[u])
-            assert reducer._cross_edges(pedm.adj, Ci, Cj) == want
+            want = sum(1 for u in only_i for v in only_j if v in adj[u])
+            assert reducer._cross_edges(pedm, Ci, Cj) == want
             pairs += 1
     assert pairs > 100
 
 
 @pytest.mark.parametrize("size", [40, 260])
 def test_outside_counts_match_a_brute_force_count(size):
-    # a grower of more than half the nodes is counted from the outside nodes'
-    # adjacency, a smaller one from its own
+    # a grower of fewer and of more than half the nodes
     inst = generate_instance(300, 4, 2, seed=5, radio_range=GOLDEN_R)
     pedm = build_partial_edm(inst)
+    adj = adjacency(pedm)
     order = np.argsort(inst.points[:, 0], kind="stable")
     Ci = set(order[:size].tolist())
     want = {}
     for w in range(pedm.n):
-        c = sum(1 for u in Ci if w not in Ci and w in pedm.adj[u])
+        c = sum(1 for u in Ci if w not in Ci and w in adj[u])
         if c:
             want[w] = c
     assert len(want) >= 15
-    assert dict(reducer._outside_counts(pedm.adj, Ci)) == want
+    assert reducer._outside_counts(pedm, Ci) == want
 
 
 def test_singular_unions_reach_the_kernel_only_with_a_cross_edge(monkeypatch):
@@ -694,6 +695,7 @@ def test_singular_unions_reach_the_kernel_only_with_a_cross_edge(monkeypatch):
     # them without a measured edge between the two private sides, all failed
     inst = generate_instance(354, 8, 2, seed=0, radio_range=GOLDEN_R)
     pedm = build_partial_edm(inst)
+    adj = adjacency(pedm)
     union, kernel = reducer.nonrigid_clique_union, reducer._singular_merge
     partner, cross = [], []
 
@@ -707,7 +709,7 @@ def test_singular_unions_reach_the_kernel_only_with_a_cross_edge(monkeypatch):
     def traced_kernel(family, i, *args):
         if partner:
             Ci, Cj = family.cliques[i], family.cliques[partner[-1]]
-            cross.append(sum(v in Ci and v not in Cj for u in Cj - Ci for v in pedm.adj[u]))
+            cross.append(sum(v in Ci and v not in Cj for u in Cj - Ci for v in adj[u]))
         return kernel(family, i, *args)
 
     monkeypatch.setattr(reducer, "nonrigid_clique_union", traced_union)
@@ -796,12 +798,13 @@ def test_temp_clique_declines_a_pair_it_cannot_synthesize():
     # distance: the clique's rows cannot give it, so there is no temporary
     # clique; with the pair measured there is one
     P = RNG.random((6, 2))
-    pairs = [(i, j) for i in range(6) for j in range(i + 1, 6) if (i, j) != (4, 5)]
-    pedm = pedm_from_pairs(P, pairs)
-    fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3))])
+    pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    seeds = [CliqueSeed(center=0, members=(0, 1, 2, 3))]
+    fam = init_family(pedm_from_pairs(P, [p for p in pairs if p != (4, 5)]), seeds)
     cid = next(c for c, nodes in fam.cliques.items() if 0 in nodes)
     assert reducer._temp_clique(fam, cid, [0, 1, 4, 5], TOL) is None
-    pedm.add_pair(4, 5, float(((P[4] - P[5]) ** 2).sum()))
+    fam = init_family(pedm_from_pairs(P, pairs), seeds)
+    cid = next(c for c, nodes in fam.cliques.items() if 0 in nodes)
     D, (nodes, Q, W) = reducer._temp_clique(fam, cid, [0, 1, 4, 5], TOL)
     assert np.array_equal(nodes, [0, 1, 4, 5]) and Q.shape == (4, 2)
     assert np.allclose(D, edm_of(P[[0, 1, 4, 5]]), rtol=0, atol=1e-15)
