@@ -114,9 +114,9 @@ class PartialEDM:
         return self._indices_view[ptr[u] : ptr[u + 1]].tolist()
 
     @property
-    def adj(self):
-        """Each node's row (``row``), in node order."""
-        return map(self.row, range(self.n))
+    def adj(self) -> list[list[int]]:
+        """Each node's row (``row``), in node order, as a new list."""
+        return [self.row(u) for u in range(self.n)]
 
     def gather(self, nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(owner, neighbour, d2) of every entry of the rows of nodes, row

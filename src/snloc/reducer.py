@@ -33,8 +33,8 @@ The loop processes cliques by ascending id.  The clique under consideration
 shared nodes with clique l, acnt[w] the number of grower nodes adjacent to
 the outside node w.  One routine counts both, for the grower's own nodes
 when its turn starts and for each merge's new nodes, so candidate search
-never rescans the whole family; acnt is counted on first use, in one
-bincount over the rows of the grower's nodes.  One table gives the steps
+never rescans the whole family; acnt is counted on first use, over the
+rows of the grower's nodes.  One table gives the steps
 in priority order; each picks from cnt (unions) or acnt (absorptions) an
 overlap >= r+1 (rigid) or exactly r (singular).  The rigid steps take the
 largest overlap, ties by ascending id, from a max-heap over (count, -id)
@@ -721,12 +721,8 @@ def _wave_merge(family: CliqueFamily, gid: int, wave, tol: Tolerances):
 
 def _outside_counts(pedm, Ci) -> dict:
     """Each node outside Ci that has a neighbour in Ci -> its number of
-    neighbours in Ci, in one bincount over the rows of Ci's nodes."""
-    nodes = np.fromiter(Ci, dtype=np.int64, count=len(Ci))
-    counts = np.bincount(pedm.gather(nodes)[1], minlength=pedm.n)
-    counts[nodes] = 0
-    w = np.flatnonzero(counts)
-    return dict(zip(w.tolist(), counts[w].tolist()))
+    neighbours in Ci, counted over the rows of Ci's nodes."""
+    return Counter(w for u in Ci for w in pedm.row(u) if w not in Ci)
 
 
 def _exhaust_grower(family, gid, level, tol, trace) -> bool:

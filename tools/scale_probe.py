@@ -7,7 +7,7 @@ Usage, from the root of a source checkout:
 
 Each size is one L2 instance in the plane with 4 anchors, average degree
 about 29 (R = .07 sqrt(2004 / n), as rigid-scaling in ``bench/`` draws it)
-and instance seed ``--seed``, solved in a process of its own, so that each
+and instance seed 0, solved in a process of its own, so that each
 peak RSS covers one size.  Per size the script prints one line: set-up
 seconds (``generate_instance`` plus ``build_partial_edm``), solve seconds
 (``localize``), peak RSS of the process in MB, and sensors positioned.
@@ -33,6 +33,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 SIZES = (8004, 16004, 32004, 64004)
 ANCHORS = 4
+SEED = 0
 
 
 def radius(n: int) -> float:
@@ -40,14 +41,14 @@ def radius(n: int) -> float:
     return 0.07 * (2004 / n) ** 0.5
 
 
-def probe(n: int, seed: int) -> dict:
+def probe(n: int) -> dict:
     """Set up and solve one instance in this process; the record of it."""
     import resource
 
     from snloc import StepLevel, build_partial_edm, generate_instance, localize
 
     t0 = time.perf_counter()
-    inst = generate_instance(n, ANCHORS, 2, seed=seed, radio_range=radius(n))
+    inst = generate_instance(n, ANCHORS, 2, seed=SEED, radio_range=radius(n))
     t1 = time.perf_counter()
     pedm = build_partial_edm(inst)
     t2 = time.perf_counter()
@@ -55,7 +56,7 @@ def probe(n: int, seed: int) -> dict:
     t3 = time.perf_counter()
     # ru_maxrss is in KiB on Linux
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return {"n": n, "seed": seed, "generate_s": t1 - t0, "build_s": t2 - t1,
+    return {"n": n, "seed": SEED, "generate_s": t1 - t0, "build_s": t2 - t1,
             "setup_s": t2 - t0, "solve_s": t3 - t2, "peak_rss_mb": rss,
             "positioned": len(rep.positioned), "sensors": n - ANCHORS}
 
@@ -64,7 +65,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--src", default=str(ROOT / "src"), help="directory holding snloc")
     p.add_argument("--sizes", type=int, nargs="+", default=list(SIZES), metavar="N")
-    p.add_argument("--seed", type=int, default=0, help="instance seed")
     p.add_argument("--out", help="write the records to this JSON file")
     p.add_argument("--one", action="store_true",
                    help="probe the single size given, in this process, and print its record")
@@ -74,13 +74,12 @@ def main(argv=None) -> int:
         if len(args.sizes) != 1:
             p.error("--one takes a single size")
         sys.path.insert(0, src)
-        print(json.dumps(probe(args.sizes[0], args.seed)))
+        print(json.dumps(probe(args.sizes[0])))
         return 0
     records = []
     for n in args.sizes:
         done = subprocess.run(
-            [sys.executable, __file__, "--src", src, "--one", "--sizes", str(n),
-             "--seed", str(args.seed)],
+            [sys.executable, __file__, "--src", src, "--one", "--sizes", str(n)],
             capture_output=True, text=True, check=True)
         rec = json.loads(done.stdout.splitlines()[-1])
         print(f"n={rec['n']}: set-up {rec['setup_s']:.2f} s, solve {rec['solve_s']:.2f} s, "
