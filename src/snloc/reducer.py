@@ -34,14 +34,16 @@ shared nodes with clique l, acnt[w] the number of grower nodes adjacent to
 the outside node w.  One routine counts both, for the grower's own nodes
 when its turn starts and for each merge's new nodes, so candidate search
 never rescans the whole family; acnt is counted on first use, over the
-rows of the grower's nodes.  One table gives the steps
-in priority order; each picks from cnt (unions) or acnt (absorptions) an
-overlap >= r+1 (rigid) or exactly r (singular).  The rigid steps take the
-largest overlap, ties by ascending id, from a max-heap over (count, -id)
-with lazy deletion: every count above r is pushed as it is reached, and
-entries that are no longer current, or that failed, are dropped when they
-surface, so a pick costs O(log n) instead of a scan of the counters.  A
-failed rigid partner is retried once its count has grown.
+rows of the grower's nodes, and kept on the family when the turn ends, so
+the clique's next turn starts from it unless the clique has grown since.
+One table gives the steps in priority order; each picks from cnt (unions)
+or acnt (absorptions) an overlap >= r+1 (rigid) or exactly r (singular).
+The rigid steps take the largest overlap, ties by ascending id, from a
+max-heap over (count, -id) with lazy deletion: every count above r is
+pushed as it is reached, and entries that are no longer current, or that
+failed, are dropped when they surface, so a pick costs O(log n) instead of
+a scan of the counters.  A failed rigid partner is retried once its count
+has grown.
 
 Rigid unions go in waves.  A pick pops every ready partner (a current
 count above r that has not failed) whose count is at least three quarters
@@ -168,6 +170,9 @@ class CliqueFamily:
         self.seed_faces: dict[int, tuple[FaceStack, int]] = {}
         self.membership: list[set[int]] = [set() for _ in range(pedm.n)]
         self.anchor_clique_id: int | None = None
+        # clique id -> (its size, its outside counts) as its last turn in the
+        # reduction loop left them (``_exhaust_grower``)
+        self.outside_counts: dict[int, tuple[int, dict[int, int]]] = {}
         self.step_counts: Counter = Counter()
         self._next_id = 0
 
@@ -192,6 +197,7 @@ class CliqueFamily:
             self.anchor_clique_id = survivor
         self.faces.pop(dead, None)
         self.seed_faces.pop(dead, None)
+        self.outside_counts.pop(dead, None)
 
     # -- lazy faces ---------------------------------------------------------
 
@@ -819,16 +825,25 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
             done |= attempt("rigid_clique_union", STEP_RIGID_UNION, False, l, cnt[l])
         return done
 
+    def start_counts(counts):
+        nonlocal acnt
+        acnt = counts
+        # one entry per node at its current count: bumping the counts one by
+        # one would push the lower ones too, which are never current again
+        heaps[True] = [(-k, w) for w, k in counts.items() if k > r]
+        heapq.heapify(heaps[True])
+
     changed = False
     register_nodes(Ci)
+    # a clique's nodes grow only in its own turns, so counts stored at the
+    # size it still has are current
+    size, stored = family.outside_counts.get(gid, (None, None))
+    if size == len(Ci):
+        start_counts(stored)
     while True:
         for name, step, absorb, singular in rows:
             if absorb and acnt is None:
-                # the heap entries that bumping each count one by one pushes
-                acnt = _outside_counts(pedm, Ci)
-                heap = heaps[True]
-                heap.extend((-c, w) for w, k in acnt.items() for c in range(r + 1, k + 1))
-                heapq.heapify(heap)
+                start_counts(_outside_counts(pedm, Ci))
             counts = acnt if absorb else cnt
             if singular:
                 # by ascending id; a key of 0 cannot decide, and a partner
@@ -851,6 +866,8 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
                 changed |= attempt(name, step, absorb, *pick)
             break
         else:
+            if acnt is not None:
+                family.outside_counts[gid] = len(Ci), acnt
             return changed
 
 

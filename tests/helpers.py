@@ -137,8 +137,8 @@ def scalar_known_distances_ok(comp, pedm, tol: Tolerances) -> bool:
 
 def check_consistency(family) -> None:
     """Assert that a clique family's raw membership sets invert its clique
-    map, and that its anchor clique, when it has one, is live and holds
-    every anchor."""
+    map, that its anchor clique, when it has one, is live and holds every
+    anchor, and that it stores outside counts only for live cliques."""
     n, m = family.pedm.n, family.pedm.m
     inverse = [set() for _ in range(n)]
     for cid, nodes in family.cliques.items():
@@ -150,6 +150,7 @@ def check_consistency(family) -> None:
     if cid is not None:
         assert cid in family.cliques, f"anchor clique {cid} is not live"
         assert family.cliques[cid] >= set(range(n - m, n)), "anchor clique lost an anchor"
+    assert family.outside_counts.keys() <= family.cliques.keys(), "counts of a dead clique"
 
 
 def orth_columns(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:

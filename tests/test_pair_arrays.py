@@ -15,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snloc.errors import NotAClique
-from snloc.instance import PartialEDM, average_degree, read_problem, write_problem
+from snloc.instance import (
+    PartialEDM,
+    average_degree,
+    build_partial_edm,
+    generate_instance,
+    read_problem,
+    write_problem,
+)
 
 
 @st.composite
@@ -109,3 +116,29 @@ def test_known_pairs_and_the_problem_file_round_trip(graph):
     assert np.array_equal(got.indices, pedm.indices)
     assert got.d2.tobytes() == pedm.d2.tobytes()
     assert got_anchors.tobytes() == anchors.tobytes()
+
+
+def test_shuffled_pairs_of_a_large_instance_give_the_same_arrays():
+    # the constructor orders the pairs with a sort that is not stable, whose
+    # order only distinct keys make unique, and the graphs above stop at
+    # n=24.  An n=2004 instance's pairs, shuffled and each in a random
+    # orientation, must give build_partial_edm's arrays bit for bit
+    inst = generate_instance(2004, 4, 2, seed=0, radio_range=0.08, noise_factor=1e-4)
+    ref = build_partial_edm(inst)
+    i, j, d2 = (np.array(col) for col in zip(*ref.known_pairs()))
+    rng = np.random.default_rng(11)
+    order = rng.permutation(i.size)
+    i, j, d2 = i[order], j[order], d2[order]
+    flip = rng.random(i.size) < 0.5
+    i, j = np.where(flip, j, i), np.where(flip, i, j)
+    got = PartialEDM(n=ref.n, m=ref.m, dim=ref.dim, radio_range=ref.radio_range,
+                     noise_factor=ref.noise_factor, i=i, j=j, d2=d2)
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert got.d2.tobytes() == ref.d2.tobytes()
+    # every pair in both orientations, and as many random ones
+    qi = np.concatenate([i, j, rng.integers(0, ref.n, i.size)])
+    qj = np.concatenate([j, i, rng.integers(0, ref.n, i.size)])
+    (got_known, got_d2), (ref_known, ref_d2) = got.lookup(qi, qj), ref.lookup(qi, qj)
+    assert np.array_equal(got_known, ref_known) and got_known[: 2 * i.size].all()
+    assert got_d2.tobytes() == ref_d2.tobytes()

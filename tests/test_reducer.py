@@ -690,6 +690,69 @@ def test_outside_counts_match_a_brute_force_count(size):
     assert reducer._outside_counts(pedm, Ci) == want
 
 
+@pytest.mark.parametrize(
+    "n, m, R, level, positioned, reuses",
+    [(354, 8, GOLDEN_R, StepLevel.L4, 291, 30), (200, 4, 0.16, StepLevel.L2, 196, 2)],
+    ids=["L4-354", "L2-200"],
+)
+def test_stored_outside_counts_are_current_at_every_turn(n, m, R, level, positioned, reuses,
+                                                         monkeypatch):
+    # a turn starts from the counts its clique's last turn stored, when the
+    # clique still has the size they were stored at; they must then be the
+    # clique's counts now, and every turn must leave its counts current.
+    # L2-200 ends in one clique, whose later turns (pass 2 and phase 2)
+    # reuse its counts; L4-354 keeps 18 cliques that do
+    inst = generate_instance(n, m, 2, seed=0, radio_range=R)
+    turn = reducer._exhaust_grower
+    reused = []
+
+    def checked_turn(family, gid, *args):
+        Ci = family.cliques[gid]
+        size, counts = family.outside_counts.get(gid, (None, None))
+        if size == len(Ci):
+            assert counts == reducer._outside_counts(family.pedm, Ci)
+            reused.append(gid)
+        changed = turn(family, gid, *args)
+        assert family.outside_counts[gid] == (len(Ci), reducer._outside_counts(family.pedm, Ci))
+        check_consistency(family)
+        return changed
+
+    monkeypatch.setattr(reducer, "_exhaust_grower", checked_turn)
+    rep = localize(build_partial_edm(inst), inst.anchors, level=level)
+    assert len(rep.positioned) == positioned
+    assert len(reused) >= reuses
+
+
+def test_a_clique_grown_outside_its_turn_is_recounted(monkeypatch):
+    # after a run to its fixed point every live clique has stored counts at
+    # its size, so a second run recounts only the clique that a direct union
+    # call grew in between; its stored counts would miss the new node
+    inst = generate_instance(354, 8, 2, seed=0, radio_range=GOLDEN_R)
+    pedm = build_partial_edm(inst)
+    fam = init_family(pedm, half_range_cliques(pedm))
+    grow_cliques(fam, 9)
+    run(fam, level=StepLevel.L2, tol=TOL)
+    assert all(fam.outside_counts[cid][0] == len(C) for cid, C in fam.cliques.items())
+    i = max(fam.cliques, key=lambda cid: len(fam.cliques[cid]))
+    Ci = fam.cliques[i]
+    counts = fam.outside_counts[i][1]
+    w = max(counts, key=lambda v: (counts[v], -v))
+    # a clique holding clique i and node w: clique i takes its nodes
+    assert rigid_clique_union(fam, i, fam.add_clique(Ci | {w}), TOL)
+    assert w in Ci
+    count, recounted = reducer._outside_counts, []
+
+    def counted(pedm, C):
+        recounted.append(set(C))
+        return count(pedm, C)
+
+    monkeypatch.setattr(reducer, "_outside_counts", counted)
+    run(fam, level=StepLevel.L2, tol=TOL)
+    assert recounted == [Ci]
+    assert fam.outside_counts[i] == (len(Ci), count(pedm, Ci))
+    check_consistency(fam)
+
+
 def test_singular_unions_reach_the_kernel_only_with_a_cross_edge(monkeypatch):
     # L4-354 (the first golden case) made 51 singular union attempts, 48 of
     # them without a measured edge between the two private sides, all failed
