@@ -11,7 +11,10 @@ submatrices, membership tests).
 Randomness: one 64-bit master seed per instance.  ``SeedSequence(seed)`` is
 split into two child streams, child 0 for point coordinates and child 1 for
 measurement noise, so regenerating with a different noise factor moves no
-points, and results are reproducible across platforms (PCG64).
+points.  The streams (PCG64) and exact instances are bit-reproducible on
+every platform.  A noisy squared distance is the C library's pow(x, 2.0),
+as Python's float power gives it, so noisy instances are bit-reproducible
+given the same libm.
 """
 
 from __future__ import annotations
@@ -281,8 +284,10 @@ def build_partial_edm(inst: Instance) -> PartialEDM:
 
     A pair is known iff the true distance is strictly below the radio range
     or both nodes are anchors.  With a positive noise factor sigma the stored
-    value is (d * (1 + sigma * eps))^2 with eps standard normal, one draw per
-    unordered pair in lexicographic order; anchor-anchor distances stay exact.
+    value is pow(d * (1 + sigma * eps), 2.0), the C library's pow as Python's
+    float power calls it, with eps standard normal, one draw per unordered
+    pair in lexicographic order; anchor-anchor distances stay exact.  A
+    noisy distance whose square overflows gives InvalidConfig.
     """
     n, m, R = inst.n, inst.m, inst.radio_range
     sigma = inst.noise_factor
@@ -305,11 +310,12 @@ def build_partial_edm(inst: Instance) -> PartialEDM:
     d2 = d * d
     if sigma > 0:
         # one draw per pair in lexicographic order: the same stream as one
-        # scalar draw each; Python's float power, as numpy's square rounds
-        # differently
+        # scalar draw each
         eps = _streams(inst.seed)[1].standard_normal(d.size)
-        d2 = np.array([(dt * (1.0 + sigma * et)) ** 2
-                       for dt, et in zip(d.tolist(), eps.tolist())])
+        # an overflow leaves inf, which the constructor rejects
+        with np.errstate(over="ignore"):
+            x = d * (1.0 + sigma * eps)
+        d2 = _pow_square(x)
     # anchors know each other regardless of range, without noise
     a, b = np.triu_indices(m, 1)
     a, b = a + first_anchor, b + first_anchor
@@ -320,6 +326,51 @@ def build_partial_edm(inst: Instance) -> PartialEDM:
         i=np.concatenate([i, a]), j=np.concatenate([j, b]),
         d2=np.concatenate([d2, d * d]),
     )
+
+
+# Dekker's splitter, and the magnitude below which the low parts of his
+# two-product underflow, so that the rounding error it gives is not exact
+_SPLIT = 2.0**27 + 1.0
+_TINY = 2.0**-458
+
+
+def _pow_square(x: np.ndarray) -> np.ndarray:
+    """pow(v, 2.0) of every entry v of x, bit for bit, as Python's float
+    power gives it, but inf where that raises OverflowError.
+
+    x * x is the square correctly rounded; the C library's pow, accurate to
+    about 0.52 ulp, can round the other way only where the exact square lies
+    within 0.02 ulp of a midpoint between two floats.  Dekker's exact
+    two-product (Numer. Math. 18, 1971) gives the rounding error e of x * x,
+    and pow is called only where x * x may be in doubt: |e| >= 0.4 ulp,
+    within 0.1 ulp of a midpoint; x * x a power of two, whose lower midpoint
+    is a quarter ulp away; |x| below the range where the two-product is
+    exact; or a square that overflows, where e is not finite.  That is about
+    a fifth of the entries.
+    """
+    # an overflow leaves inf in p and NaN or inf in e, both handled below
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = x * x
+        hi = x * _SPLIT
+        xh = hi - (hi - x)
+        xl = x - xh
+        e = ((xh * xh - p) + 2.0 * xh * xl) + xl * xl
+    # written so that a NaN error is in doubt
+    doubt = ~(np.abs(e) < 0.4 * np.spacing(p))
+    # a power of two (or 0) has no fraction bits
+    doubt |= (p.view(np.uint64) & np.uint64((1 << 52) - 1)) == 0
+    doubt |= np.abs(x) < _TINY
+    at = np.flatnonzero(doubt)
+    p[at] = list(map(_pow_or_inf, x[at].tolist()))
+    return p
+
+
+def _pow_or_inf(v: float) -> float:
+    """pow(v, 2.0), or inf where it raises OverflowError."""
+    try:
+        return pow(v, 2.0)
+    except OverflowError:
+        return math.inf
 
 
 def half_range_cliques(pedm: PartialEDM) -> list[CliqueSeed]:

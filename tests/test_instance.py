@@ -1,11 +1,17 @@
+import math
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from snloc import instance
 from snloc.edm_core import kappa
 from snloc.errors import InvalidConfig, NotAClique, ParseError
 from snloc.instance import (
     Instance,
     PartialEDM,
+    _pow_square,
     average_degree,
     build_partial_edm,
     generate_instance,
@@ -113,7 +119,7 @@ def test_build_exact_when_noiseless():
 @pytest.mark.parametrize(
     "n, m, r, R, sigma",
     [(600, 4, 2, 0.1, 0.0), (600, 4, 2, 0.1, 1e-4), (300, 6, 3, 0.3, 0.0),
-     (300, 6, 3, 0.3, 1e-4), (40, 30, 2, 0.2, 1e-2)],
+     (300, 6, 3, 0.3, 1e-4), (40, 30, 2, 0.2, 1e-2), (2004, 4, 2, 0.08, 1e-4)],
 )
 def test_build_matches_scalar_reference(n, m, r, R, sigma):
     # the same pairs and the same values, bit for bit
@@ -124,6 +130,82 @@ def test_build_matches_scalar_reference(n, m, r, R, sigma):
         assert np.array_equal(got.indptr, ref.indptr)
         assert np.array_equal(got.indices, ref.indices)
         assert got.d2.tobytes() == ref.d2.tobytes()
+
+
+def _float_power_squares(values) -> np.ndarray:
+    # Python's float power one value at a time, inf where it overflows
+    out = []
+    for v in values.tolist():
+        try:
+            out.append(v ** 2)
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out)
+
+
+def test_pow_square_matches_float_power_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    spread = np.exp(rng.uniform(math.log(1e-6), math.log(1e2), 1_000_000))
+    # around the magnitude below which the two-product is not exact, and
+    # where the square overflows
+    tiny = np.ldexp(rng.uniform(1.0, 2.0, 100_000), rng.integers(-560, -440, 100_000))
+    huge = np.ldexp(rng.uniform(1.0, 2.0, 10_000), rng.integers(505, 515, 10_000))
+    # powers of two from below the two-product's exact range to past overflow,
+    # each with its two float neighbours
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    edges = np.concatenate([twos, np.nextafter(twos, 0.0), np.nextafter(twos, math.inf)])
+    x = np.concatenate([spread, tiny, huge, edges, -edges, [0.0, -0.0, math.inf, -math.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _pow_square(x.copy())
+    want = _float_power_squares(x)
+    assert got.tobytes() == want.tobytes()
+    # numpy's square rounds otherwise on some of them, so swapping the
+    # kernel for it fails the check above
+    assert np.count_nonzero(spread * spread != want[: spread.size]) > 0
+
+
+def test_pow_square_asks_pow_wherever_it_may_round_the_other_way(monkeypatch):
+    # pow, accurate to about 0.52 ulp, may round otherwise than x * x where
+    # the exact square lies within 0.02 ulp of a midpoint between two floats,
+    # and at a power of two, whose lower neighbour is half an ulp away.  Each
+    # such entry must go to pow, whatever this C library's pow returns there
+    monkeypatch.setattr(instance, "_pow_or_inf", lambda v: math.nan)
+    rng = np.random.default_rng(7)
+    spread = np.exp(rng.uniform(math.log(1e-6), math.log(1e2), 20_000))
+    # below the two-product's exact range, most where x * x is just past
+    # the subnormals and the low part's rounding may hide a midpoint
+    tiny = np.ldexp(rng.uniform(1.0, 2.0, 15_000),
+                    np.r_[rng.integers(-511, -509, 10_000), rng.integers(-560, -440, 5_000)])
+    # the floats whose squares come closest to powers of two
+    roots = []
+    for v in (1.0, math.sqrt(2.0)):
+        lo = hi = v
+        for _ in range(8):
+            lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 2.0)
+            roots += [lo, hi]
+        roots.append(v)
+    roots = np.ldexp(np.array(roots)[:, None], np.arange(-300, 300, 37)).ravel()
+    x = np.concatenate([spread, tiny, roots])
+    asked = np.isnan(_pow_square(x.copy()))
+    for v, a in zip(x.tolist(), asked.tolist()):
+        p = v * v
+        error, ulp = Fraction(v) ** 2 - Fraction(p), Fraction(math.ulp(p))
+        below = Fraction(p - math.nextafter(p, 0.0))
+        near_midpoint = min(abs(error - ulp / 2), abs(error + below / 2)) <= ulp / 50
+        assert a or not (near_midpoint or below < ulp), v
+    assert asked[: spread.size].mean() < 0.25
+
+
+@pytest.mark.parametrize("sigma", [1e200, 1e308])
+def test_build_rejects_a_noisy_square_that_overflows(sigma):
+    # 1e200 made Python's float power raise a bare OverflowError; 1e308
+    # overflows the noisy distance itself
+    inst = generate_instance(50, 4, 2, seed=0, radio_range=0.5, noise_factor=sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidConfig, match="finite"):
+            build_partial_edm(inst)
 
 
 def test_build_threshold_is_strict():

@@ -18,6 +18,24 @@ def test_scale_probe_runs_one_process_per_size(tmp_path):
     records = json.loads(out.read_text())
     assert [r["n"] for r in records] == [204, 304]
     for r in records:
+        assert r["sigma"] == 0.0
         assert r["setup_s"] == pytest.approx(r["generate_s"] + r["build_s"])
         assert r["solve_s"] > 0 and r["peak_rss_mb"] > 0
         assert r["positioned"] == r["sensors"] == r["n"] - 4
+
+
+def test_scale_probe_sets_up_noisy_distances(tmp_path):
+    out = tmp_path / "probe.json"
+    done = subprocess.run([sys.executable, str(TOOL), "--sizes", "204", "--sigma", "1e-4",
+                           "--out", str(out)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    (r,) = json.loads(out.read_text())
+    assert r["n"] == 204 and r["sigma"] == 1e-4
+    assert r["positioned"] == r["sensors"] == 200
+
+
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+def test_scale_probe_rejects_a_bad_sigma(sigma):
+    done = subprocess.run([sys.executable, str(TOOL), "--sizes", "204", "--sigma", sigma],
+                          capture_output=True, text=True)
+    assert done.returncode == 2 and "--sigma" in done.stderr

@@ -4,11 +4,14 @@ Usage, from the root of a source checkout:
 
     python3 tools/scale_probe.py --src src
     python3 tools/scale_probe.py --src ../other/src --sizes 8004 16004 --out probe.json
+    python3 tools/scale_probe.py --src src --sigma 1e-4
 
 Each size is one L2 instance in the plane with 4 anchors, average degree
 about 29 (R = .07 sqrt(2004 / n), as rigid-scaling in ``bench/`` draws it)
 and instance seed 0, solved in a process of its own, so that each
-peak RSS covers one size.  Per size the script prints one line: set-up
+peak RSS covers one size.  ``--sigma`` sets the noise factor (default 0,
+exact distances), so that the noisy set-up can be measured at these sizes
+too.  Per size the script prints one line: set-up
 seconds (``generate_instance`` plus ``build_partial_edm``), solve seconds
 (``localize``), peak RSS of the process in MB, and sensors positioned.
 ``--out`` writes the same records as JSON.  The ``snloc`` package is
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -41,14 +45,14 @@ def radius(n: int) -> float:
     return 0.07 * (2004 / n) ** 0.5
 
 
-def probe(n: int) -> dict:
+def probe(n: int, sigma: float) -> dict:
     """Set up and solve one instance in this process; the record of it."""
     import resource
 
     from snloc import StepLevel, build_partial_edm, generate_instance, localize
 
     t0 = time.perf_counter()
-    inst = generate_instance(n, ANCHORS, 2, seed=SEED, radio_range=radius(n))
+    inst = generate_instance(n, ANCHORS, 2, seed=SEED, radio_range=radius(n), noise_factor=sigma)
     t1 = time.perf_counter()
     pedm = build_partial_edm(inst)
     t2 = time.perf_counter()
@@ -56,7 +60,7 @@ def probe(n: int) -> dict:
     t3 = time.perf_counter()
     # ru_maxrss is in KiB on Linux
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return {"n": n, "seed": SEED, "generate_s": t1 - t0, "build_s": t2 - t1,
+    return {"n": n, "seed": SEED, "sigma": sigma, "generate_s": t1 - t0, "build_s": t2 - t1,
             "setup_s": t2 - t0, "solve_s": t3 - t2, "peak_rss_mb": rss,
             "positioned": len(rep.positioned), "sensors": n - ANCHORS}
 
@@ -65,21 +69,27 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--src", default=str(ROOT / "src"), help="directory holding snloc")
     p.add_argument("--sizes", type=int, nargs="+", default=list(SIZES), metavar="N")
+    p.add_argument("--sigma", type=float, default=0.0,
+                   help="noise factor of the measured distances (default 0, exact)")
     p.add_argument("--out", help="write the records to this JSON file")
     p.add_argument("--one", action="store_true",
                    help="probe the single size given, in this process, and print its record")
     args = p.parse_args(argv)
+    # written so that NaN fails the test
+    if not 0.0 <= args.sigma < math.inf:
+        p.error(f"--sigma must be finite and >= 0, got {args.sigma}")
     src = str(Path(args.src).resolve())
     if args.one:
         if len(args.sizes) != 1:
             p.error("--one takes a single size")
         sys.path.insert(0, src)
-        print(json.dumps(probe(args.sizes[0])))
+        print(json.dumps(probe(args.sizes[0], args.sigma)))
         return 0
     records = []
     for n in args.sizes:
         done = subprocess.run(
-            [sys.executable, __file__, "--src", src, "--one", "--sizes", str(n)],
+            [sys.executable, __file__, "--src", src, "--one", "--sizes", str(n),
+             "--sigma", repr(args.sigma)],
             capture_output=True, text=True, check=True)
         rec = json.loads(done.stdout.splitlines()[-1])
         print(f"n={rec['n']}: set-up {rec['setup_s']:.2f} s, solve {rec['solve_s']:.2f} s, "
