@@ -53,7 +53,6 @@ from .recovery import (
     align_to_anchors,
     metrics,
     points_from_face,
-    solve_z,
     two_completions,
 )
 from .reducer import (

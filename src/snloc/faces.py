@@ -4,15 +4,14 @@ A clique of k nodes with a full set of squared distances pins the centered
 Gram matrix of those nodes down to a known rank-r matrix B, so any global
 Gram matrix consistent with the data lives in the face of the PSD cone whose
 subspace is spanned by the top-r eigenvectors of B together with the all-ones
-direction.  A :class:`FaceRep` holds that (r+1)-dimensional subspace in two
-forms.  The stored form is r coordinate columns V, one row per node, plus an
-implicit all-ones column that is therefore exact, and the Gram matrix of
-[V, e]; rows are only appended, in merge order.  The materialized form,
-built on first use and cached, is a k-by-(r+1) basis over the sorted node
-ids with orthonormal columns, the last equal to e/sqrt(k); the final
-recovery reads that form and relies on this normalization.  The reducer's
-steps read distances from the stored form and the face's frame Gram, which
-the face keeps while its stored frame lasts.
+direction.  A :class:`FaceRep` holds that (r+1)-dimensional subspace as r
+coordinate columns V, one row per node, plus an implicit all-ones column
+that is therefore exact, and the Gram matrix of [V, e]; rows are only
+appended, in merge order.  Every step of the solve and the final recovery
+read this stored form, with the face's frame Gram, which the face keeps
+while its stored frame lasts.  An orthonormal basis over the sorted node
+ids, its last column e/sqrt(k), is built from the stored rows only when
+``basis`` is read; the solve never reads it.
 
 All faces built from a clique's Gram matrix go through one stacked
 computation (``_face_coords``): one eigendecomposition, rank cut and QR for
@@ -229,20 +228,19 @@ def _gram_ill_conditioned(gram: np.ndarray) -> bool:
 class FaceRep:
     """Subspace of the PSD-cone face carried by one clique.
 
-    Stored form: the span of [V, e], where V holds r coordinate columns,
-    one row per node, in an append-only row store shared along a merge
-    chain, and e is the all-ones column, implicit and therefore exact.  The
-    (r+1)-by-(r+1) Gram of [V, e] is kept alongside, so any block of rows
-    can be expressed in an orthonormal basis of the face without touching
-    the others.
+    The span of [V, e], where V holds r coordinate columns, one row per
+    node, in an append-only row store shared along a merge chain, and e is
+    the all-ones column, implicit and therefore exact.  The (r+1)-by-(r+1)
+    Gram of [V, e] is kept alongside, so any block of rows can be expressed
+    in an orthonormal basis of the face without touching the others.  The
+    constructor takes the node ids and their rows of V, in any order, and
+    V must have full column rank modulo e.
 
-    Materialized form, computed on first use and cached: nodes is the
-    sorted array of node ids, and basis is k-by-(r+1) with orthonormal
-    columns, the last of which is e/sqrt(k).  Recovery and ``rows`` read
-    this form; both intersection kernels read only the stored one.  The
-    constructor takes the materialized form.  The whitener of the Gram is
-    cached on first use as well, and nodes alone costs a sort, not the
-    basis.
+    nodes, the sorted node ids, costs a sort on first read.  basis, a
+    k-by-(r+1) orthonormal basis over nodes whose last column is e/sqrt(k),
+    costs a sort and a QR on first read; both are cached, and no step of
+    the solve reads basis.  The whitener of the Gram is cached on first use
+    as well.
 
     The frame Gram, once known, is kept with the stored form: the r-by-r
     PSD matrix Z with (v_a - v_b) Z (v_a - v_b)^T the squared distance of
@@ -257,17 +255,13 @@ class FaceRep:
     __slots__ = ("_store", "_size", "_gram", "_orth_size", "_nodes", "_basis", "_white",
                  "_zgram")
 
-    def __init__(self, nodes, basis):
+    def __init__(self, nodes, coords):
         nodes = np.asarray(nodes, dtype=np.int64)
-        basis = np.asarray(basis, dtype=float)
-        V = np.array(basis[:, :-1])
+        V = np.array(coords, dtype=float)
         self._store = _RowStore.of(V, nodes.copy())
-        self._size = nodes.size
+        self._size = self._orth_size = nodes.size
         self._gram = _gram(V)
-        self._orth_size = nodes.size
-        self._nodes = nodes
-        self._basis = basis
-        self._white = self._zgram = None
+        self._nodes = self._basis = self._white = self._zgram = None
 
     @classmethod
     def _stored(cls, store: _RowStore, size: int, gram: np.ndarray, orth_size: int) -> "FaceRep":
@@ -291,10 +285,6 @@ class FaceRep:
         if self._basis is None:
             self._materialize()
         return self._basis
-
-    def rows(self, nodes) -> np.ndarray:
-        """Row indices of the given (sorted) member nodes in ``basis``."""
-        return np.searchsorted(self.nodes, np.asarray(nodes))
 
     def _materialize(self) -> None:
         k = self._size
@@ -359,7 +349,11 @@ class FaceRep:
 class ExtendedFaceRep:
     """Rank-deficient merge result: one extra basis column, two candidates.
 
-    basis is k-by-(r+2), column-orthonormal, last column e/sqrt(k).
+    basis is k-by-(r+2), column-orthonormal, last column e/sqrt(k).  It is
+    kept in this form, not as stored rows: the rank cuts of
+    ``recovery.two_completions`` do not decide alike in every basis of the
+    face, and on r=3 instances with range bounds another basis flips merges
+    on round-off.
     """
 
     nodes: np.ndarray
@@ -369,17 +363,13 @@ class ExtendedFaceRep:
         return np.searchsorted(self.nodes, np.asarray(nodes))
 
 
-def _ones_normalized(k: int) -> np.ndarray:
-    return np.full(k, 1.0 / np.sqrt(k))
-
-
 def _orthonormal(ids: np.ndarray, V: np.ndarray):
     """Sorted ids and the orthonormal basis [Q, e/sqrt(k)] of span [V, e],
     rows in id order; V must have full column rank modulo e."""
     order = np.argsort(ids)
     V = V[order]
     Q, _ = np.linalg.qr(V - V.mean(axis=0))
-    return ids[order], np.column_stack([Q, _ones_normalized(ids.size)])
+    return ids[order], np.column_stack([Q, np.full(ids.size, 1.0 / np.sqrt(ids.size))])
 
 
 def _face_coords(B: np.ndarray, r: int, tol: Tolerances):
@@ -407,20 +397,20 @@ def _face_coords(B: np.ndarray, r: int, tol: Tolerances):
 
 
 def face_from_gram(nodes, B: np.ndarray, r: int, tol: Tolerances) -> FaceRep:
-    """Face basis from a centered Gram matrix of the clique's nodes.
+    """Face of a clique from the centered Gram matrix of its nodes.
 
-    B must have numerical rank at least r; its top-r eigenvectors are kept
-    and the ones direction is appended.
+    B must have numerical rank at least r; its top-r eigenvectors, made
+    orthogonal to e, are the face's stored rows.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     Q, ok = _face_coords(np.asarray(B, dtype=float)[None], r, tol)
     if not ok[0]:
         raise RankDeficient(f"clique Gram has rank below {r}")
-    return FaceRep(nodes, np.column_stack([Q[0], _ones_normalized(nodes.size)]))
+    return FaceRep(nodes, Q[0])
 
 
 def face_from_clique(pedm, clique, r: int, tol: Tolerances) -> FaceRep:
-    """Face basis of a measured clique of the partial distance matrix."""
+    """Face of a measured clique of the partial distance matrix."""
     nodes = np.asarray(sorted(clique), dtype=np.int64)
     D = pedm.submatrix(nodes)  # NotAClique when a pair is missing
     return face_from_gram(nodes, kappa_pinv(D), r, tol)
@@ -462,41 +452,36 @@ _STACK_ENTRIES = 1 << 14
 class FaceStack:
     """Faces of equal-size cliques, built together by :func:`clique_faces`.
 
-    nodes (c, k) holds each clique's sorted node ids and basis (c, k, w)
-    its face basis [Q, e/sqrt(k)], Q the face coordinates from
-    ``_face_coords``.  The Grams of [Q, e] and their whiteners are computed
-    for the whole stack in stacked calls, each bitwise what its face alone
-    would give.  ``face(a)`` returns clique a's :class:`FaceRep` in stored
-    form over the stack's arrays, with that Gram and whitener in place; it
-    is bitwise equal to :func:`face_from_clique`'s.
+    nodes (c, k) holds each clique's sorted node ids and Q (c, k, r) its
+    face coordinates from ``_face_coords``.  The Grams of [Q, e] and their
+    whiteners are computed for the whole stack in stacked calls, each
+    bitwise what its face alone would give.  ``face(a)`` returns clique a's
+    :class:`FaceRep` over the stack's arrays, with that Gram and whitener in
+    place; it is bitwise equal to :func:`face_from_clique`'s.
     """
 
-    __slots__ = ("nodes", "basis", "gram", "white", "chol")
+    __slots__ = ("nodes", "Q", "gram", "white", "chol")
 
     def __init__(self, nodes: np.ndarray, Q: np.ndarray):
-        c, k, r = Q.shape
-        self.nodes = nodes
-        self.basis = np.empty((c, k, r + 1))
-        self.basis[..., :r] = Q
-        self.basis[..., r] = _ones_normalized(k)
+        self.nodes, self.Q = nodes, Q
         self.gram = _gram(Q)
         self.chol = np.linalg.cholesky(self.gram)
         self.white = np.swapaxes(np.linalg.inv(self.chol), 1, 2)
 
     def face(self, a: int) -> FaceRep:
-        nodes, basis = self.nodes[a], self.basis[a]
+        nodes = self.nodes[a]
         # a store filled to capacity copies its rows before it appends, so
         # the stack's arrays are never written
-        face = FaceRep._stored(_RowStore.of(basis[:, :-1], nodes), nodes.size,
-                               self.gram[a], nodes.size)
-        face._nodes, face._basis = nodes, basis
+        face = FaceRep._stored(_RowStore.of(self.Q[a], nodes), nodes.size, self.gram[a],
+                               nodes.size)
+        face._nodes = nodes
         face._white = self.white[a], self.chol[a]
         return face
 
     def parts(self, a: int):
         """``self.face(a)._parts()``, read from the stack's arrays without
         building the face."""
-        return self.nodes[a], self.basis[a, :, :-1], self.white[a]
+        return self.nodes[a], self.Q[a], self.white[a]
 
 
 def clique_faces(pedm, cliques, r: int, tol: Tolerances) -> list:
@@ -536,18 +521,17 @@ def clique_faces(pedm, cliques, r: int, tol: Tolerances) -> list:
 
 
 def face_from_points(nodes, P: np.ndarray, tol: Tolerances) -> FaceRep:
-    """Face basis of a clique given explicit coordinates for its nodes."""
+    """Face of a clique given explicit coordinates for its nodes."""
     nodes = np.asarray(nodes, dtype=np.int64)
     P = np.asarray(P, dtype=float)
     k, r = P.shape
     if k == 1:
-        return FaceRep(nodes, np.array([[1.0]]))
+        return FaceRep(nodes, np.empty((1, 0)))
     X = P - P.mean(axis=0)
     Q, s, _ = np.linalg.svd(X, full_matrices=False)
     if s[r - 1] <= _MIDDLE_CUT * max(s[0], np.finfo(float).eps):
         raise RankDeficient("point configuration does not span full dimension")
-    basis = np.column_stack([Q[:, :r], _ones_normalized(k)])
-    return FaceRep(nodes, basis)
+    return FaceRep(nodes, Q[:, :r])
 
 
 def _front(face: FaceRep, ids: list, coords: np.ndarray, white: np.ndarray, rank: int,

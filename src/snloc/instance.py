@@ -151,8 +151,16 @@ class PartialEDM:
 
     def lookup(self, i, j) -> tuple[np.ndarray, np.ndarray]:
         """(known, d2) of the node pairs (i, j), elementwise over integer
-        arrays that broadcast; d2 means nothing where known is False."""
-        query = np.asarray(i, dtype=np.int64) * self.n + j
+        arrays that broadcast; d2 means nothing where known is False.
+        Raises InvalidConfig naming the first id outside [0, n), which the
+        key i*n + j would map onto another pair."""
+        i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+        for ids in (i, j):
+            # read as unsigned, a negative id is at least n as well
+            if ids.size and ids.view(np.uint64).max() >= self.n:
+                bad = ids[(ids < 0) | (ids >= self.n)]
+                raise InvalidConfig(f"node id {bad.flat[0]} is not in [0, {self.n})")
+        query = i * self.n + j
         pos = np.searchsorted(self._keys, query)
         return self._keys[pos] == query, self._values[pos]
 

@@ -1,20 +1,18 @@
 """Turning face representations back into coordinates.
 
-Once a clique's face basis U is known, the coordinates of its nodes are
-U[:, :r] Z^{1/2} where the small r-by-r matrix Z is pinned down by the
-measured distances of any full-dimensional sub-clique (``solve_z``).  The
-same holds for any basis of the face, the stored rows [V, e] included:
-every coordinate is X = V C + 1 c^T, so a squared distance needs only the
-frame Gram Z = C C^T of the stored rows, d_ab = (v_a - v_b) Z (v_a - v_b)^T.
-``frame_gram`` computes that Z once per stored frame from one measured
-seed clique, through the row-block solve that ``solve_z`` runs, and keeps
-it on the face, which carries it through the merges that keep the frame;
-the reducer reads the distances and points it needs from there
-(``frame_points``), and only the final recovery (``points_from_face``)
-materializes the orthonormal basis.  For a singular merge the analogous
-system is underdetermined along a single rank-2 direction and has exactly
-two rank-r solutions (``two_completions``).  The final coordinates are
-mapped onto the anchors by a least-squares rigid motion
+Every coordinate of a clique's nodes is an affine image X = V C + 1 c^T
+of the face's stored rows V, and any full-dimensional measured sub-clique
+(a "seed", ``_find_rigid_seed``) pins down the frame Gram Z = C C^T of
+those rows by one small row-block solve (``_seed_solve``): a squared
+distance is then d_ab = (v_a - v_b) Z (v_a - v_b)^T, and X = V Z^{1/2} up
+to a rigid motion.  ``frame_gram`` solves Z once per stored frame and
+keeps it on the face, which carries it through the merges that keep the
+frame; the reducer reads the distances and points it needs from there
+(``frame_points``).  The final recovery (``points_from_face``) runs the
+same solve afresh on a seed of the final clique.  For a singular merge the
+analogous system is underdetermined along a single rank-2 direction and
+has exactly two rank-r solutions (``two_completions``).  The final
+coordinates are mapped onto the anchors by a least-squares rigid motion
 (``align_to_anchors``) and compared against ground truth (``metrics``).
 """
 
@@ -38,7 +36,6 @@ from .faces import ExtendedFaceRep, FaceRep, Tolerances
 __all__ = [
     "Completion",
     "SolveReport",
-    "solve_z",
     "two_completions",
     "frame_gram",
     "frame_points",
@@ -73,21 +70,16 @@ class SolveReport:
     gram_residual: float | None = None
 
 
-def _centered(A: np.ndarray) -> np.ndarray:
-    return A - A.mean(axis=0)
-
-
-def _centered_rows(face, beta) -> np.ndarray:
-    """J U_beta V for the maintained normalization: drop the ones column,
-    take the beta rows, center them."""
-    width = face.basis.shape[1]
-    return _centered(face.basis[face.rows(beta), : width - 1])
-
-
 def _z_from_rows(A: np.ndarray, B: np.ndarray, r: int, tol: Tolerances) -> np.ndarray:
-    """The row-block solve of ``solve_z``: Z with A Z A^T = B, for a centered
-    row block A (one row per node of beta, in any coordinates of the face)
-    and beta's centered Gram B."""
+    """The unique positive definite Z with A Z A^T = B, for a centered row
+    block A of a face (one row per seed node, in any coordinates of the
+    face) and the seed's centered Gram B of numerical rank r.
+
+    Z is computed through the full-rank factorization B = F F^T as Z = C C^T
+    with A C = F, which is symmetric PSD by construction and equals the
+    pseudo-inverse formula A^+ B (A^+)^T.  Raises RankDeficient when A has
+    rank below r.
+    """
     sv = np.linalg.svd(A, compute_uv=False)
     if sv.size < r or sv[r - 1] <= tol.rank.relative_cut * max(sv[0], np.finfo(float).eps):
         raise RankDeficient("face rows on beta do not have full column rank")
@@ -95,17 +87,6 @@ def _z_from_rows(A: np.ndarray, B: np.ndarray, r: int, tol: Tolerances) -> np.nd
     C, *_ = np.linalg.lstsq(A, F, rcond=None)
     Z = C @ C.T
     return 0.5 * (Z + Z.T)
-
-
-def solve_z(face: FaceRep, beta, B_beta: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Unique positive definite Z with (J U_beta V) Z (J U_beta V)^T = B.
-
-    beta must be sorted and B_beta its centered Gram matrix with numerical
-    rank r.  Z is computed through the full-rank factorization B = F F^T as
-    Z = C C^T with A C = F, which is symmetric PSD by construction and equals
-    the pseudo-inverse formula A^+ B (A^+)^T.
-    """
-    return _z_from_rows(_centered_rows(face, beta), B_beta, face.width - 1, tol)
 
 
 def _sym_sqrt(Z: np.ndarray) -> np.ndarray:
@@ -147,26 +128,32 @@ def _find_rigid_seed(nodes: np.ndarray, pedm, r: int, tol: Tolerances):
     return best[1], best[2]
 
 
-def points_from_face(
-    face: FaceRep, pedm, tol: Tolerances, beta=None
-) -> Completion:
-    """Coordinates of all face nodes: U[:, :r] Z^{1/2}.
-
-    beta may name the sub-clique used to pin down Z; by default a measured,
-    well-conditioned one is searched for inside the face.
-    """
+def _seed_solve(face: FaceRep, pedm, tol: Tolerances):
+    """(A, B, Z): a measured seed clique's centered stored rows A and
+    centered Gram B, and the frame Gram Z with A Z A^T = B.  Raises
+    NoRigidSeed or RankDeficient."""
     r = face.width - 1
-    if beta is None:
-        beta, B = _find_rigid_seed(face.nodes, pedm, r, tol)
-    else:
-        beta = sorted(beta)
-        B = kappa_pinv(pedm.submatrix(beta))
-    Z = solve_z(face, beta, B, tol)
-    A = _centered_rows(face, beta)
+    beta, B = _find_rigid_seed(face.nodes, pedm, r, tol)
+    A = face.stored_rows(beta)
+    A = A - A.mean(axis=0)
+    return A, B, _z_from_rows(A, B, r, tol)
+
+
+def points_from_face(face: FaceRep, pedm, tol: Tolerances) -> Completion:
+    """Coordinates V Z^{1/2} of all face nodes, rows by sorted node id,
+    with Z solved on a measured seed clique of this face; gram_residual is
+    the relative error of A Z A^T against the seed's Gram.
+
+    The face's cached frame Gram is not reused: it may come from the seed
+    of an earlier, smaller clique whose rows this face kept, and on noisy
+    data a Z carried from there moves the coordinates by O(sigma), far
+    more than round-off.
+    """
+    A, B, Z = _seed_solve(face, pedm, tol)
     residual = float(
         np.linalg.norm(A @ Z @ A.T - B) / max(np.linalg.norm(B), np.finfo(float).eps)
     )
-    coords = face.basis[:, :r] @ _sym_sqrt(Z)
+    coords = face.stored_rows() @ _sym_sqrt(Z)
     return Completion(nodes=face.nodes, coords=coords, gram_residual=residual)
 
 
@@ -174,23 +161,18 @@ def frame_gram(face: FaceRep, pedm, tol: Tolerances) -> np.ndarray:
     """The frame Gram Z of a face's stored rows V: the squared distance of
     nodes a and b is (v_a - v_b) Z (v_a - v_b)^T.
 
-    Computed on first use from a measured seed clique (``_find_rigid_seed``)
-    and its stored rows, and kept on the face, whose merges carry it while
-    they keep its frame.  Raises NoRigidSeed or RankDeficient as
-    ``points_from_face`` does.
+    Computed on first use by ``_seed_solve`` and kept on the face, whose
+    merges carry it while they keep its frame.  Raises NoRigidSeed or
+    RankDeficient as ``points_from_face`` does.
     """
-    Z = face._zgram
-    if Z is None:
-        r = face.width - 1
-        beta, B = _find_rigid_seed(face.nodes, pedm, r, tol)
-        Z = face._zgram = _z_from_rows(_centered(face.stored_rows(beta)), B, r, tol)
-    return Z
+    if face._zgram is None:
+        face._zgram = _seed_solve(face, pedm, tol)[2]
+    return face._zgram
 
 
 def frame_points(face: FaceRep, pedm, tol: Tolerances) -> Completion:
     """Coordinates V Z^{1/2} of all face nodes, rows by sorted node id, from
-    the frame Gram (``frame_gram``): the distances of ``points_from_face``,
-    up to round-off, in another rigid frame."""
+    the face's frame Gram (``frame_gram``), cached or solved."""
     C = _sym_sqrt(frame_gram(face, pedm, tol))
     return Completion(nodes=face.nodes, coords=face.stored_rows() @ C)
 

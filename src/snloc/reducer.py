@@ -1,10 +1,10 @@
 """Clique bookkeeping and the reduction loop that grows them.
 
-The solve state is a family of node sets ("cliques"), each carrying a face
-basis.  ``run`` first builds the faces of all seed cliques in stacked calls,
-which costs far less per clique than building each alone, and keeps each
-as a compact entry until its FaceRep is first used; a clique whose face is
-never asked for never gets one.  Four steps shrink the family or grow a
+The solve state is a family of node sets ("cliques"), each carrying a
+face.  ``run`` first builds the faces of all seed cliques in stacked
+calls, which costs far less per clique than building each alone, and
+keeps each as a compact entry until its FaceRep is first used; a clique
+whose face is never asked for never gets one.  Four steps shrink the family or grow a
 clique, tried in priority order:
 
   1. rigid clique union      -- two cliques sharing >= r+1 nodes
@@ -26,7 +26,9 @@ The distances a temporary clique lacks between nodes of beta, and the
 points a singular step picks its full-dimensional subsets from, come from
 the clique's stored rows and its frame Gram (``recovery.frame_gram``),
 which a face computes once per stored frame and carries through the merges
-that keep that frame; no step materializes a clique's orthonormal basis.
+that keep that frame.  Neither a step nor the final recovery
+(``recovery.points_from_face``, on the stored rows too) builds a clique's
+orthonormal basis; a singular merge builds only its own result's.
 
 The loop processes cliques by ascending id.  The clique under consideration
 (the "grower") keeps incremental overlap counters: cnt[l] is the number of
@@ -214,7 +216,7 @@ class CliqueFamily:
                 self.seed_faces[cid] = entry
 
     def face_of(self, cid: int, tol: Tolerances) -> FaceRep | None:
-        """Face basis of a clique, computed on first use; None if degenerate."""
+        """Face of a clique, computed on first use; None if degenerate."""
         cached = self.faces.get(cid, _MISSING)
         if cached is not _MISSING:
             return cached

@@ -189,7 +189,7 @@ def padded_face_subspace(face: FaceRep, union_nodes: np.ndarray) -> np.ndarray:
     extra = np.flatnonzero(~inside)
     M = np.zeros((K, face.basis.shape[1] + extra.size))
     M[np.flatnonzero(inside), : face.basis.shape[1]] = face.basis[
-        face.rows(union_nodes[inside])
+        np.searchsorted(face.nodes, union_nodes[inside])
     ]
     for col, row in enumerate(extra):
         M[row, face.basis.shape[1] + col] = 1.0

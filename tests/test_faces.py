@@ -172,15 +172,10 @@ def test_rigid_idempotent_union():
     P = RNG.random((5, 2))
     f1 = face_of_points(range(5), P, 2)
     theta = 0.7
-    Q = np.array(
-        [
-            [np.cos(theta), -np.sin(theta), 0.0],
-            [np.sin(theta), np.cos(theta), 0.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
+    Q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     f2 = face_of_points(range(5), P, 2)
-    f2 = FaceRep(f2.nodes, f2.basis @ Q)
+    # the same face in rotated stored coordinates
+    f2 = FaceRep(f2.nodes, f2.stored_rows() @ Q)
     out = intersect_faces_rigid(f1, f2, TOL)
     assert out.nodes.size == 5
     assert np.max(principal_angles(out.basis, f1.basis)) <= 1e-9
@@ -245,7 +240,7 @@ def merged_face(P, windows, r):
 
 
 def sigma_min_on(face, common):
-    return np.linalg.svd(face.basis[face.rows(common)], compute_uv=False)[-1]
+    return np.linalg.svd(face.basis[np.searchsorted(face.nodes, common)], compute_uv=False)[-1]
 
 
 @pytest.mark.parametrize("big_grower", [True, False], ids=["map-partner", "map-grower"])

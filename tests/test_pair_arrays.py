@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snloc.errors import NotAClique
+from snloc.errors import InvalidConfig, NotAClique
 from snloc.instance import (
     PartialEDM,
     average_degree,
@@ -142,3 +142,22 @@ def test_shuffled_pairs_of_a_large_instance_give_the_same_arrays():
     (got_known, got_d2), (ref_known, ref_d2) = got.lookup(qi, qj), ref.lookup(qi, qj)
     assert np.array_equal(got_known, ref_known) and got_known[: 2 * i.size].all()
     assert got_d2.tobytes() == ref_d2.tobytes()
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda p: p.lookup(0, 6), 6),
+    (lambda p: p.lookup([1, 0], [2, -1]), -1),
+    (lambda p: p.lookup(np.array([[4], [1]]), np.array([[2, 3]])), 4),
+    (lambda p: p.submatrix([0, 6]), 6),
+    (lambda p: p.submatrix([-1, 3]), -1),
+], ids=["lookup-above", "lookup-negative", "lookup-broadcast", "submatrix-above",
+        "submatrix-negative"])
+def test_ids_outside_the_nodes_are_rejected(call, bad):
+    # the key i*n + j of (0, 6) is that of the measured pair (1, 2), and
+    # lookup used to answer with its distance
+    p = PartialEDM(4, 0, 2, 1.0, i=[1, 0], j=[2, 3], d2=[0.25, 0.5])
+    with pytest.raises(InvalidConfig, match=rf"node id {bad} is not in \[0, 4\)"):
+        call(p)
+    known, d2 = p.lookup([1, 2, 0, 3], [2, 1, 3, 3])
+    assert known.tolist() == [True, True, True, False]
+    assert d2[:3].tolist() == [0.25, 0.25, 0.5]

@@ -7,12 +7,13 @@ from snloc import reducer
 from snloc.faces import Tolerances, intersect_faces_nonrigid
 from snloc.instance import build_partial_edm, generate_instance
 from snloc.recovery import (
+    _find_rigid_seed,
+    _z_from_rows,
     align_to_anchors,
     frame_gram,
     frame_points,
     metrics,
     points_from_face,
-    solve_z,
     two_completions,
 )
 from snloc.reducer import StepLevel
@@ -60,14 +61,21 @@ def reflect_across_line(points, a, b):
     return np.array(out)
 
 
+def centered_rows(face, beta):
+    """The stored rows of the nodes beta, centered: the row block of the
+    Z solve."""
+    A = face.stored_rows(beta)
+    return A - A.mean(axis=0)
+
+
 def test_solve_z_identity():
     P = RNG.random((5, 2))
     face = face_of_points(range(5), P, 2)
-    # rows of the face on all nodes are orthonormal and centered, so B built
-    # from them forces Z = I
-    A = face.basis[:, :2]
+    # a clique face's stored rows on all nodes are orthonormal and
+    # centered, so B built from them forces Z = I
+    A = face.stored_rows()
     B = A @ A.T
-    Z = solve_z(face, list(range(5)), B, TOL)
+    Z = _z_from_rows(centered_rows(face, range(5)), B, 2, TOL)
     assert np.allclose(Z, np.eye(2), atol=1e-10)
 
 
@@ -76,9 +84,9 @@ def test_solve_z_round_trip_full_clique():
     D = edm_of(P)
     face = face_of_points(range(6), P, 2)
     B = kappa_pinv(D)
-    Z = solve_z(face, list(range(6)), B, TOL)
+    Z = _z_from_rows(centered_rows(face, range(6)), B, 2, TOL)
     w, V = np.linalg.eigh(Z)
-    coords = face.basis[:, :2] @ (V * np.sqrt(np.clip(w, 0, None))) @ V.T
+    coords = face.stored_rows() @ (V * np.sqrt(np.clip(w, 0, None))) @ V.T
     assert np.max(np.abs(kappa(coords @ coords.T) - D)) <= 1e-10
 
 
@@ -88,9 +96,8 @@ def test_solve_z_factored_path_matches_direct_formula():
     face = face_of_points(range(6), P, 2)
     beta = [1, 2, 4, 5]
     B = kappa_pinv(D[np.ix_(beta, beta)])
-    Z = solve_z(face, beta, B, TOL)
-    A = face.basis[face.rows(beta), :2]
-    A = A - A.mean(axis=0)
+    A = centered_rows(face, beta)
+    Z = _z_from_rows(A, B, 2, TOL)
     Z_direct = np.linalg.pinv(A) @ B @ np.linalg.pinv(A).T
     assert np.linalg.norm(Z - Z_direct) <= 1e-10 * np.linalg.norm(Z_direct)
     # positive definite and unique: A Z A^T reproduces B
@@ -102,7 +109,7 @@ def test_solve_z_rank_deficient_subset():
     P = RNG.random((6, 2))
     face = face_of_points(range(6), P, 2)
     with pytest.raises(RankDeficient):
-        solve_z(face, [0, 1], np.zeros((2, 2)), TOL)
+        _z_from_rows(centered_rows(face, [0, 1]), np.zeros((2, 2)), 2, TOL)
 
 
 def test_points_from_face_full_completion():
@@ -128,14 +135,17 @@ def test_points_from_face_simplex():
 
 
 def test_points_from_face_uses_definitional_formula():
+    # the points are V Z^{1/2}, V the stored rows and Z = A^+ B (A^+)^T on
+    # the seed clique that the recovery picks
     P = RNG.random((5, 2))
     pedm = complete_pedm(P)
     face = face_of_points(range(5), P, 2)
-    comp = points_from_face(face, pedm, TOL, beta=list(range(5)))
-    B = kappa_pinv(edm_of(P))
-    Z = solve_z(face, list(range(5)), B, TOL)
-    w, V = np.linalg.eigh(Z)
-    expected = face.basis[:, :2] @ (V * np.sqrt(np.clip(w, 0, None))) @ V.T
+    comp = points_from_face(face, pedm, TOL)
+    beta, B = _find_rigid_seed(face.nodes, pedm, 2, TOL)
+    pinv = np.linalg.pinv(centered_rows(face, beta))
+    w, V = np.linalg.eigh(pinv @ B @ pinv.T)
+    expected = face.stored_rows() @ (V * np.sqrt(np.clip(w, 0, None))) @ V.T
+    assert np.array_equal(comp.nodes, np.arange(5))
     assert np.allclose(comp.coords, expected, atol=1e-12)
 
 
@@ -156,11 +166,26 @@ def _frame_distances(face, Z):
     return np.einsum("abi,ij,abj->ab", diff, Z, diff)
 
 
+def basis_points(face, pedm):
+    """Reference for ``points_from_face`` on the face's orthonormal basis U
+    instead of its stored rows: Z = A^+ B (A^+)^T from the seed clique's
+    centered rows A of U[:, :r] and its centered Gram B, and the points
+    U[:, :r] Z^{1/2}."""
+    r = face.width - 1
+    beta, B = _find_rigid_seed(face.nodes, pedm, r, TOL)
+    U = face.basis[:, :r]
+    A = U[np.searchsorted(face.nodes, beta)]
+    pinv = np.linalg.pinv(A - A.mean(axis=0))
+    w, V = np.linalg.eigh(pinv @ B @ pinv.T)
+    return U @ (V * np.sqrt(np.clip(w, 0, None))) @ V.T
+
+
 def _frame_error(face, pedm, Z=None):
     """Largest difference between the frame Gram's squared distances and
-    points_from_face's on the same face, relative to the largest one."""
+    those of the basis route (``basis_points``) on the same face, relative
+    to the largest one."""
     Z = frame_gram(face, pedm, TOL) if Z is None else Z
-    want = edm_of(points_from_face(face, pedm, TOL).coords)
+    want = edm_of(basis_points(face, pedm))
     return np.max(np.abs(_frame_distances(face, Z) - want)) / np.max(want)
 
 
@@ -270,6 +295,10 @@ def test_frame_gram_distances_match_points_from_face(n, m, R, level, kinds, monk
             assert z is base_z
         # the Z the solve read (or would have read) on this face
         assert _frame_error(face, pedm) <= 1e-9
+        # and the final recovery's fresh Z on the stored rows
+        want = edm_of(basis_points(face, pedm))
+        got = edm_of(points_from_face(face, pedm, TOL).coords)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(want)
         checked += 1
     assert checked >= 20
 
@@ -395,3 +424,15 @@ def test_metrics():
     assert rmsd <= max_err
     with pytest.raises(EmptyPositioned):
         metrics({}, truth)
+
+
+def test_points_from_face_solves_a_fresh_frame_gram():
+    # a face's cached Z may come from the seed of an earlier, smaller clique
+    # whose rows it kept; the final recovery must not read it
+    P = RNG.random((9, 2))
+    pedm = complete_pedm(P)
+    face = face_of_points(range(9), P, 2)
+    want = points_from_face(face, pedm, TOL).coords
+    face._zgram = 4.0 * np.eye(2)
+    assert np.array_equal(points_from_face(face, pedm, TOL).coords, want)
+    assert np.max(np.abs(edm_of(want) - edm_of(P))) <= 1e-12

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from snloc.errors import InvalidConfig
+from snloc.faces import FaceRep, Tolerances
 from snloc.instance import build_partial_edm, generate_instance
 from snloc.reducer import StepLevel
 from snloc.solver import localize
@@ -133,3 +134,29 @@ def test_localize_rejects_invalid_level(level, monkeypatch):
     monkeypatch.setattr(snloc.solver, "half_range_cliques", None)
     with pytest.raises(InvalidConfig):
         localize(pedm, inst.anchors, level=level)
+
+
+@pytest.mark.parametrize(
+    "r, m, R, sigma, level, bounds",
+    [(2, 4, 0.16, 0.0, StepLevel.L2, False),
+     (2, 4, 0.16, 1e-4, StepLevel.L2, False),
+     (3, 6, 0.22, 0.0, StepLevel.L4, True)],
+    ids=["exact-L2", "noisy-L2", "r3-L4-range-bounds"],
+)
+def test_a_solve_never_builds_a_face_basis(monkeypatch, r, m, R, sigma, level, bounds):
+    # the steps and the final recovery read the faces' stored rows; only a
+    # singular merge builds an orthonormal basis, its own ExtendedFaceRep's
+    def refuse(face):
+        raise AssertionError("a FaceRep basis was built")
+
+    monkeypatch.setattr(FaceRep, "_materialize", refuse)
+    inst = generate_instance(100 * r, m, r, seed=0, radio_range=R, noise_factor=sigma)
+    tol = Tolerances.for_noise(sigma, use_range_bounds=bounds)
+    report = localize(build_partial_edm(inst), inst.anchors, level=level, tol=tol,
+                      truth=inst.points)
+    assert len(report.positioned) > 0.85 * inst.n
+    assert report.rmsd <= (1e-5 if sigma == 0 else 1e-1)
+    assert report.step_counts["rigid_union"] > 100 and report.step_counts["rigid_absorb"] > 0
+    if r == 3:
+        assert report.step_counts["nonrigid_union"] > 0
+        assert report.step_counts["nonrigid_absorb"] > 0
