@@ -39,9 +39,10 @@ usual, well conditioned case, and eigenvalues only the rest.
 
 Every merge runs through one front (``_front``), for one partner or many
 against the same face: it walks each partner's node ids through the face's
-row index, pads the common blocks to one size, whitens them and takes one
-stacked SVD, whose singular values run the rank, conditioning and range
-tests; one row map (``_maps``) then takes the new rows of the face whose
+row index (a single partner larger than the face the other way round),
+pads the common blocks to one size, whitens them and takes one stacked
+SVD, whose singular values run the rank, conditioning and range tests;
+one row map (``_maps``) then takes the new rows of the face whose
 common block is better conditioned into the stored coordinates of the
 other, through a pseudo-inverse of that block from the same SVD, and the
 face with the worse conditioned block keeps its rows.  Both intersections
@@ -535,46 +536,53 @@ def face_from_points(nodes, P: np.ndarray, tol: Tolerances) -> FaceRep:
 
 
 def _front(face: FaceRep, ids: list, coords: np.ndarray, white: np.ndarray, rank: int,
-           tol: Tolerances):
+           tol: Tolerances, index: dict | None = None):
     """Split, whiten and test the common blocks of one face and each of many
     partners, given as in ``FaceRep._parts``: ids holds each partner's node
     ids, coords all partners' stored coordinates V, stacked in order, and
     white their whiteners W of [V, e], stacked.
 
-    Each partner's ids are walked through the face's row index.  Both common
-    blocks of every partner are whitened and padded with zero rows to the
-    largest common size, which changes neither singular values nor right
-    singular vectors, and take one stacked thin SVD.  Its singular values,
-    as Python floats, run the tests: both blocks of rank exactly ``rank``
-    (r+1 rigid, r singular), the better one above the ``invert_floor``, and,
-    for an overlap of more than r nodes, a largest principal angle between
-    the blocks' ranges of at most ``range_tol``.  Returns (rows1, fresh,
-    blocks, svd, verdicts): the face's rows of all partners' common nodes,
-    in order; per partner the rows of its new nodes, counted over all
-    partners' rows; the blocks, shape (2, partners, size, r+1), the face's
-    first, and their SVD (U, S, Vh), both None when no partner has ``rank``
-    common nodes; and per partner the IntersectionRankLoss or RangeMismatch
-    it fails with or, when it passes, whether its block is the better
+    Each partner's ids are walked through the face's row index.  index, for
+    a single partner only, is that partner's row index
+    (``_RowStore.index``): when the partner holds more rows than the face,
+    the face's ids are walked through it instead, and the common pairs are
+    put back in the partner's row order, so that the blocks are the same and
+    the walk costs the smaller side.  Both common blocks of every partner
+    are whitened and padded with zero rows to the largest common size, which
+    changes neither singular values nor right singular vectors, and take one
+    stacked thin SVD.  Its singular values, as Python floats, run the tests:
+    both blocks of rank exactly ``rank`` (r+1 rigid, r singular), the better
+    one above the ``invert_floor``, and, for an overlap of more than r
+    nodes, a largest principal angle between the blocks' ranges of at most
+    ``range_tol``.  Returns (rows1, rows2, blocks, svd, verdicts): the
+    face's rows of all partners' common nodes, in order, and their rows in
+    coords; the blocks, shape (2, partners, size, r+1), the face's first,
+    and their SVD (U, S, Vh), both None when no partner has ``rank`` common
+    nodes; and per partner the IntersectionRankLoss or RangeMismatch it
+    fails with or, when it passes, whether its block is the better
     conditioned one (larger sigma_min, the partner on a tie).
     """
     r = face.width - 1
     if coords.shape[1] != r:
         raise ValueError("faces have different basis widths")
-    index, k1 = face._store.index, face._size
-    # rows2: the common nodes' rows in coords
-    rows1, rows2, counts, fresh, offset = [], [], [], [], 0
-    for part in ids:
-        start, new = len(rows1), []
-        for b, u in enumerate(part.tolist(), offset):
-            a = index.get(u, k1)
-            if a < k1:
-                rows1.append(a)
-                rows2.append(b)
-            else:
-                new.append(b)
-        counts.append(len(rows1) - start)
-        fresh.append(new)
-        offset += part.size
+    k1 = face._size
+    if index is not None and ids[0].size > k1:
+        k2 = ids[0].size
+        pairs = sorted((b, a) for a, u in enumerate(face._store.ids[:k1].tolist())
+                       if (b := index.get(u, k2)) < k2)
+        rows2, rows1 = [b for b, _ in pairs], [a for _, a in pairs]
+        counts = [len(pairs)]
+    else:
+        own, rows1, rows2, counts, offset = face._store.index, [], [], [], 0
+        for part in ids:
+            start = len(rows1)
+            for b, u in enumerate(part.tolist(), offset):
+                a = own.get(u, k1)
+                if a < k1:
+                    rows1.append(a)
+                    rows2.append(b)
+            counts.append(len(rows1) - start)
+            offset += part.size
     count, size = len(ids), max(counts)
     blocks = svd = None
     sing = [[None] * count] * 2
@@ -618,7 +626,7 @@ def _front(face: FaceRep, ids: list, coords: np.ndarray, white: np.ndarray, rank
         else:
             v = s2[rank - 1] >= s1[rank - 1]
         verdicts.append(v)
-    return rows1, fresh, blocks, svd, verdicts
+    return rows1, rows2, blocks, svd, verdicts
 
 
 def _maps(Wo: np.ndarray, U: np.ndarray, s: np.ndarray, Vh: np.ndarray, Ub: np.ndarray,
@@ -634,6 +642,14 @@ def _maps(Wo: np.ndarray, U: np.ndarray, s: np.ndarray, Vh: np.ndarray, Ub: np.n
     return Wo @ (pinv @ Ub) @ Lb.mT
 
 
+def _rest(rows: list, k: int) -> np.ndarray:
+    """The rows of range(k) that are not in rows, ascending: a face's new
+    rows, given its rows of the common nodes."""
+    new = np.ones(k, dtype=bool)
+    new[rows] = False
+    return np.flatnonzero(new)
+
+
 def _merge(F1: FaceRep, F2, tol: Tolerances, rank: int):
     """``_front`` for one partner F2, a FaceRep or ``FaceRep._parts``, and
     the choice of the base: the face whose common block is better
@@ -646,14 +662,15 @@ def _merge(F1: FaceRep, F2, tol: Tolerances, rank: int):
     """
     face2 = F2 if isinstance(F2, FaceRep) else None
     ids2, V2, W2 = F2._parts() if face2 is not None else F2
-    rows1, (fresh2,), blocks, svd, (verdict,) = _front(F1, [ids2], V2, W2[None], rank, tol)
+    rows1, rows2, blocks, svd, (verdict,) = _front(
+        F1, [ids2], V2, W2[None], rank, tol, None if face2 is None else face2._store.index)
     if not isinstance(verdict, bool):
         raise verdict
     U, S, Vh = svd
     W1, L1 = F1._whitener()
     if verdict:
         base, Lb, o, Wo = F1, L1, 1, W2
-        ids_o, V_o, new = ids2, V2, fresh2
+        ids_o, V_o, new = ids2, V2, _rest(rows2, ids2.size)
     else:
         if face2 is None:
             # the merge keeps F2's rows, so F2 needs a face; it shares the
@@ -662,10 +679,7 @@ def _merge(F1: FaceRep, F2, tol: Tolerances, rank: int):
             face2._white = W2, np.linalg.inv(W2).T
         base, Lb, o, Wo = face2, face2._whitener()[1], 0, W1
         k1 = F1._size
-        ids_o, V_o = F1._store.ids[:k1], F1._store.coords[:k1]
-        new = np.ones(k1, dtype=bool)
-        new[rows1] = False
-        new = np.flatnonzero(new)
+        ids_o, V_o, new = F1._store.ids[:k1], F1._store.coords[:k1], _rest(rows1, k1)
     Ao = np.ones((len(new), V_o.shape[1] + 1))
     Ao[:, :-1] = V_o.take(new, axis=0)
     # the last column of M would reproduce e, which the base keeps exact
@@ -718,18 +732,22 @@ def intersect_faces_wave(grower: FaceRep, partners: list, tol: Tolerances):
     r = grower.width - 1
     ids, coords, white = zip(*partners)
     coords, white = np.concatenate(coords), np.array(white)
-    _, fresh, blocks, svd, verdicts = _front(grower, ids, coords, white, r + 1, tol)
+    _, rows2, blocks, svd, verdicts = _front(grower, ids, coords, white, r + 1, tol)
     accepted = np.array([v is True for v in verdicts])
     deferred = np.array([v is False for v in verdicts])
     if not accepted.any():
         return None, accepted, deferred
     U, S, Vh = svd
     maps = _maps(white, U[1], S[1], Vh[1], blocks[0], grower._whitener()[1])[..., :r]
-    ids = np.concatenate(ids).tolist()
-    first = {}
-    for p in np.flatnonzero(accepted).tolist():
-        for b in fresh[p]:
-            first.setdefault(ids[b], (b, p))
+    # the accepted partners' new rows, each node at its first one
+    common, first, end = set(rows2), {}, 0
+    for p, (part, ok) in enumerate(zip(ids, accepted.tolist())):
+        start = end
+        end += part.size
+        if ok:
+            for b, u in enumerate(part.tolist(), start):
+                if b not in common:
+                    first.setdefault(u, (b, p))
     picks, owner = [b for b, _ in first.values()], [p for _, p in first.values()]
     A = np.ones((len(picks), 1, r + 1))
     A[:, 0, :r] = coords.take(picks, axis=0)

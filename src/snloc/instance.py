@@ -135,9 +135,12 @@ class PartialEDM:
 
     def greedy_clique(self, candidates, limit: int | None = None) -> list[int]:
         """The candidates, in the given order, that are each measured to every
-        candidate taken before them, up to limit of them.  Callers pass
-        candidates measured to the clique they extend."""
+        candidate taken before them, up to limit of them (none for a limit
+        below 1).  Callers pass candidates measured to the clique they
+        extend."""
         taken: list[int] = []
+        if limit is not None and limit < 1:
+            return taken
         # the nodes measured to every node taken so far
         common = None
         for j in candidates:

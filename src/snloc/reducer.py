@@ -41,11 +41,12 @@ the clique's next turn starts from it unless the clique has grown since.
 One table gives the steps in priority order; each picks from cnt (unions)
 or acnt (absorptions) an overlap >= r+1 (rigid) or exactly r (singular).
 The rigid steps take the largest overlap, ties by ascending id, from a
-max-heap over (count, -id) with lazy deletion: every count above r is
-pushed as it is reached, and entries that are no longer current, or that
-failed, are dropped when they surface, so a pick costs O(log n) instead of
-a scan of the counters.  A failed rigid partner is retried once its count
-has grown.
+max-heap over (count, -id) with lazy deletion: each call that registers
+nodes adds up its increments first and then pushes one entry per id it
+counted, at its final count when that is above r, and entries that are no
+longer current, or that failed, are dropped when they surface, so a pick
+costs O(log n) instead of a scan of the counters.  A failed rigid partner
+is retried once its count has grown.
 
 Rigid unions go in waves.  A pick pops every ready partner (a current
 count above r that has not failed) whose count is at least three quarters
@@ -85,6 +86,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from collections import Counter
 from enum import IntEnum
 
@@ -123,6 +125,7 @@ __all__ = [
     "CliqueFamily",
     "init_family",
     "grow_cliques",
+    "clique_size_limit",
     "rigid_clique_union",
     "rigid_node_absorption",
     "nonrigid_clique_union",
@@ -183,7 +186,7 @@ class CliqueFamily:
     def add_clique(self, nodes) -> int:
         cid = self._next_id
         self._next_id += 1
-        nodes = set(int(u) for u in nodes)
+        nodes = set(map(int, nodes))
         self.cliques[cid] = nodes
         for u in nodes:
             self.membership[u].add(cid)
@@ -271,11 +274,26 @@ def init_family(pedm, seeds) -> CliqueFamily:
     return family
 
 
+def clique_size_limit(max_size, r: int) -> int:
+    """max_size as an int; InvalidConfig unless it is an integer, not a
+    bool, above r+1.  A float such as 9.5 or NaN would never equal a
+    clique's size, and growth would take every common neighbour."""
+    try:
+        if isinstance(max_size, bool):
+            raise TypeError
+        size = operator.index(max_size)
+    except TypeError:
+        raise InvalidConfig(f"max_size must be an integer, got {max_size!r}") from None
+    if size <= r + 1:
+        raise InvalidConfig(f"max_size must exceed r+1, got {size}")
+    return size
+
+
 def grow_cliques(family: CliqueFamily, max_size: int) -> None:
     """Greedily extend every clique of the family, up to max_size nodes, with
-    nodes measured to all its members, by ascending node id."""
-    if max_size <= family.dim + 1:
-        raise InvalidConfig(f"max_size must exceed r+1, got {max_size}")
+    nodes measured to all its members, by ascending node id.  max_size must
+    be an integer above r+1 (``clique_size_limit``)."""
+    max_size = clique_size_limit(max_size, family.dim)
     pedm = family.pedm
     degree = np.diff(pedm.indptr).tolist()
     for cid in sorted(family.cliques):
@@ -283,10 +301,9 @@ def grow_cliques(family: CliqueFamily, max_size: int) -> None:
         if len(nodes) >= max_size:
             continue
         base = min(nodes, key=degree.__getitem__)
-        cand = set(pedm.row(base)) - nodes
-        for u in nodes:
-            if u != base:
-                cand.intersection_update(pedm.row(u))
+        # no node is in its own row, so the members drop out
+        cand = set(pedm.row(base))
+        cand.intersection_update(*[pedm.row(u) for u in nodes if u != base])
         for j in pedm.greedy_clique(sorted(cand), max_size - len(nodes)):
             nodes.add(j)
             family.membership[j].add(cid)
@@ -459,12 +476,12 @@ def _singular_merge(family: CliqueFamily, i: int, f2, beta: list, partner_delta,
         return None
 
 
-def _common_nodes(family: CliqueFamily, i: int, j: int):
-    """Common nodes of two distinct live cliques, or None."""
+def _live_pair(family: CliqueFamily, i: int, j: int):
+    """The node sets of two distinct live cliques, or None."""
     cliques = family.cliques
     if i == j or i not in cliques or j not in cliques:
         return None
-    return cliques[i] & cliques[j]
+    return cliques[i], cliques[j]
 
 
 def _cross_edges(pedm, Ci, Cj) -> int:
@@ -535,15 +552,20 @@ def rigid_clique_union(family: CliqueFamily, i: int, j: int, tol: Tolerances) ->
     mismatched subspaces, missing face), or an id that is not live, leaves
     the family untouched.
     """
-    common = _common_nodes(family, i, j)
-    if common is None or len(common) < family.dim + 1:
+    pair = _live_pair(family, i, j)
+    # a rigid overlap has at least r+1 nodes, so Cj has too
+    if pair is None or len(pair[1]) <= family.dim:
         return False
-    Ci, Cj = family.cliques[i], family.cliques[j]
-    if len(common) == len(Cj):
-        # Cj adds no nodes; keep i's face untouched
+    Ci, Cj = pair
+    if Cj <= Ci:
+        # Cj adds no nodes, as the set comparison finds before any
+        # intersection is built; keep i's face untouched
         family._kill_into(j, i)
         family.step_counts[STEP_RIGID_UNION] += 1
         return True
+    common = Ci & Cj
+    if len(common) <= family.dim:
+        return False
     if len(common) == len(Ci):
         # i is contained in j: take j's node set and face
         Ci.update(Cj)
@@ -582,11 +604,14 @@ def nonrigid_clique_union(family: CliqueFamily, i: int, j: int, tol: Tolerances)
     Without the range bounds, a pair with no measured edge between
     Ci minus Cj and Cj minus Ci is declined before any face work.
     """
-    common = _common_nodes(family, i, j)
+    pair = _live_pair(family, i, j)
     r = family.dim
-    if common is None or len(common) != r:
+    if pair is None:
         return False
-    Ci, Cj = family.cliques[i], family.cliques[j]
+    Ci, Cj = pair
+    common = Ci & Cj
+    if len(common) != r:
+        return False
     # the two candidates differ only in the distances between the private
     # sides: without a measured one no data can decide (on noisy data an
     # accept would be a round-off coin flip), but the range bounds still can
@@ -642,10 +667,10 @@ _STEPS = (
 
 def _heap_pick(heap, counts, tried):
     """Rigid partner with the largest (count, -id) that has not failed at
-    its current count, or None.  heap holds (-count, id) for every count an
-    id has reached above r; counts only grow while an id is a candidate, so
-    an entry that is not its id's current count, or that failed, never
-    becomes valid again and is dropped."""
+    its current count, or None.  heap holds (-count, id) for the current
+    count of every id above r, among older entries; counts only grow while
+    an id is a candidate, so an entry that is not its id's current count,
+    or that failed, never becomes valid again and is dropped."""
     while heap:
         negc, l = heap[0]
         if counts.get(l) == -negc and tried.get(l) != -negc:
@@ -690,35 +715,36 @@ def _wave_merge(family: CliqueFamily, gid: int, wave, tol: Tolerances):
     Ci = family.cliques[gid]
     grower = family.face_of(gid, tol)
     inside, failed, todo, parts, later = set(), [], [], [], set()
-    # nodes outside clique gid that the wave's kernel partners so far hold
-    held = set()
+    # nodes outside clique gid that the wave's kernel partners so far hold,
+    # and each kernel partner's
+    held, fresh = set(), []
     for l, c in wave:
         Cl = family.cliques[l]
         if c == len(Cl):
             inside.add(l)
             continue
-        fresh = [u for u in Cl if u not in Ci]
-        if held.issuperset(fresh):
+        new = Cl - Ci
+        if held.issuperset(new):
             later.add(l)
         elif grower is None or (part := family.face_parts(l, tol)) is None:
             failed.append((l, c))
         else:
             todo.append((l, c))
             parts.append(part)
-            held.update(fresh)
-    new_nodes = []
+            fresh.append(new)
+            held.update(new)
+    new_nodes = set()
     if parts:
         face, accepted, defer = intersect_faces_wave(grower, parts, tol)
-        for (l, c), a, d in zip(todo, accepted.tolist(), defer.tolist()):
+        for (l, c), a, d, new in zip(todo, accepted.tolist(), defer.tolist(), fresh):
             if a:
                 inside.add(l)
+                new_nodes.update(new)
             elif d:
                 later.add(l)
             else:
                 failed.append((l, c))
         if face is not None:
-            cliques = family.cliques
-            new_nodes = list(dict.fromkeys(u for l in inside for u in cliques[l] if u not in Ci))
             Ci.update(new_nodes)
             for u in new_nodes:
                 family.membership[u].add(gid)
@@ -729,8 +755,21 @@ def _wave_merge(family: CliqueFamily, gid: int, wave, tol: Tolerances):
 
 def _outside_counts(pedm, Ci) -> dict:
     """Each node outside Ci that has a neighbour in Ci -> its number of
-    neighbours in Ci, counted over the rows of Ci's nodes."""
-    return Counter(w for u in Ci for w in pedm.row(u) if w not in Ci)
+    neighbours in Ci, counted over the rows of Ci's nodes.
+
+    A clique of at least a sixteenth of the nodes is counted in numpy, over
+    a mask of all measured pairs, whose cost grows with the pairs: 1.3 ms
+    for 7984 of 8004 nodes, where the Python count takes 25 ms.  A smaller
+    one is counted in Python, at a cost in its own rows only."""
+    if 16 * len(Ci) < pedm.n:
+        return Counter(w for u in Ci for w in pedm.row(u) if w not in Ci)
+    inside = np.zeros(pedm.n, dtype=bool)
+    inside[np.fromiter(Ci, dtype=np.int64, count=len(Ci))] = True
+    # the entries of Ci's rows whose neighbour lies outside Ci
+    edge = np.repeat(inside, np.diff(pedm.indptr))
+    edge &= ~inside[pedm.indices]
+    ids, counts = np.unique(pedm.indices[edge], return_counts=True)
+    return dict(zip(ids.tolist(), counts.tolist()))
 
 
 def _exhaust_grower(family, gid, level, tol, trace) -> bool:
@@ -756,23 +795,31 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
     # singular union partner -> cross-edge count, until the grower changes
     cross: dict[int, int] = {}
 
-    def bump(counts, heap, l):
-        c = counts[l] = counts.get(l, 0) + 1
-        if c > r:
-            heapq.heappush(heap, (-c, l))
+    def push(counts, heap, touched):
+        # one entry per id a call counted, at its final count
+        for l in touched:
+            c = counts[l]
+            if c > r:
+                heapq.heappush(heap, (-c, l))
 
     def count_neighbors(nodes):
+        touched = set()
         for u in nodes:
             acnt.pop(u, None)
             for w in pedm.row(u):
                 if w not in Ci:
-                    bump(acnt, heaps[True], w)
+                    acnt[w] = acnt.get(w, 0) + 1
+                    touched.add(w)
+        push(acnt, heaps[True], touched)
 
     def register_nodes(nodes):
+        touched = set()
         for u in nodes:
             for c in family.membership[u]:
                 if c != gid:
-                    bump(cnt, heaps[False], c)
+                    cnt[c] = cnt.get(c, 0) + 1
+                    touched.add(c)
+        push(cnt, heaps[False], touched)
         if acnt is not None:
             count_neighbors(nodes)
 
@@ -794,10 +841,14 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
 
     def attempt(name, step, absorb, l, key) -> bool:
         counts = acnt if absorb else cnt
-        new_nodes = [l] if absorb else [u for u in family.cliques[l] if u not in Ci]
+        Cl = {l} if absorb else family.cliques[l]
+        # the step's new nodes, over the smaller side: a partner larger than
+        # the grower is walked only once the union is accepted
+        small = len(Cl) <= len(Ci)
+        new_nodes = Cl - Ci if small else Ci.copy()
         if globals()[name](family, gid, l, tol):
             counts.pop(l, None)
-            register_nodes(new_nodes)
+            register_nodes(new_nodes if small else Cl - new_nodes)
             cross.clear()
             record(step, l)
             return True
@@ -830,8 +881,7 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
     def start_counts(counts):
         nonlocal acnt
         acnt = counts
-        # one entry per node at its current count: bumping the counts one by
-        # one would push the lower ones too, which are never current again
+        # one entry per node at its current count, heapified at once
         heaps[True] = [(-k, w) for w, k in counts.items() if k > r]
         heapq.heapify(heaps[True])
 

@@ -10,7 +10,7 @@ from .errors import DegenerateAnchors, InvalidConfig, NoRigidSeed, RankDeficient
 from .faces import Tolerances
 from .instance import PartialEDM, half_range_cliques
 from .recovery import SolveReport, align_to_anchors, metrics, points_from_face
-from .reducer import StepLevel, grow_cliques, init_family, run, step_level
+from .reducer import StepLevel, clique_size_limit, grow_cliques, init_family, run, step_level
 
 __all__ = ["localize"]
 
@@ -34,11 +34,12 @@ def localize(
     when at least one sensor was positioned.  anchors must be a finite
     (m, r) array and level one of the StepLevel values (InvalidConfig
     otherwise, raised before any work).  The grown cliques hold at most
-    max_clique_size nodes, 3(r+1) when it is None; it must exceed r+1
-    (InvalidConfig).
+    max_clique_size nodes, 3(r+1) when it is None; it must be an integer
+    above r+1 (InvalidConfig, raised before any work).
     """
     r = pedm.dim
     level = step_level(level)
+    max_size = 3 * (r + 1) if max_clique_size is None else clique_size_limit(max_clique_size, r)
     anchors = np.asarray(anchors, dtype=float)
     if anchors.shape != (pedm.m, r):
         raise InvalidConfig(
@@ -51,7 +52,7 @@ def localize(
     t0 = time.perf_counter()
     seeds = half_range_cliques(pedm)
     family = init_family(pedm, seeds)
-    grow_cliques(family, 3 * (r + 1) if max_clique_size is None else max_clique_size)
+    grow_cliques(family, max_size)
     run(family, level=level, tol=tol, trace=trace)
     positioned: dict[int, np.ndarray] = {}
     residual = None

@@ -24,6 +24,8 @@ from snloc.faces import (
     intersect_faces_rigid,
     intersect_parts_rigid,
 )
+from snloc.instance import CliqueSeed
+from snloc.reducer import init_family, rigid_clique_union
 
 from helpers import (
     NOGATE,
@@ -461,6 +463,82 @@ def test_wave_matches_one_union_at_a_time(tol):
     # no partner accepted: no face
     none, accepted, deferred = faces_module.intersect_faces_wave(grower, parts[2:4], tol)
     assert none is None and not accepted.any() and deferred.tolist() == [False, True]
+
+
+class CountingIndex(dict):
+    """A row index that counts its lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def larger_partner(P, nodes, noise=0.0):
+    """Face of a partner on nodes whose row store also holds the rows of two
+    nodes appended after it (0 and 1, rows past the partner's size), so its
+    row index knows ids that the partner does not hold."""
+    Q = P[nodes] + noise * np.random.default_rng(5).standard_normal((nodes.size, 2))
+    face = face_of_points(nodes, Q, 2)
+    face._extend(np.zeros((2, 2)), [0, 1])
+    assert face._store.size == face._size + 2
+    return face
+
+
+@pytest.mark.parametrize("start, noise, verdict", [
+    (4, 0.0, bool), (6, 0.0, IntersectionRankLoss), (4, 1e-3, RangeMismatch),
+], ids=["passes", "two-common-nodes", "range-mismatch"])
+def test_front_is_the_same_whichever_side_it_walks(start, noise, verdict):
+    # a single partner larger than the face walks the face's ids through
+    # the partner's row index; the common pairs go back in the partner's row
+    # order, so the rows, blocks, SVD and verdict are the same
+    rng = np.random.default_rng(23)
+    P = strip_points(rng, 60, 2)
+    grower = face_of_points(np.arange(8), P[:8], 2)
+    partner = larger_partner(P, np.arange(start, 50), noise)
+    ids, V, W = partner._parts()
+    assert ids.size > grower._size
+    partner_walk = faces_module._front(grower, [ids], V, W[None], 3, TOL)
+    grower_walk = faces_module._front(grower, [ids], V, W[None], 3, TOL,
+                                      partner._store.index)
+    rows1, rows2, blocks, svd, (v,) = grower_walk
+    assert (rows1, rows2) == partner_walk[:2]
+    assert rows2 == sorted(rows2) and len(rows1) == 8 - start
+    assert np.array_equal(ids[rows2], grower._store.ids[rows1])
+    if blocks is None:
+        assert partner_walk[2] is partner_walk[3] is None
+    else:
+        assert np.array_equal(blocks, partner_walk[2])
+        for got, want in zip(svd, partner_walk[3]):
+            assert np.array_equal(got, want)
+    (w,) = partner_walk[4]
+    assert type(v) is type(w) is verdict and str(v) == str(w)
+
+
+def test_a_failed_union_against_a_larger_partner_looks_up_only_the_growers_ids():
+    # a grower of 8 nodes against a 46-node partner whose overlap of 4 nodes
+    # is inconsistent: the front used to walk all 46 of the partner's ids
+    # through the grower's row index
+    rng = np.random.default_rng(23)
+    P = strip_points(rng, 60, 2)
+    fam = init_family(complete_pedm(P), [CliqueSeed(0, tuple(range(8))),
+                                         CliqueSeed(4, tuple(range(4, 50)))])
+    i, j = (cid for cid, C in fam.cliques.items() if len(C) > 1)
+    grower = fam.face_of(i, TOL)
+    fam.faces[j] = partner = larger_partner(P, np.arange(4, 50), 1e-3)
+    with pytest.raises(RangeMismatch):
+        intersect_faces_rigid(grower, partner, TOL)
+    for face in (grower, partner):
+        face._store.index = CountingIndex(face._store.index)
+    assert not rigid_clique_union(fam, i, j, TOL)
+    looked_up = grower._store.index.lookups + partner._store.index.lookups
+    assert 0 < looked_up <= grower._size == 8
+    assert fam.cliques[i] == set(range(8))
 
 
 def test_nonrigid_butterfly_dimensions_and_nulls():

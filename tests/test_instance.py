@@ -329,6 +329,17 @@ def test_average_degree():
     assert average_degree(pedm) == pytest.approx(brute)
 
 
+def test_greedy_clique_takes_nothing_below_a_limit_of_one():
+    # a limit of 0 used to take every mutually measured candidate: 11 of
+    # node 0's 17 neighbours here
+    pedm = build_partial_edm(generate_instance(30, 3, 2, seed=0, radio_range=0.6))
+    cands = pedm.row(0)
+    assert len(pedm.greedy_clique(cands)) > 1
+    for limit in (0, -1):
+        assert pedm.greedy_clique(cands, limit) == []
+    assert pedm.greedy_clique(cands, 1) == cands[:1]
+
+
 def test_submatrix_requires_clique():
     pts = np.array([[0.0, 0], [1, 0], [2, 0]])
     pedm = pedm_from_pairs(pts, [(0, 1), (1, 2)])

@@ -126,6 +126,33 @@ def test_grow_cliques_produces_cliques():
         grow_cliques(fam, 3)
 
 
+@pytest.mark.parametrize("size", [9.5, float("nan"), 9.0, True, "9"])
+def test_grow_cliques_rejects_a_size_that_is_not_an_integer(size):
+    # 9.5 and NaN used to pass the > r+1 check and then never equal a
+    # clique's size, so growth took every common neighbour: 99 cliques of
+    # this instance grew past 9 nodes, and none do with 9
+    inst = generate_instance(300, 4, 2, seed=0, radio_range=0.2)
+    pedm = build_partial_edm(inst)
+    fam = init_family(pedm, half_range_cliques(pedm))
+    with pytest.raises(InvalidConfig, match="max_size must be an integer"):
+        grow_cliques(fam, size)
+    seeded = {cid: len(C) for cid, C in fam.cliques.items()}
+    grow_cliques(fam, np.int64(9))
+    assert all(len(C) <= max(9, seeded[cid]) for cid, C in fam.cliques.items())
+    assert any(len(C) == 9 > seeded[cid] for cid, C in fam.cliques.items())
+
+
+def test_init_family_reads_unsorted_and_numpy_seeds_as_sorted_ones():
+    P = RNG.random((6, 2))
+    pedm = complete_pedm(P)
+    plain = init_family(pedm, [CliqueSeed(0, (0, 1, 2)), CliqueSeed(3, (3, 4))])
+    mixed = init_family(pedm, [CliqueSeed(0, (2, 0, 1)), CliqueSeed(1, (1, 2, 0)),
+                               CliqueSeed(3, tuple(np.array([4, 3])))])
+    assert mixed.cliques == plain.cliques == {0: {0, 1, 2}, 1: {3, 4}, 2: {5}}
+    assert all(type(u) is int for C in mixed.cliques.values() for u in C)
+    assert mixed.membership == plain.membership
+
+
 def test_rigid_union_merges_and_updates_state():
     P = RNG.random((5, 2)) * 0.4
     pedm = complete_pedm(P)
@@ -673,9 +700,10 @@ def test_cross_edges_match_a_brute_force_count():
     assert pairs > 100
 
 
-@pytest.mark.parametrize("size", [40, 260])
+@pytest.mark.parametrize("size", [10, 40, 260])
 def test_outside_counts_match_a_brute_force_count(size):
-    # a grower of fewer and of more than half the nodes
+    # a grower counted in Python (below a sixteenth of the nodes) and two
+    # counted in numpy, of fewer and of more than half the nodes
     inst = generate_instance(300, 4, 2, seed=5, radio_range=GOLDEN_R)
     pedm = build_partial_edm(inst)
     adj = adjacency(pedm)
@@ -837,6 +865,51 @@ def test_each_rigid_union_of_a_wave_is_one_step_call(monkeypatch):
     assert rep.step_counts == {"rigid_union": 1860}
     assert sum(accepts) == rep.step_counts["rigid_union"]
     assert max(waves) > 1
+
+
+@pytest.mark.parametrize(
+    "n, m, r, R, sigma, level, tol",
+    [(200, 4, 2, 0.16, 0.0, StepLevel.L2, None),
+     (354, 8, 2, GOLDEN_R, 0.0, StepLevel.L4, None),
+     (200, 4, 2, 0.16, 1e-3, StepLevel.L2, None),
+     (300, 6, 3, 0.22, 0.0, StepLevel.L4, RANGE_BOUNDS)],
+    ids=["L2-200", "L4-354", "noisy-L2-200", "r3-L4-range-bounds"],
+)
+def test_every_rigid_pick_is_the_largest_ready_count(n, m, r, R, sigma, level, tol,
+                                                     monkeypatch):
+    # the heaps get one entry per id a registering call counted, at its
+    # final count; a pick must still be what a scan of the counters gives:
+    # the largest (count, -id) among the ids above r that have not failed
+    # at their count, and a wave every such id at >= 3/4 of the top count,
+    # by count descending, then id
+    def ready(counts, tried):
+        return [(c, -l) for l, c in counts.items() if c > r and tried.get(l) != c]
+
+    pick, pop_wave = reducer._heap_pick, reducer._pop_wave
+    picks, waves = [], []
+
+    def checked_pick(heap, counts, tried):
+        got = pick(heap, counts, tried)
+        best = max(ready(counts, tried), default=None)
+        assert got == (None if best is None else (-best[1], best[0]))
+        picks.append(got)
+        return got
+
+    def checked_wave(heap, counts, tried):
+        entries = ready(counts, tried)
+        floor = reducer._WAVE_FRACTION * max(entries)[0]
+        want = [(-l, c) for c, l in sorted(entries, reverse=True) if c >= floor]
+        got = pop_wave(heap, counts, tried)
+        assert got == want
+        waves.append(len(got))
+        return got
+
+    monkeypatch.setattr(reducer, "_heap_pick", checked_pick)
+    monkeypatch.setattr(reducer, "_pop_wave", checked_wave)
+    inst = generate_instance(n, m, r, seed=0, radio_range=R, noise_factor=sigma)
+    rep = localize(build_partial_edm(inst), inst.anchors, level=level, tol=tol)
+    assert rep.positioned
+    assert sum(p is not None for p in picks) >= 50 and max(waves) > 1
 
 
 def test_noisy_dense_rmsd_stays_near_the_one_at_a_time_chain():

@@ -123,6 +123,19 @@ def test_localize_rejects_a_clique_size_of_r_plus_one_or_less(size):
         localize(build_partial_edm(inst), inst.anchors, max_clique_size=size)
 
 
+@pytest.mark.parametrize("size", [9.5, float("nan"), True])
+def test_localize_rejects_a_clique_size_that_is_not_an_integer(size, monkeypatch):
+    # 9.5 and NaN used to lift the size limit (grow_cliques never met it);
+    # the check runs before seeding
+    import snloc.solver
+
+    inst = generate_instance(40, 4, 2, seed=2, radio_range=0.5)
+    pedm = build_partial_edm(inst)
+    monkeypatch.setattr(snloc.solver, "half_range_cliques", None)
+    with pytest.raises(InvalidConfig, match="max_size must be an integer"):
+        localize(pedm, inst.anchors, max_clique_size=size)
+
+
 @pytest.mark.parametrize("level", [0, 5, "L2"])
 def test_localize_rejects_invalid_level(level, monkeypatch):
     # used to surface as numpy's "not a valid StepLevel" ValueError from
