@@ -8,7 +8,6 @@ clique, whose coordinates follow in closed form.
 """
 
 from .edm_core import (
-    EigenPair,
     RankTolerance,
     full_rank_factor,
     kappa,
@@ -37,7 +36,6 @@ from .faces import (
     intersect_faces_rigid,
 )
 from .instance import (
-    CliqueSeed,
     Instance,
     PartialEDM,
     average_degree,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,27 +64,10 @@ class ExperimentConfig:
         return self.tol or Tolerances.for_noise(self.sigma)
 
 
-CSV_FIELDS = [
-    "n",
-    "m",
-    "r",
-    "radio_range",
-    "sigma",
-    "level",
-    "trials",
-    "seed",
-    "successful",
-    "avg_degree",
-    "avg_positioned",
-    "avg_cpu_seconds",
-    "avg_max_error",
-    "avg_rmsd",
-]
-
-
 @dataclass
 class TableRow:
-    """One aggregated experiment result; mirrors the CSV schema."""
+    """One aggregated experiment result; every field but reports is a CSV
+    column, in this order (``CSV_FIELDS``)."""
 
     n: int
     m: int
@@ -108,6 +91,9 @@ class TableRow:
             if rec[key] is None:
                 rec[key] = ""
         return rec
+
+
+CSV_FIELDS = [f.name for f in fields(TableRow) if f.name != "reports"]
 
 
 def run_trial(cfg: ExperimentConfig, index: int) -> tuple[SolveReport, float]:

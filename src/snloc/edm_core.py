@@ -25,7 +25,6 @@ from .errors import InvalidConfig, RankDeficient
 
 __all__ = [
     "RankTolerance",
-    "EigenPair",
     "kappa",
     "kappa_adjoint",
     "kappa_pinv",
@@ -51,14 +50,6 @@ class RankTolerance:
 
 
 DEFAULT_TOL = RankTolerance()
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    """Eigenvalues (descending) and the matching column-orthonormal eigenvectors."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def _check_symmetric(A: np.ndarray, stacked: bool = False) -> None:
@@ -104,8 +95,9 @@ def kappa_pinv(D: np.ndarray) -> np.ndarray:
     return 0.5 * (B + np.swapaxes(B, -1, -2))
 
 
-def eigh_descending(B: np.ndarray) -> EigenPair:
-    """Full symmetric eigendecomposition with eigenvalues sorted descending.
+def eigh_descending(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full symmetric eigendecomposition: (values, vectors), the eigenvalues
+    sorted descending and the matching column-orthonormal eigenvectors.
 
     The input, a matrix or a stack of them, is symmetrized first to absorb
     round-off.
@@ -113,7 +105,7 @@ def eigh_descending(B: np.ndarray) -> EigenPair:
     B = np.asarray(B, dtype=float)
     _check_symmetric(B, stacked=True)
     w, V = np.linalg.eigh(0.5 * (B + np.swapaxes(B, -1, -2)))
-    return EigenPair(values=w[..., ::-1].copy(), vectors=V[..., ::-1].copy())
+    return w[..., ::-1].copy(), V[..., ::-1].copy()
 
 
 def significant_rank(values: np.ndarray, tol: RankTolerance = DEFAULT_TOL):
@@ -134,9 +126,9 @@ def full_rank_factor(
     scaled by sqrt eigenvalues).  Raises RankDeficient when fewer than r
     eigenvalues clear the cutoff, which signals a degenerate clique.
     """
-    eig = eigh_descending(B)
-    if significant_rank(eig.values, tol) < r:
+    values, vectors = eigh_descending(B)
+    if significant_rank(values, tol) < r:
         raise RankDeficient(
-            f"matrix has numerical rank {significant_rank(eig.values, tol)} < {r}"
+            f"matrix has numerical rank {significant_rank(values, tol)} < {r}"
         )
-    return eig.vectors[:, :r] * np.sqrt(eig.values[:r])
+    return vectors[:, :r] * np.sqrt(values[:r])

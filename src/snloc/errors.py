@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises InvalidConfig for every integer-valued setting."""
+
+import operator
 
 
 class SnlError(Exception):
@@ -50,3 +53,15 @@ class ParseError(SnlError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def checked_int(value, name: str) -> int:
+    """value as an int; InvalidConfig unless it is an integer, not a bool.
+    A float such as 2.0, or True, would otherwise pass as the integer it
+    compares equal to."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}") from None

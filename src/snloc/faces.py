@@ -122,6 +122,8 @@ class Tolerances:
     invert_floor: float = 3e-2
 
     def __post_init__(self):
+        if not isinstance(self.rank, RankTolerance):
+            raise InvalidConfig(f"rank must be a RankTolerance, got {self.rank!r}")
         # written so that NaN fails every test
         for name in ("range_tol", "feas_tol"):
             if not 0.0 <= getattr(self, name) < math.inf:
@@ -388,13 +390,13 @@ def _face_coords(B: np.ndarray, r: int, tol: Tolerances):
         return np.empty((c, 1, 0)), np.ones(c, dtype=bool)
     # the top-r eigenvectors are also the closest rank-r PSD projection,
     # which is how noisy data is handled
-    eig = eigh_descending(B)
-    U = eig.vectors[..., :r]
+    values, vectors = eigh_descending(B)
+    U = vectors[..., :r]
     # B is centered so U is orthogonal to e up to round-off; clean it up to
     # keep the normalization exact
     U = U - (1.0 / k) * U.sum(axis=-2, keepdims=True)
     Q, _ = np.linalg.qr(U)
-    return Q, significant_rank(eig.values, tol.rank) >= r
+    return Q, significant_rank(values, tol.rank) >= r
 
 
 def face_from_gram(nodes, B: np.ndarray, r: int, tol: Tolerances) -> FaceRep:

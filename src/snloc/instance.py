@@ -11,27 +11,24 @@ submatrices, membership tests).
 Randomness: one 64-bit master seed per instance.  ``SeedSequence(seed)`` is
 split into two child streams, child 0 for point coordinates and child 1 for
 measurement noise, so regenerating with a different noise factor moves no
-points.  The streams (PCG64) and exact instances are bit-reproducible on
-every platform.  A noisy squared distance is the C library's pow(x, 2.0),
-as Python's float power gives it, so noisy instances are bit-reproducible
-given the same libm.
+points.  Every stored squared distance is one IEEE product x * x of a
+float, correctly rounded, and the streams are PCG64, so exact and noisy
+instances alike are bit-reproducible on every platform.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InvalidConfig, NotAClique, ParseError
+from .errors import InvalidConfig, NotAClique, ParseError, checked_int
 
 __all__ = [
     "Instance",
     "PartialEDM",
-    "CliqueSeed",
     "generate_instance",
     "build_partial_edm",
     "half_range_cliques",
@@ -223,20 +220,9 @@ def _checked_pairs(n: int, i, j, d2) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return i, j, d2
 
 
-@dataclass(frozen=True)
-class CliqueSeed:
-    """A clique found around one center node; members include the center."""
-
-    center: int
-    members: tuple[int, ...]
-
-
 def _check_sizes(n: int, m: int, r: int) -> None:
     for name, value in (("n", n), ("m", m), ("r", r)):
-        try:
-            operator.index(value)
-        except TypeError:
-            raise InvalidConfig(f"{name} must be an integer, got {value!r}") from None
+        checked_int(value, name)
     if n <= m or m < 0:
         raise InvalidConfig(f"need n > m >= 0, got n={n}, m={m}")
     if r < 1:
@@ -271,10 +257,7 @@ def generate_instance(
     seed must be a non-negative integer."""
     _check_sizes(n, m, r)
     _check_range_and_noise(radio_range, noise_factor)
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise InvalidConfig(f"seed must be an integer, got {seed!r}") from None
+    seed = checked_int(seed, "seed")
     if seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {seed}")
     point_rng, _ = _streams(seed)
@@ -295,10 +278,10 @@ def build_partial_edm(inst: Instance) -> PartialEDM:
 
     A pair is known iff the true distance is strictly below the radio range
     or both nodes are anchors.  With a positive noise factor sigma the stored
-    value is pow(d * (1 + sigma * eps), 2.0), the C library's pow as Python's
-    float power calls it, with eps standard normal, one draw per unordered
-    pair in lexicographic order; anchor-anchor distances stay exact.  A
-    noisy distance whose square overflows gives InvalidConfig.
+    value is x * x with x = d * (1 + sigma * eps), eps standard normal, one
+    draw per unordered pair in lexicographic order; anchor-anchor distances
+    stay exact.  The result is bit-reproducible on every platform.  A noisy
+    distance whose square overflows gives InvalidConfig.
     """
     n, m, R = inst.n, inst.m, inst.radio_range
     sigma = inst.noise_factor
@@ -318,15 +301,14 @@ def build_partial_edm(inst: Instance) -> PartialEDM:
     d = np.sqrt(np.vecdot(diff, diff))
     keep = d < R
     i, j, d = i[keep], j[keep], d[keep]
-    d2 = d * d
-    if sigma > 0:
-        # one draw per pair in lexicographic order: the same stream as one
-        # scalar draw each
-        eps = _streams(inst.seed)[1].standard_normal(d.size)
-        # an overflow leaves inf, which the constructor rejects
-        with np.errstate(over="ignore"):
-            x = d * (1.0 + sigma * eps)
-        d2 = _pow_square(x)
+    x = d
+    # an overflow leaves inf, which the constructor rejects
+    with np.errstate(over="ignore"):
+        if sigma > 0:
+            # one draw per pair in lexicographic order: the same stream as
+            # one scalar draw each
+            x = d * (1.0 + sigma * _streams(inst.seed)[1].standard_normal(d.size))
+        d2 = x * x
     # anchors know each other regardless of range, without noise
     a, b = np.triu_indices(m, 1)
     a, b = a + first_anchor, b + first_anchor
@@ -339,53 +321,9 @@ def build_partial_edm(inst: Instance) -> PartialEDM:
     )
 
 
-# Dekker's splitter, and the magnitude below which the low parts of his
-# two-product underflow, so that the rounding error it gives is not exact
-_SPLIT = 2.0**27 + 1.0
-_TINY = 2.0**-458
-
-
-def _pow_square(x: np.ndarray) -> np.ndarray:
-    """pow(v, 2.0) of every entry v of x, bit for bit, as Python's float
-    power gives it, but inf where that raises OverflowError.
-
-    x * x is the square correctly rounded; the C library's pow, accurate to
-    about 0.52 ulp, can round the other way only where the exact square lies
-    within 0.02 ulp of a midpoint between two floats.  Dekker's exact
-    two-product (Numer. Math. 18, 1971) gives the rounding error e of x * x,
-    and pow is called only where x * x may be in doubt: |e| >= 0.4 ulp,
-    within 0.1 ulp of a midpoint; x * x a power of two, whose lower midpoint
-    is a quarter ulp away; |x| below the range where the two-product is
-    exact; or a square that overflows, where e is not finite.  That is about
-    a fifth of the entries.
-    """
-    # an overflow leaves inf in p and NaN or inf in e, both handled below
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = x * x
-        hi = x * _SPLIT
-        xh = hi - (hi - x)
-        xl = x - xh
-        e = ((xh * xh - p) + 2.0 * xh * xl) + xl * xl
-    # written so that a NaN error is in doubt
-    doubt = ~(np.abs(e) < 0.4 * np.spacing(p))
-    # a power of two (or 0) has no fraction bits
-    doubt |= (p.view(np.uint64) & np.uint64((1 << 52) - 1)) == 0
-    doubt |= np.abs(x) < _TINY
-    at = np.flatnonzero(doubt)
-    p[at] = list(map(_pow_or_inf, x[at].tolist()))
-    return p
-
-
-def _pow_or_inf(v: float) -> float:
-    """pow(v, 2.0), or inf where it raises OverflowError."""
-    try:
-        return pow(v, 2.0)
-    except OverflowError:
-        return math.inf
-
-
-def half_range_cliques(pedm: PartialEDM) -> list[CliqueSeed]:
-    """One clique per node: all neighbors within half the radio range.
+def half_range_cliques(pedm: PartialEDM) -> list[tuple[int, ...]]:
+    """One clique per node: all neighbors within half the radio range, with
+    the node itself, as a sorted tuple of ids at the node's position.
 
     Any two nodes within R/2 of a common center are within R of each other,
     so the set is a clique when distances are exact.  Because measured values
@@ -429,7 +367,7 @@ def half_range_cliques(pedm: PartialEDM) -> list[CliqueSeed]:
             # member so far
             order = [j for _, j in sorted(zip(d2, near_ids))]
             members[i] = tuple(sorted([i] + pedm.greedy_clique(order)))
-    return [CliqueSeed(center=i, members=m) for i, m in zip(ids, members)]
+    return members
 
 
 def average_degree(pedm: PartialEDM) -> float:

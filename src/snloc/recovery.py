@@ -115,7 +115,7 @@ def _find_rigid_seed(nodes: np.ndarray, pedm, r: int, tol: Tolerances):
             continue
         members = sorted(members)
         B = kappa_pinv(pedm.submatrix(members))
-        vals = eigh_descending(B).values
+        vals, _ = eigh_descending(B)
         if significant_rank(vals, tol.rank) < r:
             continue
         score = vals[r - 1]
@@ -222,7 +222,7 @@ def two_completions(
         A = A - A.mean(axis=0)
         D = pedm.submatrix(delta) if dmat is None else np.asarray(dmat, dtype=float)
         B = kappa_pinv(D)
-        if significant_rank(eigh_descending(B).values, tol.rank) != r:
+        if significant_rank(eigh_descending(B)[0], tol.rank) != r:
             raise RankDeficient("delta subset does not have embedding dimension r")
         _, sv, Vt = np.linalg.svd(A)
         if sv.size < t - 1 or sv[t - 2] <= tol.rank.relative_cut * max(sv[0], eps):
@@ -274,8 +274,8 @@ def two_completions(
     completions = []
     for tau in chosen:
         Zc = Zbar + dZ / tau
-        eig = eigh_descending(Zc)
-        W = eig.vectors[:, :r] * np.sqrt(np.clip(eig.values[:r], 0.0, None))
+        values, vectors = eigh_descending(Zc)
+        W = vectors[:, :r] * np.sqrt(np.clip(values[:r], 0.0, None))
         coords = ext.basis[:, :t] @ W
         completions.append(Completion(nodes=ext.nodes, coords=coords))
     return completions

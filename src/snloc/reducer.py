@@ -86,7 +86,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 from collections import Counter
 from enum import IntEnum
 
@@ -101,6 +100,7 @@ from .errors import (
     NotAClique,
     RangeMismatch,
     RankDeficient,
+    checked_int,
 )
 from .faces import (
     FaceRep,
@@ -145,9 +145,10 @@ class StepLevel(IntEnum):
 
 
 def step_level(level) -> StepLevel:
-    """level as a StepLevel; InvalidConfig unless it is one of 1-4."""
+    """level as a StepLevel; InvalidConfig unless it is one of the integers
+    1-4 (not a bool or a float)."""
     try:
-        return StepLevel(level)
+        return StepLevel(checked_int(level, "level"))
     except ValueError:
         raise InvalidConfig(f"level must be one of 1-4, got {level!r}") from None
 
@@ -251,7 +252,8 @@ class CliqueFamily:
 
 
 def init_family(pedm, seeds) -> CliqueFamily:
-    """Family from clique seeds, deduplicated, plus the anchor clique.
+    """Family from clique seeds, each an iterable of node ids, deduplicated,
+    plus the anchor clique.
 
     A node that no seed covers gets a singleton clique.  The pedm.m anchors
     form one additional clique; if a seed already equals the anchor set,
@@ -260,7 +262,7 @@ def init_family(pedm, seeds) -> CliqueFamily:
     family = CliqueFamily(pedm)
     seen: dict[tuple, int] = {}
     for seed in seeds:
-        key = tuple(sorted(seed.members))
+        key = tuple(sorted(seed))
         if key not in seen:
             seen[key] = family.add_clique(key)
     for u, ids in enumerate(family.membership):
@@ -278,12 +280,7 @@ def clique_size_limit(max_size, r: int) -> int:
     """max_size as an int; InvalidConfig unless it is an integer, not a
     bool, above r+1.  A float such as 9.5 or NaN would never equal a
     clique's size, and growth would take every common neighbour."""
-    try:
-        if isinstance(max_size, bool):
-            raise TypeError
-        size = operator.index(max_size)
-    except TypeError:
-        raise InvalidConfig(f"max_size must be an integer, got {max_size!r}") from None
+    size = checked_int(max_size, "max_size")
     if size <= r + 1:
         raise InvalidConfig(f"max_size must exceed r+1, got {size}")
     return size
@@ -391,7 +388,7 @@ def _pick_delta(comp, beta: list, r: int, tol: Tolerances):
         delta = sorted(list(beta) + picked)
         P = coords[[rows[u] for u in delta]]
         X = P - P.mean(axis=0)
-        vals = eigh_descending(X @ X.T).values
+        vals, _ = eigh_descending(X @ X.T)
         if significant_rank(vals, tol.rank) == r:
             D = ((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2)
             return delta, D

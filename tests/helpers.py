@@ -85,8 +85,8 @@ def scalar_partial_edm(inst) -> PartialEDM:
         if d >= R:
             continue
         if sigma > 0 and not (i >= first_anchor and j >= first_anchor):
-            eps = noise_rng.standard_normal()
-            known[i, j] = (d * (1.0 + sigma * eps)) ** 2
+            x = d * (1.0 + sigma * noise_rng.standard_normal())
+            known[i, j] = x * x
         else:
             known[i, j] = d * d
     for a in range(first_anchor, n):
@@ -101,8 +101,6 @@ def scalar_partial_edm(inst) -> PartialEDM:
 def scalar_half_range_cliques(pedm):
     """Reference for ``half_range_cliques``: every node runs the nearest-first
     pass over its near set through the adjacency dictionaries."""
-    from snloc.instance import CliqueSeed
-
     adj = adjacency(pedm)
     half_sq = (pedm.radio_range / 2.0) ** 2
     seeds = []
@@ -116,7 +114,7 @@ def scalar_half_range_cliques(pedm):
             row = adj[j]
             if all(u == i or u in row for u in members):
                 members.append(j)
-        seeds.append(CliqueSeed(center=i, members=tuple(sorted(members))))
+        seeds.append(tuple(sorted(members)))
     return seeds
 
 

@@ -32,7 +32,7 @@ def test_config_validation():
         ExperimentConfig(trials=0)
 
 
-@pytest.mark.parametrize("level", [0, 5])
+@pytest.mark.parametrize("level", [0, 5, True, 2.0])
 def test_config_rejects_invalid_level(level):
     # used to raise the bare "not a valid StepLevel" ValueError
     with pytest.raises(InvalidConfig):

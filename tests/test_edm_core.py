@@ -115,9 +115,9 @@ def test_edm_round_trip_from_points():
 
 def test_eigh_descending_contract():
     B = random_symmetric(RNG, 8)
-    eig = eigh_descending(B)
-    assert np.all(np.diff(eig.values) <= 1e-12)
-    assert np.allclose(eig.vectors.T @ eig.vectors, np.eye(8), atol=1e-10)
+    values, vectors = eigh_descending(B)
+    assert np.all(np.diff(values) <= 1e-12)
+    assert np.allclose(vectors.T @ vectors, np.eye(8), atol=1e-10)
 
 
 def test_best_psd_perturbation_bound():

@@ -24,7 +24,6 @@ from snloc.faces import (
     intersect_faces_rigid,
     intersect_parts_rigid,
 )
-from snloc.instance import CliqueSeed
 from snloc.reducer import init_family, rigid_clique_union
 
 from helpers import (
@@ -60,10 +59,12 @@ NAN, INF = float("nan"), float("inf")
     dict(range_tol=NAN), dict(range_tol=INF), dict(range_tol=-1e-6),
     dict(feas_tol=NAN), dict(feas_tol=INF), dict(feas_tol=-1e-6),
     dict(invert_floor=NAN), dict(invert_floor=-0.1), dict(invert_floor=1.0),
+    dict(rank=1e-9),
 ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
 def test_tolerances_reject_nan_infinite_or_out_of_range_values(bad):
     # feas_tol=nan used to be accepted, and then every feasibility test
-    # passed, however far the candidate points were from the data
+    # passed, however far the candidate points were from the data; a float
+    # rank was accepted, and localize failed on its missing relative_cut
     with pytest.raises(InvalidConfig):
         Tolerances(**bad)
     with pytest.raises(ValueError):
@@ -526,8 +527,7 @@ def test_a_failed_union_against_a_larger_partner_looks_up_only_the_growers_ids()
     # through the grower's row index
     rng = np.random.default_rng(23)
     P = strip_points(rng, 60, 2)
-    fam = init_family(complete_pedm(P), [CliqueSeed(0, tuple(range(8))),
-                                         CliqueSeed(4, tuple(range(4, 50)))])
+    fam = init_family(complete_pedm(P), [tuple(range(8)), tuple(range(4, 50))])
     i, j = (cid for cid, C in fam.cliques.items() if len(C) > 1)
     grower = fam.face_of(i, TOL)
     fam.faces[j] = partner = larger_partner(P, np.arange(4, 50), 1e-3)

@@ -1,17 +1,13 @@
-import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from snloc import instance
 from snloc.edm_core import kappa
 from snloc.errors import InvalidConfig, NotAClique, ParseError
 from snloc.instance import (
     Instance,
     PartialEDM,
-    _pow_square,
     average_degree,
     build_partial_edm,
     generate_instance,
@@ -57,8 +53,9 @@ def test_generate_rejects_bad_config():
         generate_instance(5, 2, 2, seed=0, radio_range=-1.0)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
 def test_generate_rejects_a_negative_or_non_integer_seed(seed):
+    # seed=True used to pass silently as seed 1
     with pytest.raises(InvalidConfig):
         generate_instance(5, 2, 2, seed=seed, radio_range=0.1)
 
@@ -77,16 +74,19 @@ def test_partial_edm_rejects_bad_sizes(n, m, dim):
         PartialEDM(n=n, m=m, dim=dim, radio_range=0.5)
 
 
-@pytest.mark.parametrize("n, m, dim", [(3.5, 0, 2), (4, 1.0, 2), (4, 1, 2.0), ("4", 1, 2)],
-                         ids=["n-float", "m-float", "dim-float", "n-str"])
+@pytest.mark.parametrize("n, m, dim", [(3.5, 0, 2), (4, 1.0, 2), (4, 1, 2.0), ("4", 1, 2),
+                                       (True, 0, 1)],
+                         ids=["n-float", "m-float", "dim-float", "n-str", "n-bool"])
 def test_partial_edm_rejects_non_integer_sizes(n, m, dim):
     # these raised a bare TypeError from the size comparison or from range()
     with pytest.raises(InvalidConfig):
         PartialEDM(n=n, m=m, dim=dim, radio_range=0.5)
 
 
-@pytest.mark.parametrize("n, m, r", [(5.5, 2, 2), (5, 2, 2.0)], ids=["n-float", "r-float"])
+@pytest.mark.parametrize("n, m, r", [(5.5, 2, 2), (5, 2, 2.0), (True, 0, 1)],
+                         ids=["n-float", "r-float", "n-bool"])
 def test_generate_rejects_non_integer_sizes(n, m, r):
+    # n=True used to raise a bare TypeError from numpy
     with pytest.raises(InvalidConfig):
         generate_instance(n, m, r, seed=0, radio_range=0.5)
 
@@ -132,69 +132,21 @@ def test_build_matches_scalar_reference(n, m, r, R, sigma):
         assert got.d2.tobytes() == ref.d2.tobytes()
 
 
-def _float_power_squares(values) -> np.ndarray:
-    # Python's float power one value at a time, inf where it overflows
-    out = []
-    for v in values.tolist():
-        try:
-            out.append(v ** 2)
-        except OverflowError:
-            out.append(math.inf)
-    return np.array(out)
-
-
-def test_pow_square_matches_float_power_bit_for_bit():
-    rng = np.random.default_rng(2024)
-    spread = np.exp(rng.uniform(math.log(1e-6), math.log(1e2), 1_000_000))
-    # around the magnitude below which the two-product is not exact, and
-    # where the square overflows
-    tiny = np.ldexp(rng.uniform(1.0, 2.0, 100_000), rng.integers(-560, -440, 100_000))
-    huge = np.ldexp(rng.uniform(1.0, 2.0, 10_000), rng.integers(505, 515, 10_000))
-    # powers of two from below the two-product's exact range to past overflow,
-    # each with its two float neighbours
-    twos = np.ldexp(1.0, np.arange(-1074, 1024))
-    edges = np.concatenate([twos, np.nextafter(twos, 0.0), np.nextafter(twos, math.inf)])
-    x = np.concatenate([spread, tiny, huge, edges, -edges, [0.0, -0.0, math.inf, -math.inf]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = _pow_square(x.copy())
-    want = _float_power_squares(x)
-    assert got.tobytes() == want.tobytes()
-    # numpy's square rounds otherwise on some of them, so swapping the
-    # kernel for it fails the check above
-    assert np.count_nonzero(spread * spread != want[: spread.size]) > 0
-
-
-def test_pow_square_asks_pow_wherever_it_may_round_the_other_way(monkeypatch):
-    # pow, accurate to about 0.52 ulp, may round otherwise than x * x where
-    # the exact square lies within 0.02 ulp of a midpoint between two floats,
-    # and at a power of two, whose lower neighbour is half an ulp away.  Each
-    # such entry must go to pow, whatever this C library's pow returns there
-    monkeypatch.setattr(instance, "_pow_or_inf", lambda v: math.nan)
-    rng = np.random.default_rng(7)
-    spread = np.exp(rng.uniform(math.log(1e-6), math.log(1e2), 20_000))
-    # below the two-product's exact range, most where x * x is just past
-    # the subnormals and the low part's rounding may hide a midpoint
-    tiny = np.ldexp(rng.uniform(1.0, 2.0, 15_000),
-                    np.r_[rng.integers(-511, -509, 10_000), rng.integers(-560, -440, 5_000)])
-    # the floats whose squares come closest to powers of two
-    roots = []
-    for v in (1.0, math.sqrt(2.0)):
-        lo = hi = v
-        for _ in range(8):
-            lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 2.0)
-            roots += [lo, hi]
-        roots.append(v)
-    roots = np.ldexp(np.array(roots)[:, None], np.arange(-300, 300, 37)).ravel()
-    x = np.concatenate([spread, tiny, roots])
-    asked = np.isnan(_pow_square(x.copy()))
-    for v, a in zip(x.tolist(), asked.tolist()):
-        p = v * v
-        error, ulp = Fraction(v) ** 2 - Fraction(p), Fraction(math.ulp(p))
-        below = Fraction(p - math.nextafter(p, 0.0))
-        near_midpoint = min(abs(error - ulp / 2), abs(error + below / 2)) <= ulp / 50
-        assert a or not (near_midpoint or below < ulp), v
-    assert asked[: spread.size].mean() < 0.25
+def test_build_squares_each_noisy_distance_as_one_product():
+    # x = d * (1 + sigma * eps) rebuilt from the noise stream, pair by pair in
+    # lexicographic order; the stored value is x * x, one correctly rounded
+    # product, where the C library's pow rounds some squares the other way
+    inst = generate_instance(2004, 4, 2, seed=0, radio_range=0.08, noise_factor=1e-4)
+    pedm = build_partial_edm(inst)
+    first_anchor = inst.n - inst.m
+    pairs = [(i, j) for i, j, _ in pedm.known_pairs() if i < first_anchor]
+    noise = np.random.Generator(np.random.PCG64(np.random.SeedSequence(inst.seed).spawn(2)[1]))
+    x = np.array([float(np.linalg.norm(inst.points[i] - inst.points[j]))
+                  * (1.0 + inst.noise_factor * noise.standard_normal()) for i, j in pairs])
+    known, d2 = pedm.lookup(*np.array(pairs).T)
+    assert known.all()
+    assert d2.tobytes() == (x * x).tobytes()
+    assert any(pow(v, 2.0) != v * v for v in x.tolist())
 
 
 @pytest.mark.parametrize("sigma", [1e200, 1e308])
@@ -267,8 +219,8 @@ def test_half_range_isolated_node():
     pts = np.array([[0.0, 0.0], [10.0, 10.0], [20.0, 0.0]])
     pedm = pedm_from_pairs(pts, [], radio_range=1.0)
     seeds = half_range_cliques(pedm)
-    assert seeds[0].members == (0,)
-    assert all(s.center in s.members for s in seeds)
+    assert seeds[0] == (0,)
+    assert all(i in members for i, members in enumerate(seeds))
 
 
 def test_half_range_collinear_trio():
@@ -278,15 +230,15 @@ def test_half_range_collinear_trio():
     inst = Instance(n=3, m=0, r=2, points=pts, radio_range=R, noise_factor=0.0, seed=0)
     pedm = build_partial_edm(inst)
     seeds = half_range_cliques(pedm)
-    assert seeds[1].members == (0, 1, 2)
+    assert seeds[1] == (0, 1, 2)
 
 
 def test_half_range_pairwise_known():
     inst = generate_instance(150, 4, 2, seed=5, radio_range=0.25, noise_factor=1e-2)
     pedm = build_partial_edm(inst)
-    for seed in half_range_cliques(pedm):
+    for members in half_range_cliques(pedm):
         # NotAClique unless every pair is measured
-        pedm.submatrix(seed.members)
+        pedm.submatrix(members)
 
 
 @pytest.mark.parametrize(
@@ -302,8 +254,8 @@ def test_half_range_matches_scalar_reference(n, m, r, R, sigma, seed):
     # drop part of their near set (12 at seed 1)
     half_sq = (R / 2) ** 2
     adj = adjacency(pedm)
-    dropped = sum(len(s.members) <= sum(d2 <= half_sq for d2 in adj[s.center].values())
-                  for s in seeds)
+    dropped = sum(len(members) <= sum(d2 <= half_sq for d2 in adj[i].values())
+                  for i, members in enumerate(seeds))
     assert (dropped > 0) == (sigma > 0)
 
 
@@ -314,7 +266,7 @@ def test_half_range_drops_by_distance_not_id():
     pairs = [(a, b) for a in range(5) for b in range(a + 1, 5) if (a, b) != (1, 3)]
     pedm = pedm_from_pairs(pts, pairs, radio_range=1.0)
     seeds = half_range_cliques(pedm)
-    assert seeds[0].members == (0, 2, 3)
+    assert seeds[0] == (0, 2, 3)
     assert seeds == scalar_half_range_cliques(pedm)
 
 

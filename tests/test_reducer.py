@@ -20,7 +20,6 @@ from snloc.faces import (
     intersect_parts_rigid,
 )
 from snloc.instance import (
-    CliqueSeed,
     build_partial_edm,
     generate_instance,
     half_range_cliques,
@@ -55,7 +54,7 @@ RNG = np.random.default_rng(4242)
 
 
 def singleton_seeds(n):
-    return [CliqueSeed(center=i, members=(i,)) for i in range(n)]
+    return [(i,) for i in range(n)]
 
 
 def family_for_points(P, seeds=None, m=0):
@@ -85,8 +84,8 @@ def test_init_family_covers_uncovered_nodes_and_dedupes():
     P = RNG.random((4, 2))
     pedm = complete_pedm(P)
     seeds = [
-        CliqueSeed(center=0, members=(0, 1)),
-        CliqueSeed(center=1, members=(0, 1)),  # duplicate set
+        (0, 1),
+        (0, 1),  # duplicate set
     ]
     fam = init_family(pedm, seeds)
     # duplicate collapsed, nodes 2 and 3 get singleton cliques
@@ -145,9 +144,8 @@ def test_grow_cliques_rejects_a_size_that_is_not_an_integer(size):
 def test_init_family_reads_unsorted_and_numpy_seeds_as_sorted_ones():
     P = RNG.random((6, 2))
     pedm = complete_pedm(P)
-    plain = init_family(pedm, [CliqueSeed(0, (0, 1, 2)), CliqueSeed(3, (3, 4))])
-    mixed = init_family(pedm, [CliqueSeed(0, (2, 0, 1)), CliqueSeed(1, (1, 2, 0)),
-                               CliqueSeed(3, tuple(np.array([4, 3])))])
+    plain = init_family(pedm, [(0, 1, 2), (3, 4)])
+    mixed = init_family(pedm, [(2, 0, 1), (1, 2, 0), tuple(np.array([4, 3]))])
     assert mixed.cliques == plain.cliques == {0: {0, 1, 2}, 1: {3, 4}, 2: {5}}
     assert all(type(u) is int for C in mixed.cliques.values() for u in C)
     assert mixed.membership == plain.membership
@@ -157,8 +155,8 @@ def test_rigid_union_merges_and_updates_state():
     P = RNG.random((5, 2)) * 0.4
     pedm = complete_pedm(P)
     seeds = [
-        CliqueSeed(center=0, members=(0, 1, 2, 3)),
-        CliqueSeed(center=4, members=(1, 2, 3, 4)),
+        (0, 1, 2, 3),
+        (1, 2, 3, 4),
     ]
     fam = init_family(pedm, seeds)
     ids = sorted(fam.cliques)
@@ -175,8 +173,8 @@ def test_rigid_union_identical_cliques():
     P = RNG.random((4, 2))
     pedm = complete_pedm(P)
     seeds = [
-        CliqueSeed(center=0, members=(0, 1, 2, 3)),
-        CliqueSeed(center=1, members=(0, 1, 2, 3)),
+        (0, 1, 2, 3),
+        (0, 1, 2, 3),
     ]
     # dedupe already collapses identical sets; force two ids manually
     fam = init_family(pedm, seeds[:1])
@@ -193,8 +191,8 @@ def test_rigid_union_rejects_collinear_overlap():
     P = np.array([[0.0, 0.0], [0.2, 0.0], [0.4, 0.0], [0.1, 0.3], [0.3, -0.2]])
     pedm = complete_pedm(P)
     seeds = [
-        CliqueSeed(center=0, members=(0, 1, 2, 3)),
-        CliqueSeed(center=4, members=(0, 1, 2, 4)),
+        (0, 1, 2, 3),
+        (0, 1, 2, 4),
     ]
     fam = init_family(pedm, seeds)
     ids = sorted(fam.cliques)
@@ -210,7 +208,7 @@ def test_rigid_absorption_positions_node():
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     pairs += [(0, 5), (2, 5), (3, 5)]
     pedm = pedm_from_pairs(P, pairs)
-    fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3, 4))])
+    fam = init_family(pedm, [(0, 1, 2, 3, 4)])
     cid = next(iter(fam.cliques))
     assert rigid_node_absorption(fam, cid, 5, TOL)
     assert 5 in fam.cliques[cid]
@@ -228,7 +226,7 @@ def test_rigid_absorption_rejects_collinear_neighbors():
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     pairs += [(0, 4), (1, 4), (2, 4)]  # collinear neighbor set {0,1,2}
     pedm = pedm_from_pairs(P, pairs)
-    fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3))])
+    fam = init_family(pedm, [(0, 1, 2, 3)])
     cid = next(iter(fam.cliques))
     assert not rigid_node_absorption(fam, cid, 4, TOL)
     assert 4 not in fam.cliques[cid]
@@ -241,7 +239,7 @@ def test_rigid_absorption_synthesizes_missing_distances():
     pairs.remove((1, 3))  # clique data still complete via seed below
     pairs += [(1, 6), (3, 6), (4, 6)]
     pedm = pedm_from_pairs(P, pairs)
-    fam = init_family(pedm, [CliqueSeed(center=0, members=tuple(range(6)))])
+    fam = init_family(pedm, [tuple(range(6))])
     cid = next(iter(fam.cliques))
     # face building needs the full clique; (1,3) missing makes it fall back
     # to a measured sub-clique once faces are built from gram data
@@ -271,7 +269,7 @@ def butterfly_family(rng, cross=False, sigma=0.0):
     pedm = pedm_from_pairs(P, sorted(set(pairs)), sigma=sigma, rng=rng)
     fam = init_family(
         pedm,
-        [CliqueSeed(center=0, members=n1), CliqueSeed(center=4, members=n2)],
+        [n1, n2],
     )
     return P, pedm, fam
 
@@ -328,8 +326,8 @@ def test_nonrigid_union_dispatch_requires_overlap_r():
     P = RNG.random((6, 2)) * 0.4
     pedm = complete_pedm(P)
     seeds = [
-        CliqueSeed(center=0, members=(0, 1, 2, 3)),
-        CliqueSeed(center=5, members=(1, 2, 3, 4, 5)),
+        (0, 1, 2, 3),
+        (1, 2, 3, 4, 5),
     ]
     fam = init_family(pedm, seeds)
     ids = sorted(fam.cliques)
@@ -360,7 +358,7 @@ def test_nonrigid_absorption_with_range_bounds():
     assert np.linalg.norm(P[4] - P[3]) > R
     assert np.linalg.norm(P[4] - P[1]) > R  # true config satisfies all bounds
     tol_bounds = Tolerances(use_range_bounds=True)
-    fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3))])
+    fam = init_family(pedm, [(0, 1, 2, 3)])
     cid = next(iter(fam.cliques))
     assert nonrigid_node_absorption(fam, cid, 4, tol_bounds)
     assert 4 in fam.cliques[cid]
@@ -382,7 +380,7 @@ def test_nonrigid_absorption_ambiguous_without_bounds():
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     pairs += [(0, 4), (2, 4)]
     pedm = pedm_from_pairs(P, pairs, radio_range=0.72)
-    fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3))])
+    fam = init_family(pedm, [(0, 1, 2, 3)])
     cid = next(iter(fam.cliques))
     assert not nonrigid_node_absorption(fam, cid, 4, TOL)
 
@@ -393,7 +391,7 @@ def test_nonrigid_absorption_dispatch_rank():
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     pairs += [(0, 4), (1, 4), (2, 4)]
     pedm = pedm_from_pairs(P, pairs)
-    fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3))])
+    fam = init_family(pedm, [(0, 1, 2, 3)])
     cid = next(iter(fam.cliques))
     # with the bounds on, the step gets past its early exit to the
     # neighbor-count check
@@ -410,7 +408,7 @@ def test_nonrigid_absorption_declines_a_collinear_beta():
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     pairs += [(0, 5), (1, 5), (2, 5)]
     pedm = pedm_from_pairs(P, pairs, radio_range=0.5)
-    fam = init_family(pedm, [CliqueSeed(center=0, members=(0, 1, 2, 3, 4))])
+    fam = init_family(pedm, [(0, 1, 2, 3, 4)])
     cid = next(iter(fam.cliques))
     tol = Tolerances(use_range_bounds=True)
     assert reducer._temp_clique(fam, cid, [0, 1, 2, 5], tol) is None
@@ -421,7 +419,7 @@ def test_nonrigid_absorption_declines_a_collinear_beta():
 def test_run_single_clique_fixed_point():
     P = RNG.random((6, 2))
     pedm = complete_pedm(P, m=3)
-    fam = init_family(pedm, [CliqueSeed(center=0, members=tuple(range(6)))])
+    fam = init_family(pedm, [tuple(range(6))])
     run(fam, level=StepLevel.L2, tol=TOL)
     # the seed clique contains everything: only the anchor clique can merge in
     assert len(fam.cliques) == 1
@@ -435,12 +433,12 @@ def test_run_trilateration_chain():
     P = np.column_stack([np.linspace(0.0, 3.0, n), rng.random(n) * 0.8])
     seeds = []
     for start in range(0, n - 3):
-        seeds.append(CliqueSeed(center=start, members=tuple(range(start, start + 4))))
+        seeds.append(tuple(range(start, start + 4)))
     pairs = {
         (i, j)
         for seed in seeds
-        for i in seed.members
-        for j in seed.members
+        for i in seed
+        for j in seed
         if i < j
     }
     pedm = pedm_from_pairs(P, pairs)
@@ -463,8 +461,8 @@ def test_run_disconnected_component_stays_apart():
     pairs += [(i, j) for i in range(8, 13) for j in range(i + 1, 13)]
     pedm = pedm_from_pairs(P, pairs)
     seeds = [
-        CliqueSeed(center=0, members=tuple(range(8))),
-        CliqueSeed(center=8, members=tuple(range(8, 13))),
+        tuple(range(8)),
+        tuple(range(8, 13)),
     ]
     fam = init_family(pedm, seeds)
     run(fam, level=StepLevel.L4, tol=TOL)
@@ -531,7 +529,7 @@ def test_level_monotonicity():
 def test_face_range_preserved_by_subset_merge():
     P = RNG.random((5, 2))
     pedm = complete_pedm(P)
-    seeds = [CliqueSeed(center=0, members=(0, 1, 2, 3, 4))]
+    seeds = [(0, 1, 2, 3, 4)]
     fam = init_family(pedm, seeds)
     big = next(iter(fam.cliques))
     small = fam.add_clique((1, 2, 3))
@@ -546,8 +544,8 @@ def test_subset_union_hands_over_the_seed_face():
     # a FaceRep yet: i takes j's node set, so it must take j's seed face too
     P = RNG.random((6, 2))
     pedm = complete_pedm(P)
-    seeds = [CliqueSeed(center=0, members=(0, 1, 2, 3)),
-             CliqueSeed(center=5, members=(0, 1, 2, 3, 4, 5))]
+    seeds = [(0, 1, 2, 3),
+             (0, 1, 2, 3, 4, 5)]
     fam = init_family(pedm, seeds)
     i, j = sorted(fam.cliques)
     fam.build_seed_faces(TOL)
@@ -569,8 +567,8 @@ def test_steps_decline_a_merged_id():
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     pairs += [(0, 5), (1, 5), (2, 5)]
     pedm = pedm_from_pairs(P, pairs)
-    seeds = [CliqueSeed(center=0, members=(0, 1, 2, 3)),
-             CliqueSeed(center=4, members=(1, 2, 3, 4))]
+    seeds = [(0, 1, 2, 3),
+             (1, 2, 3, 4)]
     fam = init_family(pedm, seeds)
     i, j, single = sorted(fam.cliques)
     assert rigid_clique_union(fam, i, j, TOL)
@@ -589,7 +587,7 @@ def test_steps_decline_a_merged_id():
     assert rigid_node_absorption(fam, i, 5, TOL)
 
 
-@pytest.mark.parametrize("level", [0, 5])
+@pytest.mark.parametrize("level", [0, 5, True, 2.0])
 def test_run_rejects_invalid_level(level):
     # used to raise numpy's bare "not a valid StepLevel" ValueError
     P = RNG.random((6, 2))
@@ -935,7 +933,7 @@ def test_temp_clique_declines_a_pair_it_cannot_synthesize():
     # clique; with the pair measured there is one
     P = RNG.random((6, 2))
     pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
-    seeds = [CliqueSeed(center=0, members=(0, 1, 2, 3))]
+    seeds = [(0, 1, 2, 3)]
     fam = init_family(pedm_from_pairs(P, [p for p in pairs if p != (4, 5)]), seeds)
     cid = next(c for c, nodes in fam.cliques.items() if 0 in nodes)
     assert reducer._temp_clique(fam, cid, [0, 1, 4, 5], TOL) is None

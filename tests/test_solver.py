@@ -136,10 +136,11 @@ def test_localize_rejects_a_clique_size_that_is_not_an_integer(size, monkeypatch
         localize(pedm, inst.anchors, max_clique_size=size)
 
 
-@pytest.mark.parametrize("level", [0, 5, "L2"])
+@pytest.mark.parametrize("level", [0, 5, "L2", True, 2.0])
 def test_localize_rejects_invalid_level(level, monkeypatch):
     # used to surface as numpy's "not a valid StepLevel" ValueError from
-    # inside the reduction loop, after seeding and growing
+    # inside the reduction loop, after seeding and growing; True and 2.0
+    # used to run L1 and L2
     import snloc.solver
 
     inst = generate_instance(40, 4, 2, seed=2, radio_range=0.5)
