@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .edm_core import RankTolerance
-from .errors import InvalidConfig, ParseError
+from .errors import InvalidConfig, ParseError, checked_int
 from .faces import Tolerances
 from .instance import (
     average_degree,
@@ -54,6 +54,9 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        # before the range checks: True or 1.5 would compare as a number
+        for name in ("n", "m", "r", "trials", "seed"):
+            setattr(self, name, checked_int(getattr(self, name), name))
         if self.trials < 1:
             raise InvalidConfig(f"need at least one trial, got {self.trials}")
         if self.n <= self.m:

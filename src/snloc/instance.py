@@ -5,8 +5,12 @@ Nodes are indexed 0..n-1 internally; the last m indices are anchors.  A
 array form, built once from the measured pairs: both directions of every
 pair, sorted by (i, j), as row pointers, neighbour ids and squared
 distances.  Every other module reads that form, as row slices (neighbor
-scans), gathers over many rows, or vectorized pair lookups (principal
-submatrices, membership tests).
+scans), gathers over many rows, vectorized pair lookups (principal
+submatrices, membership tests), or a sparse adjacency matrix that shares
+its arrays (clique growth).  ``PartialEDM.greedy_take`` builds the greedy
+cliques of many candidate lists at once, in rounds of one lookup each; the
+seeding, the clique growth and the recovery's seed cliques all take
+through it.
 
 Randomness: one 64-bit master seed per instance.  ``SeedSequence(seed)`` is
 split into two child streams, child 0 for point coordinates and child 1 for
@@ -130,36 +134,66 @@ class PartialEDM:
         pos = np.arange(owner.size) + (lo - (np.cumsum(count) - count))[owner]
         return owner, self.indices[pos], self.d2[pos]
 
-    def greedy_clique(self, candidates, limit: int | None = None) -> list[int]:
-        """The candidates, in the given order, that are each measured to every
-        candidate taken before them, up to limit of them (none for a limit
-        below 1).  Callers pass candidates measured to the clique they
-        extend."""
-        taken: list[int] = []
-        if limit is not None and limit < 1:
-            return taken
-        # the nodes measured to every node taken so far
-        common = None
-        for j in candidates:
-            if common is None or j in common:
-                taken.append(j)
-                if len(taken) == limit:
-                    break
-                row = self.row(j)
-                common = set(row) if common is None else common.intersection(row)
-        return taken
+    def greedy_take(self, owner, cand, room) -> tuple[np.ndarray, np.ndarray]:
+        """Greedy cliques of many candidate lists at once.
+
+        List c is cand[owner == c] in the given order, owner ascending, and
+        room[c] bounds what it takes.  From each list this takes the
+        candidates that are each measured to every candidate taken before
+        them, up to room[c] of them (none for a room below 1).  Returns
+        (owner, taken), owner ascending and each list's nodes in take order.
+        Callers pass candidates measured to the clique they extend.
+
+        It runs in rounds: each takes the first remaining candidate of every
+        list with room left, and keeps of the rest only those measured to
+        it, in one lookup over all lists.
+        """
+        owner = np.asarray(owner, dtype=np.int64)
+        cand = self._checked_ids(cand)
+        room = np.array(room, dtype=np.int64)
+        keep = room[owner] > 0
+        owner, cand = owner[keep], cand[keep]
+        keys = self._keys
+        # n times the node each list took last: where the keys of its row start
+        last = np.empty(room.size, dtype=np.int64)
+        took_owner, took = [owner[:0]], [cand[:0]]
+        while owner.size:
+            head = np.empty(owner.size, dtype=bool)
+            head[0] = True
+            np.not_equal(owner[1:], owner[:-1], out=head[1:])
+            lists, nodes = owner[head], cand[head]
+            took_owner.append(lists)
+            took.append(nodes)
+            last[lists] = nodes * self.n
+            room[lists] -= 1
+            # the rest of each list against the node it just took, which
+            # drops that node too, as no node is measured to itself
+            query = last[owner]
+            query += cand
+            keep = keys[keys.searchsorted(query)] == query
+            keep &= room[owner] > 0
+            owner, cand = owner[keep], cand[keep]
+        took_owner = np.concatenate(took_owner)
+        # each round took at most one node per list, in list order
+        order = took_owner.argsort(kind="stable")
+        return took_owner[order], np.concatenate(took)[order]
+
+    def _checked_ids(self, ids) -> np.ndarray:
+        """ids as an int64 array; InvalidConfig naming the first id outside
+        [0, n), which a key i*n + j would map onto another pair."""
+        ids = np.asarray(ids, dtype=np.int64)
+        # read as unsigned, a negative id is at least n as well
+        if ids.size and ids.view(np.uint64).max() >= self.n:
+            bad = ids[(ids < 0) | (ids >= self.n)]
+            raise InvalidConfig(f"node id {bad.flat[0]} is not in [0, {self.n})")
+        return ids
 
     def lookup(self, i, j) -> tuple[np.ndarray, np.ndarray]:
         """(known, d2) of the node pairs (i, j), elementwise over integer
         arrays that broadcast; d2 means nothing where known is False.
         Raises InvalidConfig naming the first id outside [0, n), which the
         key i*n + j would map onto another pair."""
-        i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
-        for ids in (i, j):
-            # read as unsigned, a negative id is at least n as well
-            if ids.size and ids.view(np.uint64).max() >= self.n:
-                bad = ids[(ids < 0) | (ids >= self.n)]
-                raise InvalidConfig(f"node id {bad.flat[0]} is not in [0, {self.n})")
+        i, j = self._checked_ids(i), self._checked_ids(j)
         query = i * self.n + j
         pos = np.searchsorted(self._keys, query)
         return self._keys[pos] == query, self._values[pos]
@@ -333,7 +367,9 @@ def half_range_cliques(pedm: PartialEDM) -> list[tuple[int, ...]]:
     The near sets come from the rows of the measured pairs, grouped by size,
     and all their pairs are checked in vectorized lookups.  A node whose
     near set is measured in full takes all of it, which is what the
-    nearest-first pass gives then; only the others run that pass.
+    nearest-first pass gives then; only the others run that pass, those of
+    each near-set size in one greedy take (``PartialEDM.greedy_take``) over
+    their near sets ordered by (d2, id).
     """
     n = pedm.n
     half_sq = (pedm.radio_range / 2.0) ** 2
@@ -361,12 +397,19 @@ def half_range_cliques(pedm: PartialEDM) -> list[tuple[int, ...]]:
         whole = np.sort(np.column_stack([sets[full], nodes[full]]), axis=1)
         for i, clique in zip(nodes[full].tolist(), whole.tolist()):
             members[i] = tuple(map(ids.__getitem__, clique))
-        for i, near_ids, d2 in zip(nodes[~full].tolist(), sets[~full].tolist(),
-                                   near_d2[at[~full]].tolist()):
-            # nearest first, ties by id, taking each node measured to every
-            # member so far
-            order = [j for _, j in sorted(zip(d2, near_ids))]
-            members[i] = tuple(sorted([i] + pedm.greedy_clique(order)))
+        if full.all():
+            continue
+        # one list per other node: its near set nearest first, ties by id,
+        # taking each node measured to every near node taken before it
+        near = sets[~full]
+        near = np.take_along_axis(near, np.lexsort((near, near_d2[at[~full]])), axis=1)
+        rows = np.arange(near.shape[0])
+        owner, taken = pedm.greedy_take(np.repeat(rows, s), near.ravel(), np.full(rows.size, s))
+        bounds = np.searchsorted(owner, np.append(rows, rows.size)).tolist()
+        taken = taken.tolist()
+        for k, i in enumerate(nodes[~full].tolist()):
+            clique = sorted([i, *taken[bounds[k] : bounds[k + 1]]])
+            members[i] = tuple(map(ids.__getitem__, clique))
     return members
 
 

@@ -101,19 +101,22 @@ def _find_rigid_seed(nodes: np.ndarray, pedm, r: int, tol: Tolerances):
     (nodes, sorted) from a few spread-out start nodes and keeps the
     candidate whose r-th Gram eigenvalue is largest.
     """
-    node_set = set(int(u) for u in nodes)
     max_size = 3 * (r + 1)
     n_starts = min(nodes.size, 8)
-    start_idx = np.unique(np.linspace(0, nodes.size - 1, n_starts).astype(int))
+    starts = nodes[np.unique(np.linspace(0, nodes.size - 1, n_starts).astype(int))]
+    # each start's measured neighbours in the face, ascending, and the
+    # greedy clique of them, all starts in one take
+    owner, nbr, _ = pedm.gather(starts)
+    inside = nodes[np.minimum(np.searchsorted(nodes, nbr), nodes.size - 1)] == nbr
+    owner, taken = pedm.greedy_take(owner[inside], nbr[inside],
+                                    np.full(starts.size, max_size - 1))
+    bounds = np.searchsorted(owner, np.arange(starts.size + 1)).tolist()
+    taken = taken.tolist()
     best = None
-    for si in start_idx:
-        s = int(nodes[si])
-        members = [s] + pedm.greedy_clique(
-            (j for j in pedm.row(s) if j in node_set), max_size - 1
-        )
-        if len(members) < r + 1:
+    for k, s in enumerate(starts.tolist()):
+        if bounds[k + 1] - bounds[k] < r:
             continue
-        members = sorted(members)
+        members = sorted([s, *taken[bounds[k] : bounds[k + 1]]])
         B = kappa_pinv(pedm.submatrix(members))
         vals, _ = eigh_descending(B)
         if significant_rank(vals, tol.rank) < r:

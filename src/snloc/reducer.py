@@ -30,6 +30,10 @@ that keep that frame.  Neither a step nor the final recovery
 (``recovery.points_from_face``, on the stored rows too) builds a clique's
 orthonormal basis; a singular merge builds only its own result's.
 
+Before the loop, ``grow_cliques`` extends every seed clique below the size
+limit from its common neighbours, which sparse products find for all
+cliques at once, in one greedy take over arrays.
+
 The loop processes cliques by ascending id.  The clique under consideration
 (the "grower") keeps incremental overlap counters: cnt[l] is the number of
 shared nodes with clique l, acnt[w] the number of grower nodes adjacent to
@@ -85,11 +89,13 @@ survivor, so the membership sets are exact at every step.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import Counter
 from enum import IntEnum
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .edm_core import eigh_descending, significant_rank
 from .errors import (
@@ -133,6 +139,11 @@ __all__ = [
     "run",
     "step_level",
 ]
+
+# grow_cliques multiplies blocks of cliques whose members' rows hold about
+# this many entries in all, which bounds each block's product, and so its
+# temporaries, at about a megabyte
+_GROW_BLOCK = 1 << 17
 
 
 class StepLevel(IntEnum):
@@ -289,21 +300,51 @@ def clique_size_limit(max_size, r: int) -> int:
 def grow_cliques(family: CliqueFamily, max_size: int) -> None:
     """Greedily extend every clique of the family, up to max_size nodes, with
     nodes measured to all its members, by ascending node id.  max_size must
-    be an integer above r+1 (``clique_size_limit``)."""
+    be an integer above r+1 (``clique_size_limit``).
+
+    The candidates of all cliques below max_size come from one sparse
+    product per block of cliques (``_GROW_BLOCK``): their incidence rows S
+    times the 0/1 adjacency A of the measured pairs, whose entry (c, v) is
+    the number of clique c's members measured to v.  The entries that equal
+    the clique's size are its common neighbours, and one greedy take
+    (``PartialEDM.greedy_take``) extends every clique of the block from
+    them in ascending id.
+    """
     max_size = clique_size_limit(max_size, family.dim)
-    pedm = family.pedm
-    degree = np.diff(pedm.indptr).tolist()
-    for cid in sorted(family.cliques):
-        nodes = family.cliques[cid]
-        if len(nodes) >= max_size:
-            continue
-        base = min(nodes, key=degree.__getitem__)
-        # no node is in its own row, so the members drop out
-        cand = set(pedm.row(base))
-        cand.intersection_update(*[pedm.row(u) for u in nodes if u != base])
-        for j in pedm.greedy_clique(sorted(cand), max_size - len(nodes)):
-            nodes.add(j)
-            family.membership[j].add(cid)
+    pedm, n = family.pedm, family.pedm.n
+    grown = [cid for cid in sorted(family.cliques) if len(family.cliques[cid]) < max_size]
+    if not grown:
+        return
+    cliques = [family.cliques[cid] for cid in grown]
+    size = np.fromiter(map(len, cliques), dtype=np.int64, count=len(cliques))
+    ptr = np.concatenate([[0], np.cumsum(size)])
+    members = np.fromiter(itertools.chain.from_iterable(cliques), dtype=np.int64, count=ptr[-1])
+    # no node is in its own row, so the members count below the size.  A
+    # shares the pair arrays, and the counts take the smallest integer
+    # type that holds max_size
+    count = np.min_scalar_type(-max_size)
+    adj = csr_array((np.ones(pedm.indices.size, dtype=count), pedm.indices, pedm.indptr),
+                    shape=(n, n), copy=False)
+    # the product's terms up to each clique: the entries of its members' rows
+    terms = np.cumsum(np.add.reduceat(np.diff(pedm.indptr)[members], ptr[:-1]))
+    lo = 0
+    while lo < len(grown):
+        done = terms[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(terms, done + _GROW_BLOCK, side="right")))
+        inc = csr_array((np.ones(ptr[hi] - ptr[lo], dtype=count), members[ptr[lo]:ptr[hi]],
+                         ptr[lo:hi + 1] - ptr[lo]), shape=(hi - lo, n))
+        common = inc @ adj
+        hit = np.flatnonzero(common.data == np.repeat(size[lo:hi].astype(count),
+                                                      np.diff(common.indptr)))
+        row = np.searchsorted(common.indptr, hit, side="right") - 1
+        # the product leaves a row's entries in no order; the candidates go
+        # to the take by clique, ascending
+        key = np.sort(row * n + common.indices[hit])
+        owner, taken = pedm.greedy_take(*np.divmod(key, n), max_size - size[lo:hi])
+        for c, j in zip((owner + lo).tolist(), taken.tolist()):
+            cliques[c].add(j)
+            family.membership[j].add(grown[c])
+        lo = hi
 
 
 # -- the merge kernels, their commit, and the four reduction steps --------

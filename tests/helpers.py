@@ -118,6 +118,40 @@ def scalar_half_range_cliques(pedm):
     return seeds
 
 
+def scalar_greedy_clique(pedm, candidates, limit=None) -> list:
+    """Reference for ``PartialEDM.greedy_take`` on one list: the candidates,
+    in the given order, each measured to every candidate taken before them,
+    up to limit of them (none for a limit below 1)."""
+    taken = []
+    if limit is not None and limit < 1:
+        return taken
+    # the nodes measured to every node taken so far
+    common = None
+    for j in candidates:
+        if common is None or j in common:
+            taken.append(j)
+            if len(taken) == limit:
+                break
+            row = pedm.row(j)
+            common = set(row) if common is None else common.intersection(row)
+    return taken
+
+
+def scalar_grow_cliques(family, max_size: int) -> None:
+    """Reference for ``grow_cliques``: one clique at a time, its candidates
+    the intersection of its members' rows, taken by ascending id."""
+    pedm = family.pedm
+    for cid in sorted(family.cliques):
+        nodes = family.cliques[cid]
+        if len(nodes) >= max_size:
+            continue
+        # no node is in its own row, so the members drop out
+        cand = set.intersection(*[set(pedm.row(u)) for u in nodes])
+        for j in scalar_greedy_clique(pedm, sorted(cand), max_size - len(nodes)):
+            nodes.add(j)
+            family.membership[j].add(cid)
+
+
 def scalar_known_distances_ok(comp, pedm, tol: Tolerances) -> bool:
     """Reference for ``_is_feasible`` without range bounds: one measured
     edge at a time, as the reducer checked them before vectorizing."""

@@ -32,6 +32,14 @@ def test_config_validation():
         ExperimentConfig(trials=0)
 
 
+@pytest.mark.parametrize("field, value", [("trials", 1.5), ("trials", True), ("n", True)])
+def test_config_rejects_a_count_that_is_not_an_integer(field, value):
+    # trials=1.5 used to raise a bare TypeError from range, trials=True to
+    # run one trial reported as trials=True, and n=True to fail on n > m
+    with pytest.raises(InvalidConfig, match=f"{field} must be an integer"):
+        ExperimentConfig(**{"n": 60, "m": 4, "radio_range": 0.4, field: value})
+
+
 @pytest.mark.parametrize("level", [0, 5, True, 2.0])
 def test_config_rejects_invalid_level(level):
     # used to raise the bare "not a valid StepLevel" ValueError

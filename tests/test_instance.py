@@ -22,6 +22,7 @@ from helpers import (
     adjacency,
     complete_pedm,
     pedm_from_pairs,
+    scalar_greedy_clique,
     scalar_half_range_cliques,
     scalar_partial_edm,
 )
@@ -259,6 +260,20 @@ def test_half_range_matches_scalar_reference(n, m, r, R, sigma, seed):
     assert (dropped > 0) == (sigma > 0)
 
 
+@pytest.mark.parametrize("sigma", [1e-2, 5e-2, 1e-1])
+def test_half_range_fallback_matches_the_nearest_first_reference(sigma):
+    inst = generate_instance(2004, 4, 2, seed=3, radio_range=0.08, noise_factor=sigma)
+    pedm = build_partial_edm(inst)
+    seeds = half_range_cliques(pedm)
+    assert seeds == scalar_half_range_cliques(pedm)
+    # some near sets are not measured in full, so the fallback ran (for 3
+    # nodes at sigma 1e-2)
+    half_sq = (inst.radio_range / 2) ** 2
+    adj = adjacency(pedm)
+    assert any(len(members) <= sum(d2 <= half_sq for d2 in adj[i].values())
+               for i, members in enumerate(seeds))
+
+
 def test_half_range_drops_by_distance_not_id():
     # center 0 with near nodes 3 (nearest), 2 and 1 (farthest); the one
     # unmeasured pair (1, 3) costs the farther node, 1, its place
@@ -281,15 +296,36 @@ def test_average_degree():
     assert average_degree(pedm) == pytest.approx(brute)
 
 
-def test_greedy_clique_takes_nothing_below_a_limit_of_one():
+def test_greedy_take_takes_nothing_below_a_room_of_one():
     # a limit of 0 used to take every mutually measured candidate: 11 of
     # node 0's 17 neighbours here
     pedm = build_partial_edm(generate_instance(30, 3, 2, seed=0, radio_range=0.6))
     cands = pedm.row(0)
-    assert len(pedm.greedy_clique(cands)) > 1
-    for limit in (0, -1):
-        assert pedm.greedy_clique(cands, limit) == []
-    assert pedm.greedy_clique(cands, 1) == cands[:1]
+
+    def take(room):
+        owner, taken = pedm.greedy_take(np.zeros(len(cands), dtype=np.int64), cands, [room])
+        assert not owner.any()
+        return taken.tolist()
+
+    assert len(take(len(cands))) > 1
+    for room in (0, -1):
+        assert take(room) == []
+    assert take(1) == cands[:1]
+
+
+def test_greedy_take_matches_the_scalar_greedy_on_many_lists():
+    # one list per node: its row shuffled, some lists empty, rooms from -1
+    # to past the list's length
+    rng = np.random.default_rng(7)
+    pedm = build_partial_edm(generate_instance(200, 4, 2, seed=3, radio_range=0.2))
+    lists = [rng.permutation(pedm.row(u)).tolist() if u % 5 else [] for u in range(pedm.n)]
+    room = rng.integers(-1, 12, size=pedm.n)
+    owner = np.repeat(np.arange(pedm.n), [len(c) for c in lists])
+    got_owner, taken = pedm.greedy_take(owner, np.concatenate(lists).astype(np.int64), room)
+    assert np.all(np.diff(got_owner) >= 0)
+    got = [taken[got_owner == u].tolist() for u in range(pedm.n)]
+    assert got == [scalar_greedy_clique(pedm, c, int(k)) for c, k in zip(lists, room)]
+    assert max(map(len, got)) > 3
 
 
 def test_submatrix_requires_clique():

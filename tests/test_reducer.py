@@ -20,6 +20,7 @@ from snloc.faces import (
     intersect_parts_rigid,
 )
 from snloc.instance import (
+    PartialEDM,
     build_partial_edm,
     generate_instance,
     half_range_cliques,
@@ -46,6 +47,7 @@ from helpers import (
     edm_of,
     pedm_from_pairs,
     principal_angles,
+    scalar_grow_cliques,
     scalar_known_distances_ok,
 )
 
@@ -123,6 +125,70 @@ def test_grow_cliques_produces_cliques():
         pedm.submatrix(sorted(fam.cliques[cid]))
     with pytest.raises(InvalidConfig):
         grow_cliques(fam, 3)
+
+
+# exact L2 at the rigid-scaling degree, noisy-dense, the greedy-seeding
+# instances (sigma 5e-2, whose half-range seeding takes the nearest-first
+# path), r=3, and the Table 3 degree of L4-354
+GROWTH_CASES = [(2004, 4, 2, 0.07, 0.0, 0), (2004, 4, 2, 0.08, 1e-4, 0),
+                (300, 4, 2, 0.2, 5e-2, 0), (300, 4, 2, 0.2, 5e-2, 1), (300, 4, 2, 0.2, 5e-2, 2),
+                (300, 6, 3, 0.22, 0.0, 0), (354, 8, 2, 0.095, 0.0, 0)]
+
+
+@pytest.mark.parametrize("n, m, r, R, sigma, seed", GROWTH_CASES)
+@pytest.mark.parametrize("size", ["r+2", 9, 40])
+def test_grow_cliques_matches_the_per_clique_reference(n, m, r, R, sigma, seed, size):
+    pedm = build_partial_edm(generate_instance(n, m, r, seed=seed, radio_range=R,
+                                               noise_factor=sigma))
+    size = r + 2 if size == "r+2" else size
+    seeds = half_range_cliques(pedm)
+    fam, ref = init_family(pedm, seeds), init_family(pedm, seeds)
+    seeded = {cid: len(C) for cid, C in fam.cliques.items()}
+    grow_cliques(fam, size)
+    scalar_grow_cliques(ref, size)
+    assert fam.cliques == ref.cliques
+    assert fam.membership == ref.membership
+    assert any(len(C) > seeded[cid] for cid, C in fam.cliques.items())
+
+
+def test_grow_cliques_in_many_blocks_matches_the_reference(monkeypatch):
+    takes = []
+
+    def counted(self, owner, cand, room):
+        takes.append(len(room))
+        return take(self, owner, cand, room)
+
+    take = PartialEDM.greedy_take
+    monkeypatch.setattr(PartialEDM, "greedy_take", counted)
+    monkeypatch.setattr(reducer, "_GROW_BLOCK", 500)
+    pedm = build_partial_edm(generate_instance(2004, 4, 2, seed=0, radio_range=0.08,
+                                               noise_factor=1e-4))
+    seeds = half_range_cliques(pedm)
+    fam, ref = init_family(pedm, seeds), init_family(pedm, seeds)
+    takes.clear()
+    grow_cliques(fam, 9)
+    # a block holds about 500 row entries: a few cliques of ~8 members
+    assert len(takes) > 100 and sum(takes) == sum(len(C) < 9 for C in ref.cliques.values())
+    scalar_grow_cliques(ref, 9)
+    assert fam.cliques == ref.cliques
+    assert fam.membership == ref.membership
+    check_consistency(fam)
+
+
+def test_grow_cliques_counts_past_the_range_of_a_byte():
+    # a clique of 300 nodes, node 300 measured to 44 of them (300 - 256) and
+    # to node 301, which is measured to all 300: counts kept in 8 bits would
+    # take node 300 as well
+    P = RNG.random((302, 2))
+    pairs = [(a, b) for a in range(300) for b in range(a + 1, 300)]
+    pairs += [(a, 300) for a in range(44)] + [(a, 301) for a in range(300)] + [(300, 301)]
+    pedm = pedm_from_pairs(P, pairs)
+    fam = init_family(pedm, [range(300)])
+    grow_cliques(fam, 400)
+    assert fam.cliques[0] == set(range(300)) | {301}
+    ref = init_family(pedm, [range(300)])
+    scalar_grow_cliques(ref, 400)
+    assert fam.cliques == ref.cliques and fam.membership == ref.membership
 
 
 @pytest.mark.parametrize("size", [9.5, float("nan"), 9.0, True, "9"])
