@@ -7,13 +7,7 @@ by explicit subspace intersections until the anchors and sensors share one
 clique, whose coordinates follow in closed form.
 """
 
-from .edm_core import (
-    RankTolerance,
-    full_rank_factor,
-    kappa,
-    kappa_adjoint,
-    kappa_pinv,
-)
+from .edm_core import RankTolerance
 from .errors import (
     DegenerateAnchors,
     EmptyPositioned,
@@ -22,19 +16,13 @@ from .errors import (
     NoRealBranch,
     NoRigidSeed,
     NotAClique,
+    NoUniqueBranch,
     ParseError,
     RangeMismatch,
     RankDeficient,
     SnlError,
 )
-from .faces import (
-    ExtendedFaceRep,
-    FaceRep,
-    Tolerances,
-    face_from_clique,
-    intersect_faces_nonrigid,
-    intersect_faces_rigid,
-)
+from .faces import Tolerances
 from .instance import (
     Instance,
     PartialEDM,
@@ -45,25 +33,8 @@ from .instance import (
     read_problem,
     write_problem,
 )
-from .recovery import (
-    Completion,
-    SolveReport,
-    align_to_anchors,
-    metrics,
-    points_from_face,
-    two_completions,
-)
-from .reducer import (
-    CliqueFamily,
-    StepLevel,
-    grow_cliques,
-    init_family,
-    nonrigid_clique_union,
-    nonrigid_node_absorption,
-    rigid_clique_union,
-    rigid_node_absorption,
-    run,
-)
+from .recovery import SolveReport
+from .reducer import StepLevel
 from .solver import localize
 
 __version__ = "0.1.0"

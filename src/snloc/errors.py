@@ -32,6 +32,11 @@ class NoRealBranch(SnlError):
     """The branch eigenproblem of a singular merge has no nonzero real solution."""
 
 
+class NoUniqueBranch(SnlError):
+    """A singular merge does not have exactly one candidate that the known
+    distances (and range bounds, when enabled) leave feasible."""
+
+
 class NoRigidSeed(SnlError):
     """No measured sub-clique with full-dimensional geometry exists in a face."""
 

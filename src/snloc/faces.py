@@ -137,8 +137,12 @@ class Tolerances:
 
         Noisy distances perturb each clique's subspace by O(sigma), so the
         range-equality test and the feasibility test are opened up
-        proportionally; exact data keeps the tight defaults.
+        proportionally; exact data keeps the tight defaults.  sigma must be
+        finite and >= 0 (InvalidConfig otherwise).
         """
+        # written so that NaN fails the test
+        if not 0.0 <= sigma < math.inf:
+            raise InvalidConfig(f"sigma must be finite and >= 0, got {sigma}")
         if sigma > 0:
             overrides.setdefault("range_tol", max(1e-6, min(0.2, 500.0 * sigma)))
             overrides.setdefault("feas_tol", max(1e-6, 10.0 * sigma))

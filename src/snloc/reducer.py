@@ -1,11 +1,11 @@
 """Clique bookkeeping and the reduction loop that grows them.
 
-The solve state is a family of node sets ("cliques"), each carrying a
-face.  ``run`` first builds the faces of all seed cliques in stacked
-calls, which costs far less per clique than building each alone, and
-keeps each as a compact entry until its FaceRep is first used; a clique
-whose face is never asked for never gets one.  Four steps shrink the family or grow a
-clique, tried in priority order:
+The solve state is a family of node sets ("cliques"), each with one face
+record (``CliqueFamily.faces``).  ``run`` first builds the records of all
+seed cliques in stacked calls, which costs far less per clique than
+building each alone: a compact stack entry, made into a FaceRep when the
+face is first read, or None for a degenerate clique.  Four steps shrink the
+family or grow a clique, tried in priority order:
 
   1. rigid clique union      -- two cliques sharing >= r+1 nodes
   2. rigid node absorption   -- a node adjacent to >= r+1 nodes of a clique
@@ -17,17 +17,18 @@ neighbors beta in the clique, so each step is a thin front end that checks
 its precondition and builds the partner face, over one of two kernels:
 rigid (closed-form face intersection) or singular (two candidate
 realizations, committed only when exactly one survives the feasibility test
-against the known distances).  A temporary clique's face is built in one
-pass as arrays (``faces.clique_parts``: the centred eigenvectors of its
-centred Gram and their known whitener), with no FaceRep, no QR and no
-Cholesky factor, and both absorptions merge it in that form; the rigid one
-through ``intersect_parts_rigid``, the tests and row map of a rigid union.
-The distances a temporary clique lacks between nodes of beta, and the
-points a singular step picks its full-dimensional subsets from, come from
-the clique's stored rows and its frame Gram (``recovery.frame_gram``),
-which a face computes once per stored frame and carries through the merges
-that keep that frame.  Neither a step nor the final recovery
-(``recovery.points_from_face``, on the stored rows too) builds a clique's
+against the known distances).  A step declines in one place: what it calls
+raises one of ``_DECLINED`` (a degenerate face, a rank loss or range
+mismatch, no measured seed clique, no real or no unique branch), and the
+step's one ``except _DECLINED`` returns False before anything changed.  A
+temporary clique's face is built in one pass as arrays
+(``faces.clique_parts``: the centred eigenvectors of its centred Gram and
+their known whitener), and both absorptions merge it in that form.  The
+distances a temporary clique lacks between nodes of beta, and the points a
+singular step picks its full-dimensional subsets from, come from the
+clique's stored rows and its frame Gram (``recovery.frame_gram``), which a
+face computes once per stored frame and carries through the merges that
+keep that frame.  Neither a step nor the final recovery builds a clique's
 orthonormal basis; a singular merge builds only its own result's.
 
 Before the loop, ``grow_cliques`` extends every seed clique below the size
@@ -103,18 +104,16 @@ from .errors import (
     InvalidConfig,
     NoRealBranch,
     NoRigidSeed,
-    NotAClique,
+    NoUniqueBranch,
     RangeMismatch,
     RankDeficient,
     checked_int,
 )
 from .faces import (
     FaceRep,
-    FaceStack,
     Tolerances,
     clique_faces,
     clique_parts,
-    face_from_clique,
     face_from_points,
     intersect_faces_nonrigid,
     intersect_faces_rigid,
@@ -122,8 +121,10 @@ from .faces import (
     intersect_parts_rigid,
 )
 from .recovery import frame_gram, frame_points, two_completions
-# the steps read coordinates through the frame Gram; points_from_face stays
-# importable from here because bench/snlbench/tracing.py wraps it by name
+# the faces come from clique_faces and the steps read coordinates through
+# the frame Gram; face_from_clique and points_from_face stay importable
+# from here because bench/snlbench/tracing.py wraps them by name
+from .faces import face_from_clique  # noqa: F401
 from .recovery import points_from_face  # noqa: F401
 
 __all__ = [
@@ -164,8 +165,6 @@ def step_level(level) -> StepLevel:
         raise InvalidConfig(f"level must be one of 1-4, got {level!r}") from None
 
 
-_MISSING = object()
-
 STEP_RIGID_UNION = "rigid_union"
 STEP_RIGID_ABSORB = "rigid_absorb"
 STEP_NONRIGID_UNION = "nonrigid_union"
@@ -176,15 +175,18 @@ class CliqueFamily:
     """Mutable family of live cliques with lazy face representations.
 
     cliques holds exactly the live cliques, and membership[u] exactly the
-    ids of the live cliques that contain node u; a merge keeps both so."""
+    ids of the live cliques that contain node u; a merge keeps both so.
+    faces[cid] is clique cid's one face record: a FaceRep, the
+    (FaceStack, row) entry of ``build_seed_faces`` until the face is first
+    read, or None for a degenerate clique (a missing pair, or a Gram of
+    rank below r).  A clique without a record gets one from
+    ``build_seed_faces`` when its face is first asked for."""
 
     def __init__(self, pedm):
         self.pedm = pedm
         self.dim = pedm.dim
         self.cliques: dict[int, set[int]] = {}
-        self.faces: dict[int, FaceRep | None] = {}
-        # faces built by build_seed_faces, made into a FaceRep on first use
-        self.seed_faces: dict[int, tuple[FaceStack, int]] = {}
+        self.faces: dict[int, FaceRep | tuple | None] = {}
         self.membership: list[set[int]] = [set() for _ in range(pedm.n)]
         self.anchor_clique_id: int | None = None
         # clique id -> (its size, its outside counts) as its last turn in the
@@ -213,47 +215,41 @@ class CliqueFamily:
         if self.anchor_clique_id == dead:
             self.anchor_clique_id = survivor
         self.faces.pop(dead, None)
-        self.seed_faces.pop(dead, None)
         self.outside_counts.pop(dead, None)
 
     # -- lazy faces ---------------------------------------------------------
 
     def build_seed_faces(self, tol: Tolerances) -> None:
-        """Build the face of every clique that has none, in stacked
-        calls (``clique_faces``); face_of makes each FaceRep on first use."""
-        todo = [cid for cid in self.cliques
-                if cid not in self.faces and cid not in self.seed_faces]
+        """Give every clique without a face record one, in stacked calls
+        (``clique_faces``): its (FaceStack, row) entry, or None."""
+        todo = [cid for cid in self.cliques if cid not in self.faces]
         entries = clique_faces(self.pedm, [self.cliques[cid] for cid in todo], self.dim, tol)
-        for cid, entry in zip(todo, entries):
-            if entry is None:
-                self.faces[cid] = None
-            else:
-                self.seed_faces[cid] = entry
+        self.faces.update(zip(todo, entries))
 
-    def face_of(self, cid: int, tol: Tolerances) -> FaceRep | None:
-        """Face of a clique, computed on first use; None if degenerate."""
-        cached = self.faces.get(cid, _MISSING)
-        if cached is not _MISSING:
-            return cached
-        seed = self.seed_faces.pop(cid, None)
-        if seed is not None:
-            face = seed[0].face(seed[1])
-        else:
-            try:
-                face = face_from_clique(self.pedm, self.cliques[cid], self.dim, tol)
-            except (RankDeficient, NotAClique):
-                face = None
-        self.faces[cid] = face
+    def _record(self, cid: int, tol: Tolerances):
+        """Clique cid's face record, built with all missing ones if absent."""
+        if cid not in self.faces:
+            self.build_seed_faces(tol)
+        return self.faces[cid]
+
+    def face_of(self, cid: int, tol: Tolerances) -> FaceRep:
+        """Face of a clique; a stack entry becomes its FaceRep on first use,
+        which is bitwise ``face_from_clique``'s.  Raises RankDeficient when
+        the clique is degenerate, with no attempt to build its face again."""
+        face = self._record(cid, tol)
+        if face is None:
+            raise RankDeficient(f"clique {cid} has no face")
+        if isinstance(face, tuple):
+            face = self.faces[cid] = face[0].face(face[1])
         return face
 
     def face_parts(self, cid: int, tol: Tolerances):
         """A clique's face as ``FaceRep._parts`` gives it, or None if
-        degenerate; a seed face is read from its stack, and no FaceRep is
+        degenerate; a stack entry is read from its stack, and no FaceRep is
         built for it."""
-        seed = self.seed_faces.get(cid)
-        if seed is not None:
-            return seed[0].parts(seed[1])
-        face = self.face_of(cid, tol)
+        face = self._record(cid, tol)
+        if isinstance(face, tuple):
+            return face[0].parts(face[1])
         return None if face is None else face._parts()
 
     def positioned_count(self) -> int:
@@ -349,13 +345,16 @@ def grow_cliques(family: CliqueFamily, max_size: int) -> None:
 
 # -- the merge kernels, their commit, and the four reduction steps --------
 
+# the errors with which a merge declines: a degenerate face, a rank loss or
+# range mismatch of the common blocks, no measured full-dimensional seed
+# clique, no real or no unique branch; each step catches them once
+_DECLINED = (IntersectionRankLoss, RangeMismatch, RankDeficient, NoRigidSeed, NoRealBranch,
+             NoUniqueBranch)
+
 
 def _commit(family: CliqueFamily, i: int, face, new_nodes, step: str, dead=None) -> bool:
     """Grow clique i by new_nodes under the merged face, remove a united
-    clique ``dead`` into i, and count the step.  A None face is a rejected
-    merge: nothing changes and the result is False."""
-    if face is None:
-        return False
+    clique ``dead`` into i, and count the step; returns True."""
     family.cliques[i].update(new_nodes)
     family.faces[i] = face
     if dead is None:
@@ -367,31 +366,6 @@ def _commit(family: CliqueFamily, i: int, face, new_nodes, step: str, dead=None)
     return True
 
 
-def _rigid_merge(family: CliqueFamily, i: int, f2, tol: Tolerances, kernel):
-    """Rigid kernel ``kernel(face of clique i, f2, tol)``, or None when a face
-    is missing or the overlap is degenerate or inconsistent."""
-    f1 = family.face_of(i, tol)
-    if f1 is None or f2 is None:
-        return None
-    try:
-        return kernel(f1, f2, tol)
-    except (IntersectionRankLoss, RangeMismatch):
-        return None
-
-
-def _on_frame(family: CliqueFamily, cid: int, read, tol: Tolerances):
-    """``read(face, pedm, tol)`` on clique cid's face, read being
-    ``frame_gram`` or ``frame_points``; None when the face is degenerate or
-    holds no measured full-dimensional seed clique."""
-    face = family.face_of(cid, tol)
-    if face is None:
-        return None
-    try:
-        return read(face, family.pedm, tol)
-    except (NoRigidSeed, RankDeficient):
-        return None
-
-
 def _pick_delta(comp, beta: list, r: int, tol: Tolerances):
     """Choose a small full-dimensional subset delta containing beta.
 
@@ -399,15 +373,12 @@ def _pick_delta(comp, beta: list, r: int, tol: Tolerances):
     distance to the nodes already chosen (ties to the smaller id), until the
     subset's Gram matrix has rank r; about r+2 extras are targeted when the
     clique has that many to spare.  Returns (sorted delta, its dense
-    squared-distance matrix) or None, also when there are no coordinates.
+    squared-distance matrix); raises RankDeficient when no such subset is
+    found.
     """
-    if comp is None:
-        return None
     beta_set = set(beta)
     mask = np.array([int(u) not in beta_set for u in comp.nodes])
     others = comp.nodes[mask].astype(int)
-    if others.size == 0:
-        return None
     coords = comp.coords
     rows = {int(u): a for a, u in enumerate(comp.nodes)}
     pts = coords[mask]
@@ -433,7 +404,7 @@ def _pick_delta(comp, beta: list, r: int, tol: Tolerances):
         if significant_rank(vals, tol.rank) == r:
             D = ((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2)
             return delta, D
-    return None
+    raise RankDeficient(f"no subset of rank {r} holds beta")
 
 
 def _measured_edges(nodes, pedm):
@@ -481,37 +452,23 @@ def _is_feasible(comp, pedm, tol: Tolerances, edges=None) -> bool:
 
 def _singular_merge(family: CliqueFamily, i: int, f2, beta: list, partner_delta, tol: Tolerances):
     """Singular kernel: the face of clique i merged with partner face f2
-    across the r shared nodes beta when exactly one branch is feasible, else
-    None.  ``partner_delta()`` gives the partner's (delta, squared distances)
-    or None; it runs only after the intersection and clique i's delta exist.
+    across the r shared nodes beta when exactly one branch is feasible;
+    raises NoUniqueBranch when not.  ``partner_delta()`` gives the
+    partner's (delta, squared distances); it runs only after the
+    intersection and clique i's delta exist.
     """
-    f1 = family.face_of(i, tol)
-    if f1 is None or f2 is None:
-        return None
-    try:
-        ext = intersect_faces_nonrigid(f1, f2, tol)
-    except (IntersectionRankLoss, RangeMismatch):
-        return None
-    sel1 = _pick_delta(_on_frame(family, i, frame_points, tol), beta, family.dim, tol)
-    sel2 = None if sel1 is None else partner_delta()
-    if sel2 is None:
-        return None
     pedm = family.pedm
-    try:
-        cands = two_completions(
-            ext, pedm, sel1[0], sel2[0], tol, d1=sel1[1], d2=sel2[1]
-        )
-    except (RankDeficient, NoRealBranch, NotAClique):
-        return None
+    f1 = family.face_of(i, tol)
+    ext = intersect_faces_nonrigid(f1, f2, tol)
+    delta1, d1 = _pick_delta(frame_points(f1, pedm, tol), beta, family.dim, tol)
+    delta2, d2 = partner_delta()
+    cands = two_completions(ext, pedm, delta1, delta2, tol, d1=d1, d2=d2)
     # both candidates carry ext.nodes, in the same row order
     edges = _measured_edges(ext.nodes, pedm)
     feasible = [c for c in cands if _is_feasible(c, pedm, tol, edges)]
     if len(feasible) != 1:
-        return None
-    try:
-        return face_from_points(ext.nodes, feasible[0].coords, tol)
-    except RankDeficient:
-        return None
+        raise NoUniqueBranch(f"{len(feasible)} of {len(cands)} candidates are feasible")
+    return face_from_points(ext.nodes, feasible[0].coords, tol)
 
 
 def _live_pair(family: CliqueFamily, i: int, j: int):
@@ -544,8 +501,11 @@ def _mixed_submatrix(family: CliqueFamily, cid: int, nodes: list, tol: Tolerance
     """Dense squared distances over ``nodes``: measured entries where known,
     synthesized from clique cid's stored rows and frame Gram otherwise.
 
-    Synthesized values are ephemeral; they are never written back into the
-    measured data.  Returns None when a missing pair cannot be synthesized.
+    Every missing pair must lie inside clique cid, as it does for the
+    temporary clique of a node measured to all of beta.  Synthesized values
+    are ephemeral; they are never written back into the measured data.
+    Raises as ``face_of`` and ``frame_gram`` do when the clique's face is
+    degenerate or holds no measured full-dimensional seed clique.
     """
     ids = np.asarray(nodes, dtype=np.int64)
     known, D = family.pedm.lookup(ids[:, None], ids[None, :])
@@ -557,13 +517,8 @@ def _mixed_submatrix(family: CliqueFamily, cid: int, nodes: list, tol: Tolerance
     if a.size:
         upper = a < b
         a, b = a[upper].tolist(), b[upper].tolist()
-        Ci = family.cliques[cid]
-        if any(nodes[x] not in Ci or nodes[y] not in Ci for x, y in zip(a, b)):
-            return None
-        Z = _on_frame(family, cid, frame_gram, tol)
-        if Z is None:
-            return None
-        face = family.faces[cid]
+        face = family.face_of(cid, tol)
+        Z = frame_gram(face, family.pedm, tol)
         diff = face.stored_rows([nodes[x] for x in a]) - face.stored_rows([nodes[x] for x in b])
         D[a, b] = D[b, a] = np.vecdot(diff @ Z, diff)
     return D
@@ -571,15 +526,10 @@ def _mixed_submatrix(family: CliqueFamily, cid: int, nodes: list, tol: Tolerance
 
 def _temp_clique(family: CliqueFamily, i: int, nodes: list, tol: Tolerances):
     """Squared distances and face (``clique_parts``) of the temporary clique
-    ``nodes``, or None when a missing pair cannot be synthesized or its
-    Gram has rank below r."""
+    ``nodes``; raises as ``_mixed_submatrix`` does, or RankDeficient when
+    its Gram has rank below r."""
     D = _mixed_submatrix(family, i, nodes, tol)
-    if D is None:
-        return None
-    try:
-        return D, clique_parts(nodes, D, family.dim, tol)
-    except RankDeficient:
-        return None
+    return D, clique_parts(nodes, D, family.dim, tol)
 
 
 def rigid_clique_union(family: CliqueFamily, i: int, j: int, tol: Tolerances) -> bool:
@@ -587,8 +537,8 @@ def rigid_clique_union(family: CliqueFamily, i: int, j: int, tol: Tolerances) ->
 
     On success the union keeps id i, j is removed, and i's face becomes the
     intersection of the two faces.  Any failure (degenerate overlap,
-    mismatched subspaces, missing face), or an id that is not live, leaves
-    the family untouched.
+    mismatched subspaces, degenerate face), or an id that is not live,
+    leaves the family untouched.
     """
     pair = _live_pair(family, i, j)
     # a rigid overlap has at least r+1 nodes, so Cj has too
@@ -605,14 +555,16 @@ def rigid_clique_union(family: CliqueFamily, i: int, j: int, tol: Tolerances) ->
     if len(common) <= family.dim:
         return False
     if len(common) == len(Ci):
-        # i is contained in j: take j's node set and face
+        # i is contained in j: take j's node set and face record, as it is
         Ci.update(Cj)
-        family.faces[i] = family.face_of(j, tol)
-        family.seed_faces.pop(i, None)
+        family.faces[i] = family._record(j, tol)
         family._kill_into(j, i)
         family.step_counts[STEP_RIGID_UNION] += 1
         return True
-    merged = _rigid_merge(family, i, family.face_of(j, tol), tol, intersect_faces_rigid)
+    try:
+        merged = intersect_faces_rigid(family.face_of(i, tol), family.face_of(j, tol), tol)
+    except _DECLINED:
+        return False
     return _commit(family, i, merged, Cj, STEP_RIGID_UNION, dead=j)
 
 
@@ -628,8 +580,11 @@ def rigid_node_absorption(family: CliqueFamily, i: int, j: int, tol: Tolerances)
     beta = _neighbors_in(family, i, j)
     if beta is None or len(beta) < family.dim + 1:
         return False
-    temp = _temp_clique(family, i, sorted(beta + [j]), tol)
-    merged = None if temp is None else _rigid_merge(family, i, temp[1], tol, intersect_parts_rigid)
+    try:
+        _, temp = _temp_clique(family, i, sorted(beta + [j]), tol)
+        merged = intersect_parts_rigid(family.face_of(i, tol), temp, tol)
+    except _DECLINED:
+        return False
     return _commit(family, i, merged, [j], STEP_RIGID_ABSORB)
 
 
@@ -656,10 +611,14 @@ def nonrigid_clique_union(family: CliqueFamily, i: int, j: int, tol: Tolerances)
     if not tol.use_range_bounds and not _cross_edges(family.pedm, Ci, Cj):
         return False
     beta = sorted(common)
-    merged = _singular_merge(
-        family, i, family.face_of(j, tol), beta,
-        lambda: _pick_delta(_on_frame(family, j, frame_points, tol), beta, r, tol), tol,
-    )
+    try:
+        f2 = family.face_of(j, tol)
+        merged = _singular_merge(
+            family, i, f2, beta,
+            lambda: _pick_delta(frame_points(f2, family.pedm, tol), beta, r, tol), tol,
+        )
+    except _DECLINED:
+        return False
     return _commit(family, i, merged, Cj, STEP_NONRIGID_UNION, dead=j)
 
 
@@ -679,13 +638,13 @@ def nonrigid_node_absorption(family: CliqueFamily, i: int, j: int, tol: Toleranc
     if beta is None or len(beta) != r:
         return False
     temp_nodes = sorted(beta + [j])
-    temp = _temp_clique(family, i, temp_nodes, tol)
-    if temp is None:
+    try:
+        # a beta of affine rank below r-1 leaves the temporary clique below
+        # rank r, so _temp_clique declines it (as would the kernel's rank test)
+        Dtemp, f2 = _temp_clique(family, i, temp_nodes, tol)
+        merged = _singular_merge(family, i, f2, beta, lambda: (temp_nodes, Dtemp), tol)
+    except _DECLINED:
         return False
-    # a beta of affine rank below r-1 leaves the temporary clique below rank
-    # r, so _temp_clique has declined it (as would the kernel's rank test)
-    Dtemp, f2 = temp
-    merged = _singular_merge(family, i, f2, beta, lambda: (temp_nodes, Dtemp), tol)
     return _commit(family, i, merged, [j], STEP_NONRIGID_ABSORB)
 
 
@@ -751,7 +710,10 @@ def _wave_merge(family: CliqueFamily, gid: int, wave, tol: Tolerances):
     named and those whose merge would remap clique gid's rows.
     """
     Ci = family.cliques[gid]
-    grower = family.face_of(gid, tol)
+    try:
+        grower = family.face_of(gid, tol)
+    except RankDeficient:
+        grower = None
     inside, failed, todo, parts, later = set(), [], [], [], set()
     # nodes outside clique gid that the wave's kernel partners so far hold,
     # and each kernel partner's
@@ -985,9 +947,9 @@ def run(
     of the StepLevel values (InvalidConfig otherwise); tol defaults to
     ``Tolerances.for_noise`` of the family's pedm.
 
-    Before the first pass, the faces of all cliques that have none are
-    built in stacked calls (``CliqueFamily.build_seed_faces``); each is
-    bitwise the face that building it alone on first use would give.
+    Before the first pass, every clique without a face record gets one, in
+    stacked calls (``CliqueFamily.build_seed_faces``); each face is bitwise
+    what ``face_from_clique`` gives for the clique alone.
 
     Merging runs in two phases.  The first defers merges whose common block
     is too ill conditioned (tol.invert_floor), which keeps the error of long

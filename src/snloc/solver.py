@@ -58,24 +58,17 @@ def localize(
     residual = None
     final_id = family.anchor_clique_id
     if final_id is not None:
-        final_nodes = family.cliques[final_id]
         n_sensors = pedm.n - pedm.m
-        sensors = sorted(u for u in final_nodes if u < n_sensors)
+        sensors = sorted(u for u in family.cliques[final_id] if u < n_sensors)
         if sensors:
-            face = family.face_of(final_id, tol)
-            if face is not None:
-                try:
-                    comp = points_from_face(face, pedm, tol)
-                    comp = align_to_anchors(
-                        comp, anchors, np.arange(n_sensors, pedm.n)
-                    )
-                    rows = comp.rows(np.asarray(sensors))
-                    positioned = {
-                        u: comp.coords[row] for u, row in zip(sensors, rows)
-                    }
-                    residual = comp.gram_residual
-                except (NoRigidSeed, RankDeficient, DegenerateAnchors):
-                    positioned = {}
+            try:
+                comp = points_from_face(family.face_of(final_id, tol), pedm, tol)
+                comp = align_to_anchors(comp, anchors, np.arange(n_sensors, pedm.n))
+                rows = comp.rows(np.asarray(sensors))
+                positioned = {u: comp.coords[row] for u, row in zip(sensors, rows)}
+                residual = comp.gram_residual
+            except (NoRigidSeed, RankDeficient, DegenerateAnchors):
+                positioned = {}
     cpu = time.perf_counter() - t0
     max_error = rmsd = None
     if positioned and truth is not None:

@@ -71,6 +71,13 @@ def test_tolerances_reject_nan_infinite_or_out_of_range_values(bad):
         Tolerances.for_noise(1e-4, **bad)
 
 
+@pytest.mark.parametrize("sigma", [NAN, -1.0, -INF, INF])
+def test_tolerances_for_noise_rejects_a_bad_sigma(sigma):
+    # NaN and negative noise factors used to give the exact-data defaults
+    with pytest.raises(InvalidConfig, match="sigma"):
+        Tolerances.for_noise(sigma)
+
+
 def test_tolerances_accept_the_edges_of_their_ranges():
     Tolerances(range_tol=0.0, feas_tol=0.0, invert_floor=0.0)
     Tolerances(invert_floor=0.999)

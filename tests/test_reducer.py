@@ -10,7 +10,15 @@ import pytest
 import snloc.faces as faces
 from snloc import reducer, solver
 from snloc.edm_core import RankTolerance, kappa_pinv
-from snloc.errors import IntersectionRankLoss, InvalidConfig, RangeMismatch, RankDeficient
+from snloc.errors import (
+    IntersectionRankLoss,
+    InvalidConfig,
+    NoRealBranch,
+    NoRigidSeed,
+    NoUniqueBranch,
+    RangeMismatch,
+    RankDeficient,
+)
 from snloc.faces import (
     Tolerances,
     clique_parts,
@@ -477,7 +485,8 @@ def test_nonrigid_absorption_declines_a_collinear_beta():
     fam = init_family(pedm, [(0, 1, 2, 3, 4)])
     cid = next(iter(fam.cliques))
     tol = Tolerances(use_range_bounds=True)
-    assert reducer._temp_clique(fam, cid, [0, 1, 2, 5], tol) is None
+    with pytest.raises(RankDeficient):
+        reducer._temp_clique(fam, cid, [0, 1, 2, 5], tol)
     assert not nonrigid_node_absorption(fam, cid, 5, tol)
     assert fam.cliques[cid] == {0, 1, 2, 3, 4}
 
@@ -607,7 +616,8 @@ def test_face_range_preserved_by_subset_merge():
 
 def test_subset_union_hands_over_the_seed_face():
     # clique i is contained in clique j and neither face has been made into
-    # a FaceRep yet: i takes j's node set, so it must take j's seed face too
+    # a FaceRep yet: i takes j's node set, so it must take j's face record
+    # too, as it is
     P = RNG.random((6, 2))
     pedm = complete_pedm(P)
     seeds = [(0, 1, 2, 3),
@@ -615,9 +625,12 @@ def test_subset_union_hands_over_the_seed_face():
     fam = init_family(pedm, seeds)
     i, j = sorted(fam.cliques)
     fam.build_seed_faces(TOL)
-    assert set(fam.seed_faces) == {i, j} and not fam.faces
+    assert fam.faces.keys() == {i, j}
+    assert all(isinstance(fam.faces[c], tuple) for c in (i, j))
+    record = fam.faces[j]
     assert rigid_clique_union(fam, i, j, TOL)
-    assert set(fam.cliques) == {i} and j not in fam.seed_faces
+    assert set(fam.cliques) == {i} and fam.faces.keys() == {i}
+    assert fam.faces[i] is record
     check_consistency(fam)
     want = face_from_clique(pedm, fam.cliques[i], 2, TOL)
     got = fam.face_of(i, TOL)
@@ -651,6 +664,158 @@ def test_steps_decline_a_merged_id():
     assert fam.cliques[i] == {0, 1, 2, 3, 4}
     check_consistency(fam)
     assert rigid_node_absorption(fam, i, 5, TOL)
+
+
+def _rigid_union_case():
+    P = np.random.default_rng(11).random((5, 2))
+    fam = init_family(complete_pedm(P), [(0, 1, 2, 3), (1, 2, 3, 4)])
+    i, j = sorted(fam.cliques)
+    return fam, i, j, TOL
+
+
+def _rigid_absorption_case():
+    # node 6 measures nodes 1, 3 and 4 of clique 0..5, whose pair (1, 3)
+    # is synthesized through the frame Gram
+    P = np.random.default_rng(12).random((7, 2)) * 0.4
+    pairs = [(i, j) for i in range(6) for j in range(i + 1, 6) if (i, j) != (1, 3)]
+    pedm = pedm_from_pairs(P, pairs + [(1, 6), (3, 6), (4, 6)])
+    fam = init_family(pedm, [tuple(range(6))])
+    cid = next(c for c, nodes in fam.cliques.items() if 0 in nodes)
+    fam.faces[cid] = face_from_gram(np.arange(6), kappa_pinv(edm_of(P[:6])), 2, TOL)
+    return fam, cid, 6, TOL
+
+
+def _singular_union_case():
+    _, _, fam = butterfly_family(np.random.default_rng(13), cross=True)
+    i, j = sorted(fam.cliques)
+    return fam, i, j, TOL
+
+
+def _singular_absorption_case():
+    # test_nonrigid_absorption_with_range_bounds without the measured pair
+    # (0, 2) of beta, which is synthesized through the frame Gram
+    P = np.array([[0.0, 0.0], [0.3, 1.0], [0.6, 0.0], [0.3, -0.5], [0.3, 0.35]])
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4) if (i, j) != (0, 2)]
+    pedm = pedm_from_pairs(P, pairs + [(0, 4), (2, 4)], radio_range=0.6)
+    fam = init_family(pedm, [(0, 1, 2, 3)])
+    cid = next(c for c, nodes in fam.cliques.items() if 0 in nodes)
+    fam.faces[cid] = face_from_gram(np.arange(4), kappa_pinv(edm_of(P[:4])), 2, TOL)
+    return fam, cid, 4, RANGE_BOUNDS
+
+
+_DECLINE_CASES = {
+    "rigid_clique_union": _rigid_union_case,
+    "rigid_node_absorption": _rigid_absorption_case,
+    "nonrigid_clique_union": _singular_union_case,
+    "nonrigid_node_absorption": _singular_absorption_case,
+}
+
+# per step, each name it calls (a reducer global, or face_of) -> the errors
+# with which the call declines
+_KERNEL = (IntersectionRankLoss, RangeMismatch)
+_FRAME = (NoRigidSeed, RankDeficient)
+_SINGULAR = {"face_of": (RankDeficient,), "intersect_faces_nonrigid": _KERNEL,
+             "frame_points": _FRAME, "_pick_delta": (RankDeficient,),
+             "two_completions": (RankDeficient, NoRealBranch),
+             "face_from_points": (RankDeficient,), "_singular_merge": (NoUniqueBranch,)}
+_DECLINE_CALLS = {
+    "rigid_clique_union": {"face_of": (RankDeficient,), "intersect_faces_rigid": _KERNEL},
+    "rigid_node_absorption": {"face_of": (RankDeficient,), "frame_gram": _FRAME,
+                              "clique_parts": (RankDeficient,), "intersect_parts_rigid": _KERNEL},
+    "nonrigid_clique_union": _SINGULAR,
+    "nonrigid_node_absorption": {"frame_gram": _FRAME, "clique_parts": (RankDeficient,),
+                                 **_SINGULAR},
+}
+
+
+def _declining_case(step):
+    """The step's case with every face record made a FaceRep, and a copy of
+    the family's state."""
+    fam, i, j, tol = _DECLINE_CASES[step]()
+    fam.build_seed_faces(tol)
+    for c, face in fam.faces.items():
+        if face is not None:
+            fam.face_of(c, tol)
+    state = ({c: set(nodes) for c, nodes in fam.cliques.items()},
+             [set(ids) for ids in fam.membership], dict(fam.faces), Counter(fam.step_counts))
+    return fam, i, j, tol, state
+
+
+def _same_state(fam, state):
+    cliques, membership, faces, counts = state
+    return (fam.cliques == cliques and fam.membership == membership
+            and fam.faces.keys() == faces.keys()
+            and all(fam.faces[c] is face for c, face in faces.items())
+            and fam.step_counts == counts)
+
+
+@pytest.mark.parametrize("step", list(_DECLINE_CASES))
+def test_decline_cases_merge_as_they_stand(step):
+    # each case's step accepts, so a decline below comes from the one call
+    # made to raise
+    fam, i, j, tol, state = _declining_case(step)
+    assert getattr(reducer, step)(fam, i, j, tol) is True
+    assert not _same_state(fam, state)
+    check_consistency(fam)
+
+
+@pytest.mark.parametrize(
+    "step, name, error",
+    [(step, name, error) for step, calls in _DECLINE_CALLS.items()
+     for name, errors in calls.items() for error in errors],
+    ids=lambda v: v if isinstance(v, str) else v.__name__,
+)
+def test_a_step_declines_at_its_one_site(step, name, error, monkeypatch):
+    # whichever call of the step raises whichever decline, the step returns
+    # False and leaves the cliques, membership, face records and counts
+    fam, i, j, tol, state = _declining_case(step)
+    raised = []
+
+    def declining(*args, **kwargs):
+        raised.append(name)
+        raise error(f"{name} declines")
+
+    monkeypatch.setattr(reducer.CliqueFamily if name == "face_of" else reducer, name, declining)
+    assert getattr(reducer, step)(fam, i, j, tol) is False
+    assert raised
+    assert _same_state(fam, state)
+
+
+@pytest.mark.parametrize("feasible", [True, False])
+def test_singular_merge_raises_unless_one_branch_is_feasible(feasible, monkeypatch):
+    fam, i, j, tol, state = _declining_case("nonrigid_clique_union")
+    monkeypatch.setattr(reducer, "_is_feasible", lambda *args: feasible)
+    beta = sorted(fam.cliques[i] & fam.cliques[j])
+    partner = fam.face_of(j, tol)
+    with pytest.raises(NoUniqueBranch):
+        reducer._singular_merge(
+            fam, i, partner, beta,
+            lambda: reducer._pick_delta(reducer.frame_points(partner, fam.pedm, tol), beta, 2, tol),
+            tol)
+    assert not nonrigid_clique_union(fam, i, j, tol)
+    assert _same_state(fam, state)
+
+
+def test_face_of_a_degenerate_clique_raises_without_a_rebuild(monkeypatch):
+    # the collinear clique's Gram has rank 1: its record is None, and
+    # reading its face again builds nothing
+    P = np.array([[0.0, 0.0], [0.1, 0.05], [0.3, 0.15], [0.4, 0.2]])
+    fam = init_family(complete_pedm(P), [(0, 1, 2, 3)])
+    (cid,) = fam.cliques
+    built = []
+
+    def counted(pedm, cliques, r, tol):
+        built.append(len(cliques))
+        return faces.clique_faces(pedm, cliques, r, tol)
+
+    monkeypatch.setattr(reducer, "clique_faces", counted)
+    monkeypatch.setattr(reducer, "face_from_clique", None)
+    for _ in range(2):
+        with pytest.raises(RankDeficient):
+            fam.face_of(cid, TOL)
+        assert fam.faces == {cid: None}
+    assert fam.face_parts(cid, TOL) is None
+    assert built == [1]
 
 
 @pytest.mark.parametrize("level", [0, 5, True, 2.0])
@@ -994,15 +1159,23 @@ def test_noisy_dense_rmsd_stays_near_the_one_at_a_time_chain():
 
 
 def test_temp_clique_declines_a_pair_it_cannot_synthesize():
-    # nodes 4 and 5 lie outside clique {0, 1, 2, 3} and have no measured
-    # distance: the clique's rows cannot give it, so there is no temporary
-    # clique; with the pair measured there is one
+    # the pair (0, 1) of clique {0, 1, 2, 3} is not measured.  The clique's
+    # rows cannot give it when the clique has no face, nor when its face
+    # holds no measured triangle to fix the frame Gram: there is no
+    # temporary clique; with every pair measured there is one
     P = RNG.random((6, 2))
     pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
     seeds = [(0, 1, 2, 3)]
-    fam = init_family(pedm_from_pairs(P, [p for p in pairs if p != (4, 5)]), seeds)
+    fam = init_family(pedm_from_pairs(P, [p for p in pairs if p != (0, 1)]), seeds)
     cid = next(c for c, nodes in fam.cliques.items() if 0 in nodes)
-    assert reducer._temp_clique(fam, cid, [0, 1, 4, 5], TOL) is None
+    with pytest.raises(RankDeficient):
+        reducer._temp_clique(fam, cid, [0, 1, 4], TOL)
+    # the measured pairs inside the clique form the 4-cycle 0-2-1-3-0
+    fam = init_family(pedm_from_pairs(P, [p for p in pairs if p not in {(0, 1), (2, 3)}]), seeds)
+    cid = next(c for c, nodes in fam.cliques.items() if 0 in nodes)
+    fam.faces[cid] = face_from_gram(np.arange(4), kappa_pinv(edm_of(P[:4])), 2, TOL)
+    with pytest.raises(NoRigidSeed):
+        reducer._temp_clique(fam, cid, [0, 1, 4], TOL)
     fam = init_family(pedm_from_pairs(P, pairs), seeds)
     cid = next(c for c, nodes in fam.cliques.items() if 0 in nodes)
     D, (nodes, Q, W) = reducer._temp_clique(fam, cid, [0, 1, 4, 5], TOL)
