@@ -170,7 +170,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radio-range", type=float, default=0.07)
     p.add_argument("--noise", type=float, default=0.0, help="noise factor sigma")
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--level", type=int, choices=[1, 2, 3, 4], default=2)
+    p.add_argument(
+        "--level", type=int, choices=[1, 2, 3, 4], default=2,
+        help="reduction steps enabled (1 rigid unions, 2 + rigid absorptions, "
+        "3 + singular unions, 4 + singular absorptions); the command line runs "
+        "without the range bounds, so 4 runs the steps of 3",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-clique-size", type=int, default=None)
     p.add_argument(

@@ -13,14 +13,17 @@ while its stored frame lasts.  An orthonormal basis over the sorted node
 ids, its last column e/sqrt(k), is built from the stored rows only when
 ``basis`` is read; the solve never reads it.
 
-All faces built from a clique's Gram matrix go through one stacked
-computation (``_face_coords``): one eigendecomposition, rank cut and QR for
-a whole stack of equal-size cliques.  :func:`clique_faces` uses it to build
-the seed cliques' faces in chunks before reduction starts, and prepares
-each face for merging there too: the Grams of [V, e], their Cholesky
-factors and the factors' inverses come from stacked calls as well.
-:func:`face_from_clique` and :func:`face_from_gram` are its one-clique case,
-bitwise equal to it.
+Every face built from a clique's squared distances goes through one
+computation (``_clique_face``), for one clique or a stack of equal-size
+cliques: one centring, one eigendecomposition and one rank cut.  Its stored
+coordinates are the centred top-r eigenvectors of the clique's centred
+Gram, and their whitener diag(1, ..., 1, 1/sqrt(k)) is known in closed
+form, so no QR, Gram, Cholesky factor or inverse is computed.  The face
+comes as parts, (node ids, stored coordinates, whitener), the form
+``FaceRep._parts`` gives and every merge reads.  :func:`clique_faces`
+builds the seed cliques' parts in chunks before reduction starts,
+:func:`clique_parts` one clique's, and :func:`face_of_parts` makes parts a
+FaceRep over the same arrays when the face is first needed as one.
 
 Merging two cliques reduces to intersecting their (padded) subspaces.  When
 the common nodes span r dimensions the intersection again has r+1 columns
@@ -49,14 +52,10 @@ face with the worse conditioned block keeps its rows.  Both intersections
 are its one-partner case.  :func:`intersect_faces_wave` is its many-partner
 case: rigid unions of one grower with many partners, against the grower's
 rows as they stand, all accepted rows appended together.  A partner may
-come without a FaceRep, as the temporary clique of a node absorption (the
-node and its neighbours in the grower) does: :func:`clique_parts` builds
-its face in one pass from its squared distances, in the form
-``FaceRep._parts`` gives a face in (node ids, stored coordinates,
-whitener): the centred top-r eigenvectors of its centred Gram, with no QR,
-and the whitener diag(1, ..., 1, 1/sqrt(k)) that such coordinates have by
-construction, with no Gram, Cholesky factor or inverse.  Only a merge that
-keeps such a partner's rows builds a FaceRep for it.
+come as parts, as a seed clique that was never read as a FaceRep and the
+temporary clique of a node absorption (the node and its neighbours in the
+grower) do; only a merge that keeps such a partner's rows builds a FaceRep
+for it.
 """
 
 from __future__ import annotations
@@ -68,18 +67,17 @@ from itertools import chain
 
 import numpy as np
 
-from .edm_core import RankTolerance, eigh_descending, kappa_pinv, significant_rank
+from .edm_core import RankTolerance
 from .errors import IntersectionRankLoss, InvalidConfig, RangeMismatch, RankDeficient
 
 __all__ = [
     "Tolerances",
     "FaceRep",
     "ExtendedFaceRep",
-    "FaceStack",
     "clique_faces",
     "clique_parts",
     "face_from_clique",
-    "face_from_gram",
+    "face_of_parts",
     "face_from_points",
     "intersect_faces_rigid",
     "intersect_parts_rigid",
@@ -379,74 +377,71 @@ def _orthonormal(ids: np.ndarray, V: np.ndarray):
     return ids[order], np.column_stack([Q, np.full(ids.size, 1.0 / np.sqrt(ids.size))])
 
 
-def _face_coords(B: np.ndarray, r: int, tol: Tolerances):
-    """The one Gram-to-face computation, for a stack of centered Grams.
+def _clique_face(D: np.ndarray, r: int, tol: Tolerances):
+    """The one distances-to-face computation, for one clique or a stack.
 
-    B has shape (c, k, k).  Returns (Q, ok): Q (c, k, r) holds orthonormal
-    columns spanning each B's top-r eigenvectors, made orthogonal to e, and
-    ok marks the B of numerical rank at least r (Q means nothing elsewhere).
-    A singleton has no coordinates and is always ok.  numpy runs the same
-    LAPACK call on each matrix of a stack as on that matrix alone, so a
-    face is bitwise the same whichever stack it was built in.
+    D is the hollow, symmetric squared-distance matrix (k, k) of a clique,
+    or a stack (c, k, k) of equal-size cliques.  It is centred once, into
+    the Gram B = -J D J / 2, and the stored coordinates Q are B's top-r
+    eigenvectors, centred: orthonormal columns orthogonal to e, up to
+    round-off, so [Q, e/sqrt(k)] is an orthonormal basis of the face and
+    W = diag(1, ..., 1, 1/sqrt(k)) whitens [Q, e], with no QR, Gram,
+    Cholesky factor or inverse.  Returns (Q, W, ok): one W serves the whole
+    stack, and ok marks the B of numerical rank at least r (Q means nothing
+    elsewhere).  A singleton has no coordinates and is always ok; a clique
+    of 2 to r nodes never is.  numpy runs the same LAPACK call on each
+    matrix of a stack as on that matrix alone, so a face is bitwise the
+    same whichever stack it was built in.
     """
-    c, k = B.shape[:2]
-    if k == 1:
-        return np.empty((c, 1, 0)), np.ones(c, dtype=bool)
+    *c, k = D.shape[:-1]
+    cols = r if k > 1 else 0
+    W = np.eye(cols + 1)
+    W[cols, cols] = 1.0 / math.sqrt(k)
+    if k <= r:
+        return np.empty((*c, k, cols)), W, np.full(c, k == 1)
+    # means taken as sums over k, which numpy's mean() computes more slowly
+    m = D.sum(axis=-2) / k
+    # D is symmetric and so is m_a + m_b, to the bit: so is B
+    B = 0.5 * ((m[..., :, None] + m[..., None, :]) - D - (m.sum(axis=-1) / k)[..., None, None])
     # the top-r eigenvectors are also the closest rank-r PSD projection,
     # which is how noisy data is handled
-    values, vectors = eigh_descending(B)
-    U = vectors[..., :r]
-    # B is centered so U is orthogonal to e up to round-off; clean it up to
-    # keep the normalization exact
-    U = U - (1.0 / k) * U.sum(axis=-2, keepdims=True)
-    Q, _ = np.linalg.qr(U)
-    return Q, significant_rank(values, tol.rank) >= r
+    values, U = np.linalg.eigh(B)
+    ok = values[..., -r] > tol.rank.relative_cut * np.maximum(values[..., -1],
+                                                              np.finfo(float).eps)
+    Q = U[..., : -r - 1 : -1]
+    return Q - Q.sum(axis=-2, keepdims=True) / k, W, ok
 
 
-def face_from_gram(nodes, B: np.ndarray, r: int, tol: Tolerances) -> FaceRep:
-    """Face of a clique from the centered Gram matrix of its nodes.
-
-    B must have numerical rank at least r; its top-r eigenvectors, made
-    orthogonal to e, are the face's stored rows.
-    """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    Q, ok = _face_coords(np.asarray(B, dtype=float)[None], r, tol)
-    if not ok[0]:
-        raise RankDeficient(f"clique Gram has rank below {r}")
-    return FaceRep(nodes, Q[0])
+def face_of_parts(ids: np.ndarray, V: np.ndarray, W: np.ndarray) -> FaceRep:
+    """The FaceRep of a face given as ``FaceRep._parts`` gives it, over the
+    same arrays: sorted node ids, stored coordinates V and whitener W of
+    [V, e].  A store filled to capacity copies its rows before it appends,
+    so the arrays are never written."""
+    face = FaceRep._stored(_RowStore.of(V, ids), ids.size, _gram(V), ids.size)
+    face._nodes = ids
+    face._white = W, np.linalg.inv(W).T
+    return face
 
 
 def face_from_clique(pedm, clique, r: int, tol: Tolerances) -> FaceRep:
-    """Face of a measured clique of the partial distance matrix."""
+    """Face of a measured clique of the partial distance matrix; raises
+    NotAClique when a pair is missing, RankDeficient as
+    :func:`clique_parts` does."""
     nodes = np.asarray(sorted(clique), dtype=np.int64)
-    D = pedm.submatrix(nodes)  # NotAClique when a pair is missing
-    return face_from_gram(nodes, kappa_pinv(D), r, tol)
+    return face_of_parts(*clique_parts(nodes, pedm.submatrix(nodes), r, tol))
 
 
 def clique_parts(nodes, D: np.ndarray, r: int, tol: Tolerances):
     """A clique's face in the form of ``FaceRep._parts``, built in one pass
-    from the hollow, symmetric squared-distance matrix D of its nodes.
-
-    D is centred once, into the Gram B = -J D J / 2, and the stored
-    coordinates Q are B's top-r eigenvectors, centred: orthonormal columns
-    orthogonal to e, up to round-off, so [Q, e/sqrt(k)] is an orthonormal
-    basis of the face and W = diag(1, ..., 1, 1/sqrt(k)) whitens [Q, e].
-    That is the face of :func:`face_from_gram` without the QR that cleans
-    up round-off, and without a Gram, Cholesky factor or inverse.  Returns
-    (node ids, Q, W); raises RankDeficient when B has rank below r.
+    (``_clique_face``) from the hollow, symmetric squared-distance matrix D
+    of its nodes.  Returns (node ids, Q, W); raises RankDeficient when the
+    clique's centred Gram has rank below r, as a clique of 2 to r nodes
+    always has.
     """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    k = nodes.size
-    # means taken as sums over k, which numpy's mean() computes more slowly
-    m = D.sum(axis=0) / k
-    # D is symmetric and so is m_a + m_b, to the bit: so is B
-    w, U = np.linalg.eigh(0.5 * ((m[:, None] + m) - D - m.sum() / k))
-    if not w[-r] > tol.rank.relative_cut * max(w[-1], np.finfo(float).eps):
+    Q, W, ok = _clique_face(D, r, tol)
+    if not ok:
         raise RankDeficient(f"clique Gram has rank below {r}")
-    Q = U[:, : -r - 1 : -1]
-    W = np.eye(r + 1)
-    W[r, r] = 1.0 / math.sqrt(k)
-    return nodes, Q - Q.sum(axis=0) / k, W
+    return np.asarray(nodes, dtype=np.int64), Q, W
 
 
 # a stack of clique faces built together holds at most this many entries of
@@ -456,50 +451,15 @@ def clique_parts(nodes, D: np.ndarray, r: int, tol: Tolerances):
 _STACK_ENTRIES = 1 << 14
 
 
-class FaceStack:
-    """Faces of equal-size cliques, built together by :func:`clique_faces`.
-
-    nodes (c, k) holds each clique's sorted node ids and Q (c, k, r) its
-    face coordinates from ``_face_coords``.  The Grams of [Q, e] and their
-    whiteners are computed for the whole stack in stacked calls, each
-    bitwise what its face alone would give.  ``face(a)`` returns clique a's
-    :class:`FaceRep` over the stack's arrays, with that Gram and whitener in
-    place; it is bitwise equal to :func:`face_from_clique`'s.
-    """
-
-    __slots__ = ("nodes", "Q", "gram", "white", "chol")
-
-    def __init__(self, nodes: np.ndarray, Q: np.ndarray):
-        self.nodes, self.Q = nodes, Q
-        self.gram = _gram(Q)
-        self.chol = np.linalg.cholesky(self.gram)
-        self.white = np.swapaxes(np.linalg.inv(self.chol), 1, 2)
-
-    def face(self, a: int) -> FaceRep:
-        nodes = self.nodes[a]
-        # a store filled to capacity copies its rows before it appends, so
-        # the stack's arrays are never written
-        face = FaceRep._stored(_RowStore.of(self.Q[a], nodes), nodes.size, self.gram[a],
-                               nodes.size)
-        face._nodes = nodes
-        face._white = self.white[a], self.chol[a]
-        return face
-
-    def parts(self, a: int):
-        """``self.face(a)._parts()``, read from the stack's arrays without
-        building the face."""
-        return self.nodes[a], self.Q[a], self.white[a]
-
-
 def clique_faces(pedm, cliques, r: int, tol: Tolerances) -> list:
-    """:func:`face_from_clique` for many cliques, in stacked calls.
+    """:func:`clique_parts` for many measured cliques, in stacked calls.
 
     Cliques of equal size are stacked, up to ``_STACK_ENTRIES`` distance
-    entries at a time, through one distance lookup, one ``kappa_pinv``, one
-    eigendecomposition, one rank cut and one QR.  Returns, per clique,
-    (stack, a) with ``stack.face(a)`` its face, or None where
-    face_from_clique raises (a pair without a measured distance, or a Gram
-    of rank below r).
+    entries at a time, through one distance lookup and one
+    ``_clique_face``.  Returns, per clique, the (sorted node ids, Q, W) that
+    clique_parts gives for it alone, bitwise, over views of the stack's
+    arrays, or None where :func:`face_from_clique` raises (a pair without a
+    measured distance, or a Gram of rank below r).
     """
     out = [None] * len(cliques)
     by_size: dict[int, list] = defaultdict(list)
@@ -520,10 +480,10 @@ def clique_faces(pedm, cliques, r: int, tol: Tolerances) -> list:
                 continue
             D = np.zeros((np.count_nonzero(found), k, k))
             D[:, iu, ju] = d2[found]
-            Q, ok = _face_coords(kappa_pinv(D + np.swapaxes(D, 1, 2)), r, tol)
-            stack = FaceStack(nodes[found][ok], Q[ok])
-            for a, pos in enumerate(np.asarray(chunk)[found][ok].tolist()):
-                out[pos] = (stack, a)
+            Q, W, ok = _clique_face(D + np.swapaxes(D, 1, 2), r, tol)
+            for pos, ids, V in zip(np.asarray(chunk)[found][ok].tolist(), nodes[found][ok],
+                                   Q[ok]):
+                out[pos] = (ids, V, W)
     return out
 
 
@@ -534,6 +494,8 @@ def face_from_points(nodes, P: np.ndarray, tol: Tolerances) -> FaceRep:
     k, r = P.shape
     if k == 1:
         return FaceRep(nodes, np.empty((1, 0)))
+    if k <= r:
+        raise RankDeficient(f"{k} points do not span {r} dimensions")
     X = P - P.mean(axis=0)
     Q, s, _ = np.linalg.svd(X, full_matrices=False)
     if s[r - 1] <= _MIDDLE_CUT * max(s[0], np.finfo(float).eps):
@@ -661,7 +623,7 @@ def _merge(F1: FaceRep, F2, tol: Tolerances, rank: int):
     the choice of the base: the face whose common block is better
     conditioned (F2 on a tie) is mapped by ``_maps`` into the stored
     coordinates of the other, the base, which keeps its rows.  An F2 given
-    as parts becomes a FaceRep only when it is the base, with L = W^-T.
+    as parts becomes a FaceRep (``face_of_parts``) only when it is the base.
     Returns (base, mapped rows, their node ids, (A_o', W_o, U_o'')): the
     mapped face's new rows [V_o', e], its whitener and its whitened common
     block.
@@ -679,10 +641,8 @@ def _merge(F1: FaceRep, F2, tol: Tolerances, rank: int):
         ids_o, V_o, new = ids2, V2, _rest(rows2, ids2.size)
     else:
         if face2 is None:
-            # the merge keeps F2's rows, so F2 needs a face; it shares the
-            # arrays, as a store filled to capacity copies before it appends
-            face2 = FaceRep._stored(_RowStore.of(V2, ids2), ids2.size, _gram(V2), ids2.size)
-            face2._white = W2, np.linalg.inv(W2).T
+            # the merge keeps F2's rows, so F2 needs a face
+            face2 = face_of_parts(ids2, V2, W2)
         base, Lb, o, Wo = face2, face2._whitener()[1], 0, W1
         k1 = F1._size
         ids_o, V_o, new = F1._store.ids[:k1], F1._store.coords[:k1], _rest(rows1, k1)
@@ -723,8 +683,8 @@ intersect_parts_rigid = intersect_faces_rigid
 def intersect_faces_wave(grower: FaceRep, partners: list, tol: Tolerances):
     """Rigid unions of one grower face with many partners at once.
 
-    Each partner comes as ``FaceRep._parts`` or ``FaceStack.parts`` give
-    it, and all are tested against the grower's rows as they stand on
+    Each partner comes as ``FaceRep._parts`` gives it, as the seed records
+    of :func:`clique_faces` are, and all are tested against the grower's rows as they stand on
     entry, in one ``_front`` call.  A partner that passes is accepted when
     its common block is at least as well conditioned as the grower's: its
     new rows are mapped into the grower's stored coordinates as

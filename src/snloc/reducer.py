@@ -3,9 +3,10 @@
 The solve state is a family of node sets ("cliques"), each with one face
 record (``CliqueFamily.faces``).  ``run`` first builds the records of all
 seed cliques in stacked calls, which costs far less per clique than
-building each alone: a compact stack entry, made into a FaceRep when the
-face is first read, or None for a degenerate clique.  Four steps shrink the
-family or grow a clique, tried in priority order:
+building each alone: the face's parts (node ids, stored coordinates,
+whitener), made a FaceRep when first read as one, or None for a degenerate
+clique.  Four steps shrink the family or grow a clique, tried in priority
+order:
 
   1. rigid clique union      -- two cliques sharing >= r+1 nodes
   2. rigid node absorption   -- a node adjacent to >= r+1 nodes of a clique
@@ -115,6 +116,7 @@ from .faces import (
     clique_faces,
     clique_parts,
     face_from_points,
+    face_of_parts,
     intersect_faces_nonrigid,
     intersect_faces_rigid,
     intersect_faces_wave,
@@ -176,9 +178,9 @@ class CliqueFamily:
 
     cliques holds exactly the live cliques, and membership[u] exactly the
     ids of the live cliques that contain node u; a merge keeps both so.
-    faces[cid] is clique cid's one face record: a FaceRep, the
-    (FaceStack, row) entry of ``build_seed_faces`` until the face is first
-    read, or None for a degenerate clique (a missing pair, or a Gram of
+    faces[cid] is clique cid's one face record: a FaceRep, a seed clique's
+    parts from ``build_seed_faces`` until its face is first read as a
+    FaceRep, or None for a degenerate clique (a missing pair, or a Gram of
     rank below r).  A clique without a record gets one from
     ``build_seed_faces`` when its face is first asked for."""
 
@@ -221,7 +223,7 @@ class CliqueFamily:
 
     def build_seed_faces(self, tol: Tolerances) -> None:
         """Give every clique without a face record one, in stacked calls
-        (``clique_faces``): its (FaceStack, row) entry, or None."""
+        (``clique_faces``): its parts, or None."""
         todo = [cid for cid in self.cliques if cid not in self.faces]
         entries = clique_faces(self.pedm, [self.cliques[cid] for cid in todo], self.dim, tol)
         self.faces.update(zip(todo, entries))
@@ -233,24 +235,22 @@ class CliqueFamily:
         return self.faces[cid]
 
     def face_of(self, cid: int, tol: Tolerances) -> FaceRep:
-        """Face of a clique; a stack entry becomes its FaceRep on first use,
-        which is bitwise ``face_from_clique``'s.  Raises RankDeficient when
-        the clique is degenerate, with no attempt to build its face again."""
+        """Face of a clique; parts become their FaceRep (``face_of_parts``)
+        on first use, bitwise ``face_from_clique``'s.  Raises RankDeficient
+        when the clique is degenerate, with no attempt to build it again."""
         face = self._record(cid, tol)
         if face is None:
             raise RankDeficient(f"clique {cid} has no face")
         if isinstance(face, tuple):
-            face = self.faces[cid] = face[0].face(face[1])
+            face = self.faces[cid] = face_of_parts(*face)
         return face
 
     def face_parts(self, cid: int, tol: Tolerances):
         """A clique's face as ``FaceRep._parts`` gives it, or None if
-        degenerate; a stack entry is read from its stack, and no FaceRep is
-        built for it."""
+        degenerate; a record given as parts is returned as it is, and no
+        FaceRep is built for it."""
         face = self._record(cid, tol)
-        if isinstance(face, tuple):
-            return face[0].parts(face[1])
-        return None if face is None else face._parts()
+        return face if face is None or isinstance(face, tuple) else face._parts()
 
     def positioned_count(self) -> int:
         if self.anchor_clique_id is None:

@@ -7,8 +7,7 @@ point coordinates, and padded face subspaces are materialized explicitly.
 
 import numpy as np
 
-from snloc.faces import FaceRep, Tolerances, face_from_gram
-from snloc.edm_core import kappa_pinv
+from snloc.faces import FaceRep, Tolerances, clique_parts, face_of_parts
 from snloc.instance import PartialEDM
 
 # generic-correctness tests disable the conditioning deferral policy so that
@@ -58,11 +57,11 @@ def adjacency(pedm) -> list[dict]:
 
 
 def face_of_points(nodes, P: np.ndarray, r: int, tol: Tolerances | None = None) -> FaceRep:
-    """Face of a clique built from exact coordinates of its nodes."""
+    """Face of a clique built from exact coordinates of its nodes, through
+    their squared distances, as a seed clique's face is built."""
     tol = tol or Tolerances()
     nodes = np.asarray(sorted(nodes), dtype=np.int64)
-    B = kappa_pinv(edm_of(P))
-    return face_from_gram(nodes, B, r, tol)
+    return face_of_parts(*clique_parts(nodes, edm_of(P), r, tol))
 
 
 def scalar_partial_edm(inst) -> PartialEDM:

@@ -201,3 +201,19 @@ def test_cli_tolerances_default_to_the_noise(tmp_path, monkeypatch):
     main(["--problem", str(problem), "--tol", "1e-7", "--feas-tol", "1e-5"])
     assert seen.pop() == Tolerances.for_noise(
         1e-3, rank=RankTolerance(relative_cut=1e-7), feas_tol=1e-5)
+
+
+def test_cli_level_4_runs_the_rows_of_level_3(tmp_path):
+    # the command line cannot turn on the range bounds, without which the
+    # singular absorption never decides: level 4 gives level 3's row
+    rows = {}
+    for level in (3, 4):
+        out = tmp_path / f"L{level}.csv"
+        main(["--n", "354", "--anchors", "8", "--radio-range", "0.095", "--seed", "1",
+              "--trials", "2", "--level", str(level), "--out", str(out)])
+        with open(out, newline="") as fh:
+            (rows[level],) = csv.DictReader(fh)
+    for row in rows.values():
+        del row["level"], row["avg_cpu_seconds"]
+    assert rows[3] == rows[4]
+    assert float(rows[3]["avg_positioned"]) > 0

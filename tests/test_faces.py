@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snloc.edm_core import kappa, kappa_pinv
+from snloc.edm_core import kappa
 from snloc.errors import (
     IntersectionRankLoss,
     InvalidConfig,
@@ -18,8 +18,8 @@ from snloc.faces import (
     clique_faces,
     clique_parts,
     face_from_clique,
-    face_from_gram,
     face_from_points,
+    face_of_parts,
     intersect_faces_nonrigid,
     intersect_faces_rigid,
     intersect_parts_rigid,
@@ -154,10 +154,10 @@ def test_clique_faces_match_face_from_clique_bitwise():
         except (NotAClique, RankDeficient):
             assert entry is None
             continue
-        got = entry[0].face(entry[1])
+        got = face_of_parts(*entry)
         assert np.array_equal(got.nodes, want.nodes)
         assert np.array_equal(got.basis, want.basis)
-        # the stored form and its merge factors, prepared in stacked calls
+        # the stored form and its merge factors
         assert got._size == want._size
         assert np.array_equal(got._store.ids[: got._size], want._store.ids[: want._size])
         assert np.array_equal(got._store.coords[: got._size], want._store.coords[: want._size])
@@ -167,8 +167,77 @@ def test_clique_faces_match_face_from_clique_bitwise():
     # two nodes span one dimension only
     missing = [len(c) == 2 for c in cliques[:-3]] + [True, True, False]
     assert [entry is None for entry in entries] == missing
-    stacks = {id(entry[0]) for clique, entry in zip(cliques, entries) if len(clique) == 16}
+    # each record's coordinates are a view of its stack's array
+    stacks = {id(entry[1].base) for clique, entry in zip(cliques, entries) if len(clique) == 16}
     assert len(stacks) == 2
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_seed_records_are_clique_parts_bitwise(r):
+    # every record of a stacked build is bitwise what clique_parts gives for
+    # its clique alone, from the clique's sorted ids and submatrix; one size
+    # fills more than one stack
+    rng = np.random.default_rng(40 + r)
+    P = rng.random((50, r))
+    pedm = complete_pedm(P)
+    per_stack = faces_module._STACK_ENTRIES // 12**2
+    sizes = list(range(1, 21)) + [12] * (per_stack + 3)
+    cliques = [set(rng.choice(50, size=k, replace=False).tolist()) for k in sizes]
+    entries = clique_faces(pedm, cliques, r, TOL)
+    assert len({id(entry[1].base) for entry in entries[20:]}) == 2
+    for clique, entry in zip(cliques, entries):
+        ids = np.array(sorted(clique))
+        if 1 < len(clique) <= r:
+            assert entry is None
+            with pytest.raises(RankDeficient):
+                clique_parts(ids, pedm.submatrix(ids), r, TOL)
+            continue
+        for got, want in zip(entry, clique_parts(ids, pedm.submatrix(ids), r, TOL)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_seed_whitener_makes_the_face_orthonormal(r):
+    # the closed-form whitener W = diag(1, ..., 1, 1/sqrt(k)) makes [Q, e] W
+    # orthonormal for the centred eigenvectors Q of every seed size, with no
+    # QR to clean up their round-off
+    rng = np.random.default_rng(50 + r)
+    P = rng.random((40, r))
+    cliques = [set(rng.choice(40, size=k, replace=False).tolist())
+               for k in range(2, 21) for _ in range(5)]
+    for clique, entry in zip(cliques, clique_faces(complete_pedm(P), cliques, r, TOL)):
+        k = len(clique)
+        if k <= r:
+            assert entry is None
+            continue
+        _, Q, W = entry
+        assert np.array_equal(W, np.diag([1.0] * r + [1.0 / np.sqrt(k)]))
+        U = np.column_stack([Q, np.ones(k)]) @ W
+        assert np.max(np.abs(U.T @ U - np.eye(r + 1))) <= 1e-13
+
+
+def test_extending_a_seed_face_never_writes_its_stack():
+    # a seed face shares its record's arrays; growing it, by a union that
+    # keeps its rows, by one that keeps the partner's, or by appending rows
+    # directly, copies them first
+    rng = np.random.default_rng(43)
+    P = rng.random((14, 2))
+    pedm = complete_pedm(P)
+    records = clique_faces(pedm, [set(range(6)), set(range(3, 9)), set(range(3, 14))], 2, TOL)
+    stack = records[0][1].base
+    assert all(rec[1].base is stack for rec in records[:2])
+    before = [[a.copy() for a in rec] for rec in records]
+    face = face_of_parts(*records[0])
+    grown = intersect_faces_rigid(face, face_of_parts(*records[1]), NOGATE)
+    assert grown._size == 9
+    # the 11-node partner's common block is the worse conditioned: the
+    # merge keeps the partner's rows, in a FaceRep over its record's arrays
+    kept = intersect_faces_rigid(face_of_parts(*records[0]), records[2], NOGATE)
+    assert np.array_equal(kept._store.ids[:14], np.r_[3:14, 0:3])
+    face._extend(np.zeros((2, 2)), [20, 21])
+    for rec, old in zip(records, before):
+        for a, b in zip(rec, old):
+            assert np.array_equal(a, b)
 
 
 def test_face_from_points_matches_gram_route():
@@ -393,7 +462,7 @@ def test_wave_matches_one_union_at_a_time(tol):
     # nodes 30 and 31, and B places node 30 elsewhere, so the wave must keep
     # A's row; C's overlap is inconsistent (a range mismatch); D is larger
     # than the grower, whose common block is then the better conditioned,
-    # so D is deferred; E comes from a face stack, read without a FaceRep;
+    # so D is deferred; E is a seed record, read without a FaceRep;
     # F's overlap is collinear (rank loss); G's is nearly collinear, of
     # full rank but below the invert_floor, so that only the floor rejects
     # it.  The wave rejects a partner, neither accepting nor deferring it,
@@ -415,16 +484,16 @@ def test_wave_matches_one_union_at_a_time(tol):
     B = moved(np.arange(26, 33), 30)
     C = moved(np.arange(22, 34), 23)
     D = face_of_points(np.arange(22, 70), P[22:70], 2)
-    stack, a = clique_faces(complete_pedm(P), [set(range(20, 36))], 2, tol)[0]
-    E = stack.face(a)
+    record = clique_faces(complete_pedm(P), [set(range(20, 36))], 2, tol)[0]
+    E = face_of_parts(*record)
     F_nodes, G_nodes = np.array([0, 1, 2, 70, 71]), np.array([3, 4, 5, 72, 73])
     F = face_of_points(F_nodes, P[F_nodes], 2)
     G = face_of_points(G_nodes, P[G_nodes], 2)
-    for got, want in zip(stack.parts(a), E._parts()):
+    for got, want in zip(record, E._parts()):
         assert np.array_equal(got, want)
     partners = dict(zip("ABCDEFG", [A, B, C, D, E, F, G]))
     parts = [p._parts() for p in partners.values()]
-    parts[4] = stack.parts(a)
+    parts[4] = record
     assert sigma_min_on(grower, np.arange(22, 30)) > sigma_min_on(D, np.arange(22, 30))
 
     face, accepted, deferred = faces_module.intersect_faces_wave(grower, parts, tol)
@@ -632,24 +701,32 @@ def test_nonrigid_rejects_full_rank_overlap():
         intersect_faces_nonrigid(f1, f2, TOL)
 
 
-def test_face_from_gram_rejects_rank_deficient():
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-    B = kappa_pinv(edm_of(pts))
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("build", ["face_from_points", "clique_parts"])
+def test_too_few_points_are_rank_deficient(build, k):
+    # k <= r points span fewer than r dimensions (r=3); k=2 used to escape
+    # as a bare IndexError
+    P = np.random.default_rng(k).random((k, 3))
     with pytest.raises(RankDeficient):
-        face_from_gram(np.arange(4), B, 2, TOL)
+        if build == "face_from_points":
+            face_from_points(np.arange(k), P, TOL)
+        else:
+            clique_parts(np.arange(k), edm_of(P), 3, TOL)
 
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_clique_parts_is_the_face_of_face_from_gram(r):
-    # the one-pass coordinates span the face that face_from_gram's QR'd
-    # basis spans, and the known whitener makes [Q, e] orthonormal
+    # the one-pass coordinates span the face that the points span, by an
+    # SVD of the centred points, and the known whitener makes [Q, e]
+    # orthonormal
     P = np.random.default_rng(r).random((9, r))
     D = edm_of(P)
     nodes, Q, W = clique_parts(np.arange(9), D, r, TOL)
     assert np.array_equal(nodes, np.arange(9))
     U = np.column_stack([Q, np.ones(9)]) @ W
     assert np.max(np.abs(U.T @ U - np.eye(r + 1))) <= 1e-13
-    ref = face_from_gram(nodes, kappa_pinv(D), r, TOL).basis
+    X = np.linalg.svd(P - P.mean(axis=0), full_matrices=False)[0]
+    ref = np.column_stack([X, np.full(9, 1.0 / 3.0)])
     assert np.max(np.abs(U @ U.T - ref @ ref.T)) <= 1e-13
     with pytest.raises(RankDeficient):
         clique_parts(np.arange(4), edm_of(np.outer(np.arange(4.0), np.ones(r))), r, TOL)
@@ -659,7 +736,7 @@ def test_clique_parts_is_the_face_of_face_from_gram(r):
 def test_parts_union_matches_the_face_union(far):
     # intersect_parts_rigid of a grower and a small clique given by
     # clique_parts, against intersect_faces_rigid of the same grower and the
-    # clique's FaceRep from face_from_gram.  Nodes 0-3 are shared; the clique
+    # clique's FaceRep from face_from_clique.  Nodes 0-3 are shared; the clique
     # adds node 9, the grower holds 0-8.  Near the shared nodes, node 9 leaves
     # the clique's block the better conditioned one, which is then mapped
     # into the grower's rows; far from them, the grower's block is the
@@ -675,7 +752,8 @@ def test_parts_union_matches_the_face_union(far):
         np.column_stack([parts[1], np.ones(5)])[:4] @ parts[2], compute_uv=False)[-1]
     assert clique_better != far
     got = intersect_parts_rigid(grower, parts, NOGATE)
-    want = intersect_faces_rigid(grower, face_from_gram(nodes, kappa_pinv(D), 2, NOGATE), NOGATE)
+    want = intersect_faces_rigid(grower, face_from_clique(complete_pedm(P), nodes, 2, NOGATE),
+                                 NOGATE)
     assert np.array_equal(got.nodes, np.arange(10))
     assert np.max(np.abs(got.basis @ got.basis.T - want.basis @ want.basis.T)) <= 1e-10
     kept = got._store.ids[:5] if far else got._store.ids[:9]

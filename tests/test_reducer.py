@@ -20,10 +20,10 @@ from snloc.errors import (
     RankDeficient,
 )
 from snloc.faces import (
+    FaceRep,
     Tolerances,
     clique_parts,
     face_from_clique,
-    face_from_gram,
     intersect_faces_rigid,
     intersect_parts_rigid,
 )
@@ -53,6 +53,7 @@ from helpers import (
     check_consistency,
     complete_pedm,
     edm_of,
+    face_of_points,
     pedm_from_pairs,
     principal_angles,
     scalar_grow_cliques,
@@ -317,12 +318,7 @@ def test_rigid_absorption_synthesizes_missing_distances():
     cid = next(iter(fam.cliques))
     # face building needs the full clique; (1,3) missing makes it fall back
     # to a measured sub-clique once faces are built from gram data
-    from snloc.faces import face_from_gram
-    from snloc.edm_core import kappa_pinv
-
-    fam.faces[cid] = face_from_gram(
-        np.arange(6), kappa_pinv(edm_of(P[:6])), 2, TOL
-    )
+    fam.faces[cid] = face_of_points(np.arange(6), P[:6], 2)
     assert rigid_node_absorption(fam, cid, 6, TOL)
     check_consistency(fam)
     comp = points_from_face(fam.faces[cid], pedm, TOL)
@@ -681,7 +677,7 @@ def _rigid_absorption_case():
     pedm = pedm_from_pairs(P, pairs + [(1, 6), (3, 6), (4, 6)])
     fam = init_family(pedm, [tuple(range(6))])
     cid = next(c for c, nodes in fam.cliques.items() if 0 in nodes)
-    fam.faces[cid] = face_from_gram(np.arange(6), kappa_pinv(edm_of(P[:6])), 2, TOL)
+    fam.faces[cid] = face_of_points(np.arange(6), P[:6], 2)
     return fam, cid, 6, TOL
 
 
@@ -699,7 +695,7 @@ def _singular_absorption_case():
     pedm = pedm_from_pairs(P, pairs + [(0, 4), (2, 4)], radio_range=0.6)
     fam = init_family(pedm, [(0, 1, 2, 3)])
     cid = next(c for c, nodes in fam.cliques.items() if 0 in nodes)
-    fam.faces[cid] = face_from_gram(np.arange(4), kappa_pinv(edm_of(P[:4])), 2, TOL)
+    fam.faces[cid] = face_of_points(np.arange(4), P[:4], 2)
     return fam, cid, 4, RANGE_BOUNDS
 
 
@@ -1173,7 +1169,7 @@ def test_temp_clique_declines_a_pair_it_cannot_synthesize():
     # the measured pairs inside the clique form the 4-cycle 0-2-1-3-0
     fam = init_family(pedm_from_pairs(P, [p for p in pairs if p not in {(0, 1), (2, 3)}]), seeds)
     cid = next(c for c, nodes in fam.cliques.items() if 0 in nodes)
-    fam.faces[cid] = face_from_gram(np.arange(4), kappa_pinv(edm_of(P[:4])), 2, TOL)
+    fam.faces[cid] = face_of_points(np.arange(4), P[:4], 2)
     with pytest.raises(NoRigidSeed):
         reducer._temp_clique(fam, cid, [0, 1, 4], TOL)
     fam = init_family(pedm_from_pairs(P, pairs), seeds)
@@ -1192,10 +1188,16 @@ def _declined_as_none(merge, *args):
 
 def _old_absorption_merge(face, nodes, D, tol):
     """A rigid absorption's merge as it was built before the one-pass path,
-    kept as its oracle: the temporary clique's FaceRep from face_from_gram
-    (an eigendecomposition and a QR), whose whitener the merge factors from
-    its Gram, intersected by intersect_faces_rigid."""
-    temp = face_from_gram(np.asarray(nodes), kappa_pinv(D), face.width - 1, tol)
+    kept as its oracle: the temporary clique's FaceRep from the top-r
+    eigenvectors of kappa_pinv(D), made orthogonal to e by a QR, whose
+    whitener the merge factors from its Gram, intersected by
+    intersect_faces_rigid."""
+    r = face.width - 1
+    values, vectors = np.linalg.eigh(kappa_pinv(D))
+    if not values[-r] > tol.rank.relative_cut * max(values[-1], np.finfo(float).eps):
+        raise RankDeficient(f"clique Gram has rank below {r}")
+    U = vectors[:, : -r - 1 : -1]
+    temp = FaceRep(np.asarray(nodes), np.linalg.qr(U - U.mean(axis=0))[0])
     return intersect_faces_rigid(face, temp, tol)
 
 
@@ -1252,11 +1254,17 @@ def test_one_pass_absorption_matches_the_old_route(n, m, R, level, kept, monkeyp
 
     def probed(family, i, j, tol):
         beta = reducer._neighbors_in(family, i, j)
-        face = family.face_of(i, tol)
         D = None
-        if beta is not None and len(beta) > family.dim and face is not None:
+        declined = False
+        if beta is not None and len(beta) > family.dim:
             nodes = sorted(beta + [j])
-            D = reducer._mixed_submatrix(family, i, nodes, tol)
+            try:
+                face = family.face_of(i, tol)
+                D = reducer._mixed_submatrix(family, i, nodes, tol)
+            except reducer._DECLINED:
+                # the step declines where its grower's face or the
+                # temporary clique's distances do
+                declined = True
         if D is not None:
             new = _declined_as_none(_one_pass_merge, face, nodes, D, tol)
             old = _declined_as_none(_old_absorption_merge, face, nodes, D, tol)
@@ -1273,6 +1281,8 @@ def test_one_pass_absorption_matches_the_old_route(n, m, R, level, kept, monkeyp
                 k = face._size
                 seen["kept clique"] += not np.array_equal(new._store.ids[:k], face._store.ids[:k])
         ok = step(family, i, j, tol)
+        if declined:
+            assert not ok
         if D is not None:
             assert ok == (new is not None)
         seen["attempts"] += 1

@@ -27,6 +27,11 @@ def test_solve_digest_against_itself(tmp_path):
     assert lines == [f"{name}: counts equal, sets equal, max coordinate difference 0"
                      for name in SMALLEST] + [
         "2 of 2 equal (counts, sets); largest coordinate difference 0"]
+    # each instance's RMSD against the truth is stored, finite as every
+    # sensor of these instances is positioned
+    with np.load(first) as digest:
+        for name in SMALLEST:
+            assert 0.0 <= float(digest[f"{name}.rmsd"]) < 1e-9
 
 
 def test_solve_digest_flags_differences(tmp_path, capsys):
@@ -56,3 +61,24 @@ def test_solve_digest_flags_differences(tmp_path, capsys):
     assert not tool.compare(["a", "b"], two, {**two, "a.coords": moved["a.coords"], "b.ids": ids + 1})
     assert capsys.readouterr().out.splitlines()[-1] == (
         "1 of 2 equal (counts, sets); largest coordinate difference 1e-09")
+
+
+def test_solve_digest_prints_rmsd_moves(tmp_path, capsys):
+    # where the coordinates differ, the RMSDs are printed old -> new; a
+    # digest without RMSDs, as written before they were stored, compares
+    # as before
+    tool = load_tool()
+    ids = np.arange(3)
+    old = {"a.counts": np.array("{}"), "a.ids": ids, "a.coords": np.zeros((3, 2)),
+           "a.rmsd": np.array(2e-12)}
+    new = {**old, "a.coords": np.full((3, 2), 1e-9), "a.rmsd": np.array(3e-9)}
+    assert tool.compare(["a"], new, old)
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "a: counts equal, sets equal, max coordinate difference 1e-09, rmsd 2e-12 -> 3e-09")
+    assert tool.compare(["a"], old, {**old, "a.rmsd": np.array(5e-12)})
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "a: counts equal, sets equal, max coordinate difference 0")
+    no_rmsd = {key: value for key, value in old.items() if key != "a.rmsd"}
+    assert tool.compare(["a"], new, no_rmsd)
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "a: counts equal, sets equal, max coordinate difference 1e-09")

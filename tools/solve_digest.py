@@ -5,14 +5,17 @@ Usage, from the root of a source checkout:
     python3 tools/solve_digest.py --src src --out new.npz
     python3 tools/solve_digest.py --src ../other/src --out old.npz --against new.npz
 
-Each instance's ``step_counts``, positioned sensor ids and their coordinates
-are written to ``--out``.  With ``--against``, each instance is compared
-with the same instance in that file: the script prints whether the counts
-and the positioned sets are equal and the largest coordinate difference
-over the nodes both positioned, with the positioned counts (that file's ->
-this run's) where the sets differ, then one summary line ("70 of 70 equal
-(counts, sets); largest coordinate difference 0"), and exits 1 when any
-counts or sets differ.
+Each instance's ``step_counts``, positioned sensor ids, their coordinates
+and their RMSD against the true positions are written to ``--out``.  With
+``--against``, each instance is compared with the same instance in that
+file: the script prints whether the counts and the positioned sets are
+equal and the largest coordinate difference over the nodes both
+positioned, with the positioned counts (that file's -> this run's) where
+the sets differ, and the RMSDs (that file's -> this run's) where the
+coordinates differ, then one summary line ("70 of 70 equal (counts,
+sets); largest coordinate difference 0"), and exits 1 when any counts or
+sets differ.  A digest written before RMSDs were stored compares as
+before, without them.
 ``--only NAME ...`` restricts the run to the named instances.  The
 ``snloc`` package is imported from ``--src``; the benchmark instances are
 drawn as ``bench/`` of this checkout draws them.
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -100,13 +104,16 @@ def solve(case) -> dict:
     name, n, m, r, R, sigma, seed, level, bounds = case
     inst = generate_instance(n, m, r, seed=seed, radio_range=R, noise_factor=sigma)
     tol = Tolerances.for_noise(sigma, use_range_bounds=True) if bounds else None
-    rep = localize(build_partial_edm(inst), inst.anchors, level=level, tol=tol)
+    rep = localize(build_partial_edm(inst), inst.anchors, level=level, tol=tol,
+                   truth=inst.points)
     ids = np.array(sorted(rep.positioned), dtype=np.int64)
     coords = np.array([rep.positioned[u] for u in ids.tolist()]).reshape(ids.size, r)
     return {
         f"{name}.counts": np.array(json.dumps(rep.step_counts, sort_keys=True)),
         f"{name}.ids": ids,
         f"{name}.coords": coords,
+        # NaN when nothing was positioned
+        f"{name}.rmsd": np.array(math.nan if rep.rmsd is None else rep.rmsd),
     }
 
 
@@ -128,8 +135,11 @@ def compare(names, new: dict, old) -> bool:
                             initial=0.0))
         sets = "equal" if ids else f"DIFFER ({old_ids.size} -> {new_ids.size} positioned)"
         over = "" if ids else f" over the {common.size} common nodes"
+        rmsd = ""
+        if (diff > 0 or not ids) and f"{name}.rmsd" in new and f"{name}.rmsd" in old:
+            rmsd = f", rmsd {float(old[f'{name}.rmsd']):.3g} -> {float(new[f'{name}.rmsd']):.3g}"
         print(f"{name}: counts {'equal' if counts else 'DIFFER'}, sets {sets}, "
-              f"max coordinate difference {diff:.3g}{over}")
+              f"max coordinate difference {diff:.3g}{over}{rmsd}")
         equal += counts and ids
         largest = max(largest, diff)
     print(f"{equal} of {len(names)} equal (counts, sets); "
