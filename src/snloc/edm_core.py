@@ -7,12 +7,10 @@ linked by the linear map
     kappa(Y) = diag(Y) e^T + e diag(Y)^T - 2 Y,
 
 which is one-to-one and onto between centered PSD matrices (Y e = 0) and
-squared-distance matrices.  ``kappa_pinv`` is its generalized inverse,
-``kappa_adjoint`` its adjoint.  Eigenvalue-based helpers for rank decisions
-and low-rank PSD projection live here as well; everything operates on small
-dense symmetric matrices (clique-sized, at most a few hundred rows).
-``kappa_pinv``, ``eigh_descending`` and ``significant_rank`` also take
-stacks of them (leading axes), treating each matrix as they would alone.
+squared-distance matrices.  ``kappa_pinv`` is its generalized inverse.
+Eigenvalue-based helpers for rank decisions and low-rank PSD projection live
+here as well; everything operates on small dense symmetric matrices
+(clique-sized, at most a few hundred rows).
 """
 
 from __future__ import annotations
@@ -25,8 +23,6 @@ from .errors import InvalidConfig, RankDeficient
 
 __all__ = [
     "RankTolerance",
-    "kappa",
-    "kappa_adjoint",
     "kappa_pinv",
     "eigh_descending",
     "full_rank_factor",
@@ -52,69 +48,45 @@ class RankTolerance:
 DEFAULT_TOL = RankTolerance()
 
 
-def _check_symmetric(A: np.ndarray, stacked: bool = False) -> None:
-    if not (A.ndim == 2 or stacked and A.ndim > 2) or A.shape[-2] != A.shape[-1]:
+def _check_symmetric(A: np.ndarray) -> None:
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
 
 
-def kappa(Y: np.ndarray) -> np.ndarray:
-    """Map a Gram matrix to the squared-distance matrix of its points.
-
-    D_ij = Y_ii + Y_jj - 2 Y_ij.  The result is symmetric with zero diagonal.
-    """
-    Y = np.asarray(Y, dtype=float)
-    _check_symmetric(Y)
-    d = np.diag(Y)
-    D = d[:, None] + d[None, :] - 2.0 * Y
-    np.fill_diagonal(D, 0.0)
-    return D
-
-
-def kappa_adjoint(D: np.ndarray) -> np.ndarray:
-    """Adjoint of ``kappa``: D -> 2 (Diag(D e) - D)."""
-    D = np.asarray(D, dtype=float)
-    _check_symmetric(D)
-    return 2.0 * (np.diag(D.sum(axis=1)) - D)
-
-
 def kappa_pinv(D: np.ndarray) -> np.ndarray:
-    """Generalized inverse of ``kappa``: recover a centered Gram matrix.
+    """Generalized inverse of kappa: recover a centered Gram matrix.
 
     Computes B = -1/2 * J offDiag(D) J with J = I - ee^T/n, so B e = 0 and
-    kappa(B) = D for every hollow symmetric D.  D may be a stack of matrices.
+    kappa(B) = D for every hollow symmetric D.
     """
     D = np.asarray(D, dtype=float)
-    _check_symmetric(D, stacked=True)
+    _check_symmetric(D)
     H = D.copy()
-    diag = np.arange(D.shape[-1])
-    H[..., diag, diag] = 0.0
+    np.fill_diagonal(H, 0.0)
     # J H J expanded: subtract row means, column means, add back grand mean
-    row = H.mean(axis=-1, keepdims=True)
-    col = H.mean(axis=-2, keepdims=True)
-    B = -0.5 * (H - row - col + H.mean(axis=(-2, -1), keepdims=True))
-    return 0.5 * (B + np.swapaxes(B, -1, -2))
+    row = H.mean(axis=1, keepdims=True)
+    col = H.mean(axis=0, keepdims=True)
+    B = -0.5 * (H - row - col + H.mean(axis=(0, 1), keepdims=True))
+    return 0.5 * (B + B.T)
 
 
 def eigh_descending(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full symmetric eigendecomposition: (values, vectors), the eigenvalues
     sorted descending and the matching column-orthonormal eigenvectors.
 
-    The input, a matrix or a stack of them, is symmetrized first to absorb
-    round-off.
+    The input is symmetrized first to absorb round-off.
     """
     B = np.asarray(B, dtype=float)
-    _check_symmetric(B, stacked=True)
-    w, V = np.linalg.eigh(0.5 * (B + np.swapaxes(B, -1, -2)))
-    return w[..., ::-1].copy(), V[..., ::-1].copy()
+    _check_symmetric(B)
+    w, V = np.linalg.eigh(0.5 * (B + B.T))
+    return w[::-1].copy(), V[:, ::-1].copy()
 
 
-def significant_rank(values: np.ndarray, tol: RankTolerance = DEFAULT_TOL):
-    """Number of eigenvalues above the relative cutoff (descending input);
-    an int for one spectrum, an array of them for a stack."""
+def significant_rank(values: np.ndarray, tol: RankTolerance = DEFAULT_TOL) -> int:
+    """Number of eigenvalues above the relative cutoff (descending input)."""
     values = np.asarray(values, dtype=float)
-    cut = tol.relative_cut * np.maximum(values[..., :1], np.finfo(float).eps)
-    ranks = np.count_nonzero(values > cut, axis=-1)
-    return int(ranks) if values.ndim == 1 else ranks
+    cut = tol.relative_cut * np.maximum(values[:1], np.finfo(float).eps)
+    return int(np.count_nonzero(values > cut))
 
 
 def full_rank_factor(

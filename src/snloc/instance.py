@@ -71,6 +71,9 @@ class Instance:
 # half_range_cliques checks the pairs of its near sets in blocks of about
 # this many pairs, which bounds each temporary at 256 KiB
 _PAIR_BLOCK = 1 << 15
+# build_partial_edm forms the differences of the measured pairs' points in
+# blocks of this many pairs, 128 KiB each in the plane
+_DIFF_BLOCK = 1 << 13
 
 
 class PartialEDM:
@@ -93,22 +96,36 @@ class PartialEDM:
         self.n, self.m, self.dim = n, m, dim
         self.radio_range, self.noise_factor = radio_range, noise_factor
         i, j, d2 = _checked_pairs(n, i, j, d2)
-        keys = np.concatenate([i * n + j, j * n + i, [n * n]])
-        # (keys, squared distances): both directions sorted by (i, j), then
+        # both directions' keys, i*n + j then j*n + i, filled in place, then
         # one sentinel key n*n above them all, which keeps every position
-        # that lookup's binary search returns in range.  Unless a pair is
-        # given twice, which raises below, the keys are distinct, so the
-        # default sort gives the one order a stable sort would
-        order = np.argsort(keys)
-        self._keys = keys[order]
-        self._values = np.concatenate([d2, d2, [math.nan]])[order]
-        repeat = np.flatnonzero(self._keys[1:] == self._keys[:-1])
+        # that lookup's binary search returns in range
+        half = i.size
+        size = 2 * half
+        keys = np.empty(size + 1, dtype=np.int64)
+        np.multiply(i, n, out=keys[:half])
+        keys[:half] += j
+        np.multiply(j, n, out=keys[half:size])
+        keys[half:size] += i
+        keys[size] = n * n
+        # sorted by (i, j).  Unless a pair is given twice, which raises
+        # below, the keys are distinct, so the default sort gives the one
+        # order a stable sort would, and the sentinel comes last
+        order = keys.argsort()
+        self._keys = keys = keys.take(order)
+        # the squared distance of entry k of either direction is d2[k % half]
+        self._values = values = np.empty(size + 1)
+        d2.take(order[:size], mode="wrap", out=values[:size])
+        values[size] = math.nan
+        del order
+        repeat = np.flatnonzero(keys[1:] == keys[:-1])
         if repeat.size:
-            a, b = divmod(int(self._keys[repeat[0]]), n)
+            a, b = divmod(int(keys[repeat[0]]), n)
             raise InvalidConfig(f"pair ({a}, {b}) is given more than once")
-        size = self._keys.size - 1
-        self.indices = self._keys[:size] % n
-        self.d2 = self._values[:size]
+        # keys - (keys // n) * n, the same as keys % n at half the cost
+        self.indices = indices = keys[:size] // n
+        indices *= n
+        np.subtract(keys[:size], indices, out=indices)
+        self.d2 = values[:size]
         self.indptr = np.searchsorted(self._keys, np.arange(n + 1, dtype=np.int64) * n)
         # views of the same two arrays: a row sliced from them costs about a
         # third less than from the arrays, and the merges read rows one by one
@@ -224,10 +241,14 @@ def _checked_pairs(n: int, i, j, d2) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """The pair arrays as int64, int64 and float64, or InvalidConfig when
     they are not three equally long 1-D arrays, a node id is not an integer
     in [0, n), a pair joins a node to itself, or a squared distance is not
-    finite and >= 0."""
+    a real number that is finite and >= 0."""
     i, j = np.asarray(i), np.asarray(j)
     try:
-        d2 = np.asarray(d2, dtype=float)
+        d2 = np.asarray(d2)
+        if d2.dtype.kind == "c":
+            # a cast to float would drop the imaginary part with a warning
+            raise InvalidConfig(f"squared distances must be real, got {d2.dtype} values")
+        d2 = d2.astype(float, copy=False)
     except (TypeError, ValueError):
         raise InvalidConfig("squared distances must be numbers") from None
     if not i.ndim == j.ndim == d2.ndim == 1 or not i.size == j.size == d2.size:
@@ -238,16 +259,17 @@ def _checked_pairs(n: int, i, j, d2) -> tuple[np.ndarray, np.ndarray, np.ndarray
         if ids.size and ids.dtype.kind not in "iu":
             raise InvalidConfig(f"node ids must be integers, got {ids.dtype} ids")
     i, j = i.astype(np.int64, copy=False), j.astype(np.int64, copy=False)
-    bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n))
-    if bad.size:
-        a = bad[0]
+    # a few reductions, each with an initial value for no pairs; the first
+    # offender is looked for only on failure
+    if (min(i.min(initial=0), j.min(initial=0)) < 0
+            or max(i.max(initial=0), j.max(initial=0)) >= n):
+        a = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n))[0]
         raise InvalidConfig(f"node ids ({i[a]}, {j[a]}) must lie in [0, {n})")
     if np.any(i == j):
         raise InvalidConfig("self distances are not stored")
-    # written so that NaN fails the test
-    bad = np.flatnonzero(~((d2 >= 0.0) & (d2 < math.inf)))
-    if bad.size:
-        a = bad[0]
+    # written so that NaN fails the test: min and max propagate it
+    if not (d2.min(initial=0.0) >= 0.0 and d2.max(initial=0.0) < math.inf):
+        a = np.flatnonzero(~((d2 >= 0.0) & (d2 < math.inf)))[0]
         raise InvalidConfig(
             f"squared distance for pair ({i[a]}, {j[a]}) must be finite and >= 0, got {d2[a]}"
         )
@@ -322,37 +344,52 @@ def build_partial_edm(inst: Instance) -> PartialEDM:
     P = inst.points
     first_anchor = n - m
     # query_pairs gives i < j, so sorting the keys i*n + j sorts the pairs
-    # by (i, j).  The pair array is not kept: held through the differences
-    # below, it and the keys raised a solve's peak RSS by about 1%
-    keys = np.ravel_multi_index(cKDTree(P).query_pairs(R, output_type="ndarray").T, (n, n))
+    # by (i, j).  Each temporary below is dropped once it is used, which
+    # keeps the set-up's peak memory at about 1.5 times its result
+    keys = cKDTree(P).query_pairs(R, output_type="ndarray")
+    keys = np.ravel_multi_index(keys.T, (n, n))
     keys.sort()
-    # pairs of anchors, all keys from first_anchor*n on, are measured below,
-    # whatever their distance
-    i, j = np.divmod(keys[: np.searchsorted(keys, first_anchor * n)], n)
-    diff = P[i]
-    diff -= P[j]
-    # sqrt(vecdot) gives the same bits as a scalar norm() of each difference
-    d = np.sqrt(np.vecdot(diff, diff))
+    # the pairs of anchors, all keys from first_anchor*n on, give way to
+    # every pair of anchors, in the same order, measured whatever their
+    # distance and without noise
+    cut = int(np.searchsorted(keys, first_anchor * n))
+    a, b = np.triu_indices(m, 1)
+    keys = np.concatenate([keys[:cut], (a + first_anchor) * n + (b + first_anchor)])
+    # divmod(keys, n) at half the cost
+    i = keys // n
+    j = i * n
+    np.subtract(keys, j, out=j)
+    del keys
+    # sqrt(vecdot) gives the same bits as a scalar norm() of each
+    # difference.  The differences are formed in small blocks, each reusing
+    # the memory of the one before, where an array of them all would take
+    # fresh pages; take gathers rows several times faster than indexing
+    d = np.empty(i.size)
+    for lo in range(0, i.size, _DIFF_BLOCK):
+        block = slice(lo, lo + _DIFF_BLOCK)
+        diff = P.take(i[block], axis=0)
+        diff -= P.take(j[block], axis=0)
+        np.vecdot(diff, diff, out=d[block])
+    np.sqrt(d, out=d)
     keep = d < R
-    i, j, d = i[keep], j[keep], d[keep]
-    x = d
+    keep[cut:] = True
+    # query_pairs keeps pairs up to R, by its own rounding: copy only if
+    # the strict test drops one
+    if not keep.all():
+        cut = int(np.count_nonzero(keep[:cut]))
+        i, j, d = i[keep], j[keep], d[keep]
+    del keep
     # an overflow leaves inf, which the constructor rejects
     with np.errstate(over="ignore"):
         if sigma > 0:
-            # one draw per pair in lexicographic order: the same stream as
-            # one scalar draw each
-            x = d * (1.0 + sigma * _streams(inst.seed)[1].standard_normal(d.size))
-        d2 = x * x
-    # anchors know each other regardless of range, without noise
-    a, b = np.triu_indices(m, 1)
-    a, b = a + first_anchor, b + first_anchor
-    diff = P[b] - P[a]
-    d = np.sqrt(np.vecdot(diff, diff))
-    return PartialEDM(
-        n=n, m=m, dim=inst.r, radio_range=R, noise_factor=sigma,
-        i=np.concatenate([i, a]), j=np.concatenate([j, b]),
-        d2=np.concatenate([d2, d * d]),
-    )
+            # x = d * (1 + sigma * eps), one draw per pair in lexicographic
+            # order: the same stream as one scalar draw each
+            x = _streams(inst.seed)[1].standard_normal(cut)
+            x *= sigma
+            x += 1.0
+            np.multiply(x, d[:cut], out=d[:cut])
+        d2 = np.multiply(d, d, out=d)
+    return PartialEDM(n=n, m=m, dim=inst.r, radio_range=R, noise_factor=sigma, i=i, j=j, d2=d2)
 
 
 def half_range_cliques(pedm: PartialEDM) -> list[tuple[int, ...]]:

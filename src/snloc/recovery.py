@@ -99,36 +99,44 @@ def _find_rigid_seed(nodes: np.ndarray, pedm, r: int, tol: Tolerances):
 
     Greedily grows a clique of the original graph inside the face's node set
     (nodes, sorted) from a few spread-out start nodes and keeps the
-    candidate whose r-th Gram eigenvalue is largest.
+    candidate whose r-th Gram eigenvalue is largest, looking no further
+    once a candidate's r-th eigenvalue exceeds 5% of its largest.  The
+    first start usually gives one, so the other starts are grown, in one
+    take, only when it does not.
     """
     max_size = 3 * (r + 1)
     n_starts = min(nodes.size, 8)
     starts = nodes[np.unique(np.linspace(0, nodes.size - 1, n_starts).astype(int))]
-    # each start's measured neighbours in the face, ascending, and the
-    # greedy clique of them, all starts in one take
+    best = None
+    for batch in (starts[:1], starts[1:]):
+        for members in _greedy_cliques(nodes, batch, pedm, max_size, r):
+            B = kappa_pinv(pedm.submatrix(members))
+            vals, _ = eigh_descending(B)
+            if significant_rank(vals, tol.rank) < r:
+                continue
+            score = vals[r - 1]
+            if best is None or score > best[0]:
+                best = (score, members, B)
+            if score > 0.05 * vals[0]:
+                return best[1], best[2]
+    if best is None:
+        raise NoRigidSeed("no measured full-dimensional sub-clique in face")
+    return best[1], best[2]
+
+
+def _greedy_cliques(nodes: np.ndarray, starts: np.ndarray, pedm, max_size: int, r: int):
+    """Per start, in order, the sorted greedy clique of it and its measured
+    neighbours in nodes (sorted), ascending, when it holds more than r
+    nodes; all starts in one take."""
     owner, nbr, _ = pedm.gather(starts)
     inside = nodes[np.minimum(np.searchsorted(nodes, nbr), nodes.size - 1)] == nbr
     owner, taken = pedm.greedy_take(owner[inside], nbr[inside],
                                     np.full(starts.size, max_size - 1))
     bounds = np.searchsorted(owner, np.arange(starts.size + 1)).tolist()
     taken = taken.tolist()
-    best = None
     for k, s in enumerate(starts.tolist()):
-        if bounds[k + 1] - bounds[k] < r:
-            continue
-        members = sorted([s, *taken[bounds[k] : bounds[k + 1]]])
-        B = kappa_pinv(pedm.submatrix(members))
-        vals, _ = eigh_descending(B)
-        if significant_rank(vals, tol.rank) < r:
-            continue
-        score = vals[r - 1]
-        if best is None or score > best[0]:
-            best = (score, members, B)
-        if score > 0.05 * vals[0]:
-            break
-    if best is None:
-        raise NoRigidSeed("no measured full-dimensional sub-clique in face")
-    return best[1], best[2]
+        if bounds[k + 1] - bounds[k] >= r:
+            yield sorted([s, *taken[bounds[k] : bounds[k + 1]]])
 
 
 def _seed_solve(face: FaceRep, pedm, tol: Tolerances):

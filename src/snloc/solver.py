@@ -35,7 +35,9 @@ def localize(
     (m, r) array and level one of the StepLevel values (InvalidConfig
     otherwise, raised before any work).  The grown cliques hold at most
     max_clique_size nodes, 3(r+1) when it is None; it must be an integer
-    above r+1 (InvalidConfig, raised before any work).
+    above r+1.  tol, when given, must be a Tolerances, and truth, the true
+    positions of all n nodes that the errors are measured against, a
+    finite (n, r) array (InvalidConfig for each, raised before any work).
     """
     r = pedm.dim
     level = step_level(level)
@@ -47,8 +49,21 @@ def localize(
         )
     if not np.all(np.isfinite(anchors)):
         raise InvalidConfig("anchor coordinates must be finite")
+    if truth is not None:
+        try:
+            truth = np.asarray(truth, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidConfig("true positions must be numbers") from None
+        if truth.shape != (pedm.n, r):
+            raise InvalidConfig(
+                f"truth array shape {truth.shape} does not match n={pedm.n}, r={r}"
+            )
+        if not np.all(np.isfinite(truth)):
+            raise InvalidConfig("true positions must be finite")
     if tol is None:
         tol = Tolerances.for_noise(pedm.noise_factor)
+    elif not isinstance(tol, Tolerances):
+        raise InvalidConfig(f"tol must be a Tolerances, got {type(tol).__name__}")
     t0 = time.perf_counter()
     seeds = half_range_cliques(pedm)
     family = init_family(pedm, seeds)

@@ -7,12 +7,34 @@ point coordinates, and padded face subspaces are materialized explicitly.
 
 import numpy as np
 
+from snloc.edm_core import eigh_descending, kappa_pinv, significant_rank
+from snloc.errors import InvalidConfig, NoRigidSeed
 from snloc.faces import FaceRep, Tolerances, clique_parts, face_of_parts
 from snloc.instance import PartialEDM
 
 # generic-correctness tests disable the conditioning deferral policy so that
 # arbitrary random geometry is accepted whenever the theory allows it
 NOGATE = Tolerances(invert_floor=0.0)
+
+
+def kappa(Y: np.ndarray) -> np.ndarray:
+    """Map a Gram matrix to the squared-distance matrix of its points.
+
+    D_ij = Y_ii + Y_jj - 2 Y_ij.  The result is symmetric with zero diagonal.
+    """
+    Y = np.asarray(Y, dtype=float)
+    assert Y.ndim == 2 and Y.shape[0] == Y.shape[1], Y.shape
+    d = np.diag(Y)
+    D = d[:, None] + d[None, :] - 2.0 * Y
+    np.fill_diagonal(D, 0.0)
+    return D
+
+
+def kappa_adjoint(D: np.ndarray) -> np.ndarray:
+    """Adjoint of ``kappa``: D -> 2 (Diag(D e) - D)."""
+    D = np.asarray(D, dtype=float)
+    assert D.ndim == 2 and D.shape[0] == D.shape[1], D.shape
+    return 2.0 * (np.diag(D.sum(axis=1)) - D)
 
 
 def edm_of(P: np.ndarray) -> np.ndarray:
@@ -45,6 +67,31 @@ def pedm_from_pairs(P: np.ndarray, pairs, m: int = 0, radio_range: float = 10.0,
     i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     return PartialEDM(n=n, m=m, dim=r, radio_range=radio_range, noise_factor=sigma,
                       i=i, j=j, d2=d2)
+
+
+PAIR_ARRAYS = ("_keys", "_values", "indices", "d2", "indptr")
+
+
+def concatenated_pair_arrays(n: int, i, j, d2) -> dict:
+    """Reference for the ``PartialEDM`` constructor's arrays (``PAIR_ARRAYS``
+    by name): both directions' keys and squared distances concatenated,
+    with the sentinel, and sorted by one argsort.  Raises InvalidConfig as
+    the constructor does for a self pair or a pair given twice."""
+    i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+    d2 = np.asarray(d2, dtype=float)
+    if np.any(i == j):
+        raise InvalidConfig("self distances are not stored")
+    keys = np.concatenate([i * n + j, j * n + i, [n * n]])
+    order = np.argsort(keys)
+    keys = keys[order]
+    values = np.concatenate([d2, d2, [np.nan]])[order]
+    repeat = np.flatnonzero(keys[1:] == keys[:-1])
+    if repeat.size:
+        a, b = divmod(int(keys[repeat[0]]), n)
+        raise InvalidConfig(f"pair ({a}, {b}) is given more than once")
+    size = keys.size - 1
+    return {"_keys": keys, "_values": values, "indices": keys[:size] % n,
+            "d2": values[:size], "indptr": np.searchsorted(keys, np.arange(n + 1) * n)}
 
 
 def adjacency(pedm) -> list[dict]:
@@ -134,6 +181,37 @@ def scalar_greedy_clique(pedm, candidates, limit=None) -> list:
             row = pedm.row(j)
             common = set(row) if common is None else common.intersection(row)
     return taken
+
+
+def all_starts_rigid_seed(nodes, pedm, r: int, tol: Tolerances):
+    """Reference for ``recovery._find_rigid_seed``: the greedy cliques of
+    all starts in one take, then scored in start order as there."""
+    max_size = 3 * (r + 1)
+    n_starts = min(nodes.size, 8)
+    starts = nodes[np.unique(np.linspace(0, nodes.size - 1, n_starts).astype(int))]
+    owner, nbr, _ = pedm.gather(starts)
+    inside = nodes[np.minimum(np.searchsorted(nodes, nbr), nodes.size - 1)] == nbr
+    owner, taken = pedm.greedy_take(owner[inside], nbr[inside],
+                                    np.full(starts.size, max_size - 1))
+    bounds = np.searchsorted(owner, np.arange(starts.size + 1)).tolist()
+    taken = taken.tolist()
+    best = None
+    for k, s in enumerate(starts.tolist()):
+        if bounds[k + 1] - bounds[k] < r:
+            continue
+        members = sorted([s, *taken[bounds[k] : bounds[k + 1]]])
+        B = kappa_pinv(pedm.submatrix(members))
+        vals, _ = eigh_descending(B)
+        if significant_rank(vals, tol.rank) < r:
+            continue
+        score = vals[r - 1]
+        if best is None or score > best[0]:
+            best = (score, members, B)
+        if score > 0.05 * vals[0]:
+            break
+    if best is None:
+        raise NoRigidSeed("no measured full-dimensional sub-clique in face")
+    return best[1], best[2]
 
 
 def scalar_grow_cliques(family, max_size: int) -> None:

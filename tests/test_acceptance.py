@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from snloc.cli import ExperimentConfig, run_experiment, run_trial
-from snloc.edm_core import kappa, kappa_adjoint, kappa_pinv
+from snloc.edm_core import kappa_pinv
 from snloc.faces import Tolerances, intersect_faces_nonrigid, intersect_faces_rigid
 from snloc.instance import build_partial_edm, generate_instance
 from snloc.recovery import align_to_anchors, two_completions
@@ -24,6 +24,8 @@ from helpers import (
     NOGATE,
     edm_of,
     face_of_points,
+    kappa,
+    kappa_adjoint,
     padded_face_subspace,
     pedm_from_pairs,
     principal_angles,

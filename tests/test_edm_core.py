@@ -5,13 +5,11 @@ from snloc.edm_core import (
     RankTolerance,
     eigh_descending,
     full_rank_factor,
-    kappa,
-    kappa_adjoint,
     kappa_pinv,
 )
 from snloc.errors import InvalidConfig, RankDeficient
 
-from helpers import edm_of
+from helpers import edm_of, kappa, kappa_adjoint
 
 RNG = np.random.default_rng(20240811)
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snloc.edm_core import kappa
 from snloc.errors import (
     IntersectionRankLoss,
     InvalidConfig,
@@ -31,6 +30,7 @@ from helpers import (
     complete_pedm,
     edm_of,
     face_of_points,
+    kappa,
     orth_columns,
     padded_face_subspace,
     pedm_from_pairs,

@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-from snloc.edm_core import kappa
 from snloc.errors import InvalidConfig, NotAClique, ParseError
 from snloc.instance import (
     Instance,
@@ -21,6 +20,7 @@ from snloc.instance import (
 from helpers import (
     adjacency,
     complete_pedm,
+    kappa,
     pedm_from_pairs,
     scalar_greedy_clique,
     scalar_half_range_cliques,
@@ -401,6 +401,17 @@ def test_partial_edm_rejects_non_finite_and_negative_d2():
             PartialEDM(n=3, m=0, dim=2, radio_range=1.0, i=[0, 1], j=[2, 0], d2=[0.5, bad])
     with pytest.raises(InvalidConfig):
         PartialEDM(n=3, m=0, dim=2, radio_range=1.0, i=[0], j=[1], d2=["x"])
+
+
+@pytest.mark.parametrize("d2", [np.array([1 + 2j]), np.array([0.5 + 0j]), [1 + 2j]],
+                         ids=["complex", "complex-with-zero-imaginary-part", "complex-list"])
+def test_partial_edm_rejects_complex_squared_distances(d2):
+    # a complex array used to be accepted with a ComplexWarning, its
+    # imaginary part dropped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidConfig, match="real|numbers"):
+            PartialEDM(3, 0, 2, 1.0, 0.0, [0], [1], d2)
 
 
 def test_partial_edm_rejects_bad_node_ids():

@@ -6,7 +6,9 @@ random squared distances, plus every pair of anchors, as
 of the array form must agree with those dicts.
 """
 
+import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,8 @@ from snloc.instance import (
     read_problem,
     write_problem,
 )
+
+from helpers import PAIR_ARRAYS, concatenated_pair_arrays
 
 
 @st.composite
@@ -161,3 +165,67 @@ def test_ids_outside_the_nodes_are_rejected(call, bad):
     known, d2 = p.lookup([1, 2, 0, 3], [2, 1, 3, 3])
     assert known.tolist() == [True, True, True, False]
     assert d2[:3].tolist() == [0.25, 0.25, 0.5]
+
+
+def assert_pair_arrays_equal(pedm, want: dict) -> None:
+    for name in PAIR_ARRAYS:
+        got = getattr(pedm, name)
+        assert got.dtype == want[name].dtype and got.shape == want[name].shape, name
+        assert got.tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("n, m, r, R, sigma", [
+    (2004, 4, 2, 0.08, 0.0), (2004, 4, 2, 0.08, 1e-4), (600, 6, 3, 0.3, 0.0),
+    (400, 49, 2, 0.15, 1e-4),
+], ids=["exact", "noisy", "r3", "m49"])
+def test_pair_arrays_match_the_concatenated_form(n, m, r, R, sigma):
+    # the constructor fills both directions in place and sorts them with one
+    # argsort; every array the solver reads must be bitwise what the
+    # concatenate-and-argsort form gives, for build_partial_edm's pairs (in
+    # (i, j) order, anchors last) and for the same pairs shuffled, each in
+    # a random orientation
+    inst = generate_instance(n, m, r, seed=3, radio_range=R, noise_factor=sigma)
+    pedm = build_partial_edm(inst)
+    i, j, d2 = (np.array(col) for col in zip(*pedm.known_pairs()))
+    want = concatenated_pair_arrays(n, i, j, d2)
+    assert_pair_arrays_equal(pedm, want)
+    rng = np.random.default_rng(n + m)
+    order = rng.permutation(i.size)
+    i, j, d2 = i[order], j[order], d2[order]
+    flip = rng.random(i.size) < 0.5
+    i, j = np.where(flip, j, i), np.where(flip, i, j)
+    args = dict(n=n, m=m, dim=r, radio_range=R, noise_factor=sigma)
+    shuffled = PartialEDM(**args, i=i, j=j, d2=d2)
+    assert_pair_arrays_equal(shuffled, concatenated_pair_arrays(n, i, j, d2))
+    assert_pair_arrays_equal(shuffled, want)
+    # a pair given twice, the second time mirrored, and a self pair raise
+    # as the concatenated form does
+    k = i.size // 2
+    for bad in ((np.append(i, j[k]), np.append(j, i[k]), np.append(d2, d2[k])),
+                (np.insert(i, k, 7), np.insert(j, k, 7), np.insert(d2, k, 0.0))):
+        with pytest.raises(InvalidConfig) as ref:
+            concatenated_pair_arrays(n, *bad)
+        with pytest.raises(InvalidConfig, match=f"^{re.escape(str(ref.value))}$"):
+            PartialEDM(**args, i=bad[0], j=bad[1], d2=bad[2])
+
+
+def test_the_set_up_needs_at_most_twice_its_result():
+    # the traced peak of build_partial_edm at rigid-scaling's largest size,
+    # against the bytes of the arrays it keeps; holding every temporary to
+    # the end of its scope took three times the result
+    n = 8004
+    inst = generate_instance(n, 4, 2, seed=0, radio_range=0.07 * np.sqrt(2004 / n))
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pedm = build_partial_edm(inst)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    kept = sum(getattr(pedm, name).nbytes for name in ("_keys", "_values", "indices", "indptr"))
+    assert pedm.indices.size > 200_000
+    assert peak <= 2 * kept

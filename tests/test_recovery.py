@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from snloc.edm_core import full_rank_factor, kappa, kappa_pinv
+from snloc.edm_core import full_rank_factor, kappa_pinv
 from snloc.errors import DegenerateAnchors, EmptyPositioned, NoRigidSeed, RankDeficient
 from snloc import reducer
 from snloc.faces import Tolerances, intersect_faces_nonrigid
@@ -19,7 +19,15 @@ from snloc.recovery import (
 from snloc.reducer import StepLevel
 from snloc.solver import localize
 
-from helpers import NOGATE, complete_pedm, edm_of, face_of_points, two_random_cliques
+from helpers import (
+    NOGATE,
+    all_starts_rigid_seed,
+    complete_pedm,
+    edm_of,
+    face_of_points,
+    kappa,
+    two_random_cliques,
+)
 
 TOL = Tolerances()
 RNG = np.random.default_rng(555)
@@ -436,3 +444,47 @@ def test_points_from_face_solves_a_fresh_frame_gram():
     face._zgram = 4.0 * np.eye(2)
     assert np.array_equal(points_from_face(face, pedm, TOL).coords, want)
     assert np.max(np.abs(edm_of(want) - edm_of(P))) <= 1e-12
+
+
+def test_seed_search_matches_the_all_starts_reference(monkeypatch):
+    # the first start is grown alone and the others only when it gives no
+    # seed that clears the bound; the greedy lists are independent, so the
+    # seed must be the one of all starts grown in one take, on every face an
+    # L4-354 solve asks about
+    from snloc import recovery
+
+    asked = []
+    find = recovery._find_rigid_seed
+
+    def traced_find(nodes, pedm, r, tol):
+        asked.append((nodes.copy(), pedm, r, tol))
+        return find(nodes, pedm, r, tol)
+
+    monkeypatch.setattr(recovery, "_find_rigid_seed", traced_find)
+    for seed in range(4):
+        inst = generate_instance(354, 8, 2, seed=seed, radio_range=0.04 * np.sqrt(2004 / 354))
+        localize(build_partial_edm(inst), inst.anchors, level=StepLevel.L4)
+    monkeypatch.undo()
+    assert len(asked) >= 40
+    # how many start batches each search grows: one when the first start
+    # clears the bound, two when the others are needed
+    batches = []
+    grow = recovery._greedy_cliques
+
+    def counted_grow(nodes, starts, *args):
+        batches[-1] += 1
+        return grow(nodes, starts, *args)
+
+    monkeypatch.setattr(recovery, "_greedy_cliques", counted_grow)
+    for nodes, pedm, r, tol in asked:
+        batches.append(0)
+        try:
+            want = all_starts_rigid_seed(nodes, pedm, r, tol)
+        except NoRigidSeed:
+            with pytest.raises(NoRigidSeed):
+                _find_rigid_seed(nodes, pedm, r, tol)
+            continue
+        beta, B = _find_rigid_seed(nodes, pedm, r, tol)
+        assert beta == want[0]
+        assert B.tobytes() == want[1].tobytes()
+    assert set(batches) == {1, 2}

@@ -15,6 +15,7 @@ def test_scale_probe_runs_one_process_per_size(tmp_path):
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == ["n=204", "n=304"]
+    assert all("MB after set-up" in line and "MB after solve" in line for line in lines)
     records = json.loads(out.read_text())
     assert [r["n"] for r in records] == [204, 304]
     for r in records:
@@ -22,6 +23,8 @@ def test_scale_probe_runs_one_process_per_size(tmp_path):
         assert r["radius"] == pytest.approx(0.07 * (2004 / r["n"]) ** 0.5)
         assert r["setup_s"] == pytest.approx(r["generate_s"] + r["build_s"])
         assert r["solve_s"] > 0 and r["peak_rss_mb"] > 0
+        # the high-water mark right after set-up, apart from the solve's
+        assert 0 < r["setup_rss_mb"] <= r["peak_rss_mb"]
         assert r["positioned"] == r["sensors"] == r["n"] - 4
 
 

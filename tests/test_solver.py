@@ -150,6 +150,33 @@ def test_localize_rejects_invalid_level(level, monkeypatch):
         localize(pedm, inst.anchors, level=level)
 
 
+@pytest.mark.parametrize("truth", [np.zeros((3, 2)), np.zeros((60, 3)), np.zeros(120),
+                                   np.full((60, 2), np.nan), [["x", "y"]] * 60],
+                         ids=["too-few-rows", "too-many-columns", "flat", "nan", "text"])
+def test_localize_rejects_a_truth_that_is_not_a_finite_n_by_r_array(truth, monkeypatch):
+    # truth=np.zeros((3, 2)) on an n=60 instance used to solve everything
+    # and then raise a bare IndexError in the error metrics
+    import snloc.solver
+
+    inst = generate_instance(60, 4, 2, seed=2, radio_range=0.5)
+    pedm = build_partial_edm(inst)
+    monkeypatch.setattr(snloc.solver, "half_range_cliques", None)
+    with pytest.raises(InvalidConfig, match="truth|true positions"):
+        localize(pedm, inst.anchors, truth=truth)
+
+
+@pytest.mark.parametrize("tol", ["1e-6", 1e-6, {"rank": 1e-9}])
+def test_localize_rejects_a_tol_that_is_not_tolerances(tol, monkeypatch):
+    # a string used to fail with "'str' object has no attribute 'rank'"
+    import snloc.solver
+
+    inst = generate_instance(60, 4, 2, seed=2, radio_range=0.5)
+    pedm = build_partial_edm(inst)
+    monkeypatch.setattr(snloc.solver, "half_range_cliques", None)
+    with pytest.raises(InvalidConfig, match="Tolerances"):
+        localize(pedm, inst.anchors, tol=tol)
+
+
 @pytest.mark.parametrize(
     "r, m, R, sigma, level, bounds",
     [(2, 4, 0.16, 0.0, StepLevel.L2, False),

@@ -15,9 +15,10 @@ as rigid-scaling in ``bench/`` draws it).  ``--level`` sets the step level
 singular solves can be measured at these sizes too; ``--sigma`` sets the
 noise factor (default 0, exact distances).  Per size the script prints one
 line: set-up seconds (``generate_instance`` plus ``build_partial_edm``),
-solve seconds (``localize``), peak RSS of the process in MB, and sensors
-positioned.  ``--out`` writes the same records as JSON, each with its level
-and radio range.  The ``snloc`` package is imported from ``--src``.
+solve seconds (``localize``), the process's peak RSS in MB read right
+after set-up (``setup_rss_mb``) and after the solve (``peak_rss_mb``), and
+sensors positioned.  ``--out`` writes the same records as JSON, each with
+its level and radio range.  The ``snloc`` package is imported from ``--src``.
 """
 
 from __future__ import annotations
@@ -60,13 +61,16 @@ def probe(n: int, sigma: float, level: int, R: float | None) -> dict:
     t1 = time.perf_counter()
     pedm = build_partial_edm(inst)
     t2 = time.perf_counter()
+    # ru_maxrss is in KiB on Linux: the high-water mark of the set-up, and
+    # after the solve that of the whole process
+    setup_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     rep = localize(pedm, inst.anchors, level=level)
     t3 = time.perf_counter()
-    # ru_maxrss is in KiB on Linux
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {"n": n, "seed": SEED, "sigma": sigma, "level": level, "radius": R,
             "generate_s": t1 - t0, "build_s": t2 - t1,
-            "setup_s": t2 - t0, "solve_s": t3 - t2, "peak_rss_mb": rss,
+            "setup_s": t2 - t0, "solve_s": t3 - t2,
+            "setup_rss_mb": setup_rss, "peak_rss_mb": rss,
             "positioned": len(rep.positioned), "sensors": n - ANCHORS}
 
 
@@ -106,7 +110,8 @@ def main(argv=None) -> int:
             capture_output=True, text=True, check=True)
         rec = json.loads(done.stdout.splitlines()[-1])
         print(f"n={rec['n']}: set-up {rec['setup_s']:.2f} s, solve {rec['solve_s']:.2f} s, "
-              f"peak RSS {rec['peak_rss_mb']:.0f} MB, "
+              f"peak RSS {rec['setup_rss_mb']:.0f} MB after set-up, "
+              f"{rec['peak_rss_mb']:.0f} MB after solve, "
               f"positioned {rec['positioned']} of {rec['sensors']}", flush=True)
         records.append(rec)
     if args.out:
