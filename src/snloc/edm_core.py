@@ -8,9 +8,9 @@ linked by the linear map
 
 which is one-to-one and onto between centered PSD matrices (Y e = 0) and
 squared-distance matrices.  ``kappa_pinv`` is its generalized inverse.
-Eigenvalue-based helpers for rank decisions and low-rank PSD projection live
-here as well; everything operates on small dense symmetric matrices
-(clique-sized, at most a few hundred rows).
+Eigenvalue-based helpers for rank decisions live here as well; everything
+operates on small dense symmetric matrices (clique-sized, at most a few
+hundred rows).
 """
 
 from __future__ import annotations
@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, RankDeficient
+from .errors import InvalidConfig
 
 __all__ = [
     "RankTolerance",
     "kappa_pinv",
     "eigh_descending",
-    "full_rank_factor",
 ]
 
 
@@ -88,19 +87,3 @@ def significant_rank(values: np.ndarray, tol: RankTolerance = DEFAULT_TOL) -> in
     cut = tol.relative_cut * np.maximum(values[:1], np.finfo(float).eps)
     return int(np.count_nonzero(values > cut))
 
-
-def full_rank_factor(
-    B: np.ndarray, r: int, tol: RankTolerance = DEFAULT_TOL
-) -> np.ndarray:
-    """Factor the best rank-r PSD approximation of B as F F^T.
-
-    Returns an n-by-r matrix with mutually orthogonal columns (eigenvectors
-    scaled by sqrt eigenvalues).  Raises RankDeficient when fewer than r
-    eigenvalues clear the cutoff, which signals a degenerate clique.
-    """
-    values, vectors = eigh_descending(B)
-    if significant_rank(values, tol) < r:
-        raise RankDeficient(
-            f"matrix has numerical rank {significant_rank(values, tol)} < {r}"
-        )
-    return vectors[:, :r] * np.sqrt(values[:r])

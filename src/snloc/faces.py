@@ -415,11 +415,13 @@ def _clique_face(D: np.ndarray, r: int, tol: Tolerances):
 def face_of_parts(ids: np.ndarray, V: np.ndarray, W: np.ndarray) -> FaceRep:
     """The FaceRep of a face given as ``FaceRep._parts`` gives it, over the
     same arrays: sorted node ids, stored coordinates V and whitener W of
-    [V, e].  A store filled to capacity copies its rows before it appends,
-    so the arrays are never written."""
+    [V, e].  Every caller passes ``_clique_face``'s W, which is diagonal,
+    so its inverse transpose is read off the diagonal.  A store filled to
+    capacity copies its rows before it appends, so the arrays are never
+    written."""
     face = FaceRep._stored(_RowStore.of(V, ids), ids.size, _gram(V), ids.size)
     face._nodes = ids
-    face._white = W, np.linalg.inv(W).T
+    face._white = W, np.diag(1.0 / np.diag(W))
     return face
 
 
@@ -619,7 +621,7 @@ def _rest(rows: list, k: int) -> np.ndarray:
 
 
 def _merge(F1: FaceRep, F2, tol: Tolerances, rank: int):
-    """``_front`` for one partner F2, a FaceRep or ``FaceRep._parts``, and
+    """``_front`` for one partner F2, a FaceRep or :func:`clique_parts`, and
     the choice of the base: the face whose common block is better
     conditioned (F2 on a tie) is mapped by ``_maps`` into the stored
     coordinates of the other, the base, which keeps its rows.  An F2 given
@@ -656,8 +658,8 @@ def _merge(F1: FaceRep, F2, tol: Tolerances, rank: int):
 def intersect_faces_rigid(F1: FaceRep, F2, tol: Tolerances) -> FaceRep:
     """Face of the union of two cliques whose overlap spans r dimensions.
 
-    F2 may also be a face's ``FaceRep._parts``, as :func:`clique_parts`
-    gives the temporary clique of a node absorption.  Requires the two
+    F2 may also be a clique's parts, as :func:`clique_parts` gives the
+    temporary clique of a node absorption.  Requires the two
     common row blocks to have full column rank r+1 and equal ranges.  The
     block
     that is better conditioned is the one pseudo-inverted: the result
@@ -727,8 +729,8 @@ def intersect_faces_nonrigid(
 ) -> ExtendedFaceRep:
     """Intersection of two faces whose overlap spans only r-1 dimensions.
 
-    F2 may also be given in the form of ``FaceRep._parts``, as the
-    temporary clique of a node absorption is (:func:`clique_parts`).  The
+    F2 may also be a clique's parts, as :func:`clique_parts` gives the
+    temporary clique of a node absorption.  The
     common row blocks must have rank exactly r.  The intersection of the
     padded subspaces then has r+2 dimensions: the rigid-form columns, built
     on the stored rows of the face that :func:`intersect_faces_rigid` would

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .edm_core import eigh_descending, full_rank_factor, kappa_pinv, significant_rank
+from .edm_core import eigh_descending, kappa_pinv, significant_rank
 from .errors import (
     DegenerateAnchors,
     EmptyPositioned,
@@ -70,20 +70,20 @@ class SolveReport:
     gram_residual: float | None = None
 
 
-def _z_from_rows(A: np.ndarray, B: np.ndarray, r: int, tol: Tolerances) -> np.ndarray:
-    """The unique positive definite Z with A Z A^T = B, for a centered row
-    block A of a face (one row per seed node, in any coordinates of the
-    face) and the seed's centered Gram B of numerical rank r.
+def _z_from_rows(A: np.ndarray, F: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The unique positive definite Z with A Z A^T = F F^T, for a centered
+    row block A of a face (one row per seed node, in any coordinates of the
+    face) and the rank-r factor F of the seed's centered Gram B that
+    ``_find_rigid_seed`` gives, its best rank-r approximation F F^T.
 
-    Z is computed through the full-rank factorization B = F F^T as Z = C C^T
-    with A C = F, which is symmetric PSD by construction and equals the
-    pseudo-inverse formula A^+ B (A^+)^T.  Raises RankDeficient when A has
-    rank below r.
+    Z = C C^T with A C = F, which is symmetric PSD by construction and
+    equals the pseudo-inverse formula A^+ B (A^+)^T.  Raises RankDeficient
+    when A has rank below r.
     """
+    r = F.shape[1]
     sv = np.linalg.svd(A, compute_uv=False)
     if sv.size < r or sv[r - 1] <= tol.rank.relative_cut * max(sv[0], np.finfo(float).eps):
         raise RankDeficient("face rows on beta do not have full column rank")
-    F = full_rank_factor(B, r, tol.rank)
     C, *_ = np.linalg.lstsq(A, F, rcond=None)
     Z = C @ C.T
     return 0.5 * (Z + Z.T)
@@ -102,7 +102,11 @@ def _find_rigid_seed(nodes: np.ndarray, pedm, r: int, tol: Tolerances):
     candidate whose r-th Gram eigenvalue is largest, looking no further
     once a candidate's r-th eigenvalue exceeds 5% of its largest.  The
     first start usually gives one, so the other starts are grown, in one
-    take, only when it does not.
+    take, only when it does not.  Returns (sorted members, their centered
+    Gram B, F): F = the top-r eigenvectors of B scaled by the square roots
+    of their eigenvalues, so F F^T is B's best rank-r PSD approximation and
+    F's columns are orthogonal.  Raises NoRigidSeed when no candidate's B
+    has numerical rank r.
     """
     max_size = 3 * (r + 1)
     n_starts = min(nodes.size, 8)
@@ -111,17 +115,17 @@ def _find_rigid_seed(nodes: np.ndarray, pedm, r: int, tol: Tolerances):
     for batch in (starts[:1], starts[1:]):
         for members in _greedy_cliques(nodes, batch, pedm, max_size, r):
             B = kappa_pinv(pedm.submatrix(members))
-            vals, _ = eigh_descending(B)
+            vals, vecs = eigh_descending(B)
             if significant_rank(vals, tol.rank) < r:
                 continue
             score = vals[r - 1]
             if best is None or score > best[0]:
-                best = (score, members, B)
+                best = (score, members, B, vecs[:, :r] * np.sqrt(vals[:r]))
             if score > 0.05 * vals[0]:
-                return best[1], best[2]
+                return best[1:]
     if best is None:
         raise NoRigidSeed("no measured full-dimensional sub-clique in face")
-    return best[1], best[2]
+    return best[1:]
 
 
 def _greedy_cliques(nodes: np.ndarray, starts: np.ndarray, pedm, max_size: int, r: int):
@@ -143,11 +147,10 @@ def _seed_solve(face: FaceRep, pedm, tol: Tolerances):
     """(A, B, Z): a measured seed clique's centered stored rows A and
     centered Gram B, and the frame Gram Z with A Z A^T = B.  Raises
     NoRigidSeed or RankDeficient."""
-    r = face.width - 1
-    beta, B = _find_rigid_seed(face.nodes, pedm, r, tol)
+    beta, B, F = _find_rigid_seed(face.nodes, pedm, face.width - 1, tol)
     A = face.stored_rows(beta)
     A = A - A.mean(axis=0)
-    return A, B, _z_from_rows(A, B, r, tol)
+    return A, B, _z_from_rows(A, F, tol)
 
 
 def points_from_face(face: FaceRep, pedm, tol: Tolerances) -> Completion:

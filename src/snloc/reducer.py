@@ -42,10 +42,12 @@ shared nodes with clique l, acnt[w] the number of grower nodes adjacent to
 the outside node w.  One routine counts both, for the grower's own nodes
 when its turn starts and for each merge's new nodes, so candidate search
 never rescans the whole family; acnt is counted on first use, over the
-rows of the grower's nodes, and kept on the family when the turn ends, so
-the clique's next turn starts from it unless the clique has grown since.
-One table gives the steps in priority order; each picks from cnt (unions)
-or acnt (absorptions) an overlap >= r+1 (rigid) or exactly r (singular).
+rows of the grower's nodes, counted again on the next use after a merge
+that more than doubles the grower, and kept on the family when the turn
+ends, so the clique's next turn starts from it unless the clique has grown
+since.  One table gives the steps in priority order; each picks from cnt
+(unions) or acnt (absorptions) an overlap >= r+1 (rigid) or exactly r
+(singular).
 The rigid steps take the largest overlap, ties by ascending id, from a
 max-heap over (count, -id) with lazy deletion: each call that registers
 nodes adds up its increments first and then pushes one entry per id it
@@ -376,13 +378,13 @@ def _pick_delta(comp, beta: list, r: int, tol: Tolerances):
     squared-distance matrix); raises RankDeficient when no such subset is
     found.
     """
-    beta_set = set(beta)
-    mask = np.array([int(u) not in beta_set for u in comp.nodes])
+    beta_rows = comp.rows(beta)
+    mask = np.ones(comp.nodes.size, dtype=bool)
+    mask[beta_rows] = False
     others = comp.nodes[mask].astype(int)
     coords = comp.coords
-    rows = {int(u): a for a, u in enumerate(comp.nodes)}
     pts = coords[mask]
-    beta_pts = coords[[rows[u] for u in beta]]
+    beta_pts = coords[beta_rows]
     dmin = np.min(
         ((pts[:, None, :] - beta_pts[None, :, :]) ** 2).sum(axis=2), axis=1
     )
@@ -398,7 +400,7 @@ def _pick_delta(comp, beta: list, r: int, tol: Tolerances):
         if len(picked) < target:
             continue
         delta = sorted(list(beta) + picked)
-        P = coords[[rows[u] for u in delta]]
+        P = coords[comp.rows(delta)]
         X = P - P.mean(axis=0)
         vals, _ = eigh_descending(X @ X.T)
         if significant_rank(vals, tol.rank) == r:
@@ -409,13 +411,15 @@ def _pick_delta(comp, beta: list, r: int, tol: Tolerances):
 
 def _measured_edges(nodes, pedm):
     """(row, row, squared distance) of every measured pair among ``nodes``,
-    rows indexing ``nodes``, as three arrays."""
+    distinct ids, rows indexing ``nodes``, as three arrays: each pair once,
+    its first row the smaller."""
     nodes = np.asarray(nodes, dtype=np.int64)
     rows_a, nbrs, known = pedm.gather(nodes)
-    order = np.argsort(nodes)
-    pos = np.minimum(np.searchsorted(nodes, nbrs, sorter=order), nodes.size - 1)
-    rows_b = order[pos]
-    hit = (nodes[rows_b] == nbrs) & (nbrs > nodes[rows_a])
+    # each node's row, -1 for the nodes not in the set
+    row_of = np.full(pedm.n, -1, dtype=np.int64)
+    row_of[nodes] = np.arange(nodes.size)
+    rows_b = row_of[nbrs]
+    hit = rows_b > rows_a
     return rows_a[hit], rows_b[hit], known[hit]
 
 
@@ -813,6 +817,7 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
         push(acnt, heaps[True], touched)
 
     def register_nodes(nodes):
+        nonlocal acnt
         touched = set()
         for u in nodes:
             for c in family.membership[u]:
@@ -820,7 +825,13 @@ def _exhaust_grower(family, gid, level, tol, trace) -> bool:
                     cnt[c] = cnt.get(c, 0) + 1
                     touched.add(c)
         push(cnt, heaps[False], touched)
-        if acnt is not None:
+        if acnt is not None and 2 * len(nodes) > len(Ci):
+            # a merge that more than doubled the grower: the next absorption
+            # row recounts in one pass (_outside_counts) instead of walking
+            # the new nodes' rows; its heap holds the same valid entries, so
+            # it picks the same nodes
+            acnt = None
+        elif acnt is not None:
             count_neighbors(nodes)
 
     def singular_key(l, absorb):

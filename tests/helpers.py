@@ -185,7 +185,8 @@ def scalar_greedy_clique(pedm, candidates, limit=None) -> list:
 
 def all_starts_rigid_seed(nodes, pedm, r: int, tol: Tolerances):
     """Reference for ``recovery._find_rigid_seed``: the greedy cliques of
-    all starts in one take, then scored in start order as there."""
+    all starts in one take, then scored in start order as there; (members,
+    Gram, its top-r factor)."""
     max_size = 3 * (r + 1)
     n_starts = min(nodes.size, 8)
     starts = nodes[np.unique(np.linspace(0, nodes.size - 1, n_starts).astype(int))]
@@ -201,17 +202,17 @@ def all_starts_rigid_seed(nodes, pedm, r: int, tol: Tolerances):
             continue
         members = sorted([s, *taken[bounds[k] : bounds[k + 1]]])
         B = kappa_pinv(pedm.submatrix(members))
-        vals, _ = eigh_descending(B)
+        vals, vecs = eigh_descending(B)
         if significant_rank(vals, tol.rank) < r:
             continue
         score = vals[r - 1]
         if best is None or score > best[0]:
-            best = (score, members, B)
+            best = (score, members, B, vecs[:, :r] * np.sqrt(vals[:r]))
         if score > 0.05 * vals[0]:
             break
     if best is None:
         raise NoRigidSeed("no measured full-dimensional sub-clique in face")
-    return best[1], best[2]
+    return best[1:]
 
 
 def scalar_grow_cliques(family, max_size: int) -> None:

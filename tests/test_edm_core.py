@@ -4,10 +4,9 @@ import pytest
 from snloc.edm_core import (
     RankTolerance,
     eigh_descending,
-    full_rank_factor,
     kappa_pinv,
 )
-from snloc.errors import InvalidConfig, RankDeficient
+from snloc.errors import InvalidConfig
 
 from helpers import edm_of, kappa, kappa_adjoint
 
@@ -116,57 +115,6 @@ def test_eigh_descending_contract():
     values, vectors = eigh_descending(B)
     assert np.all(np.diff(values) <= 1e-12)
     assert np.allclose(vectors.T @ vectors, np.eye(8), atol=1e-10)
-
-
-def test_best_psd_perturbation_bound():
-    # F F^T from full_rank_factor is the best rank-r PSD approximation:
-    # ||F F^T - B0||_F <= 2 ||E||_F for B0 rank-r PSD
-    for _ in range(20):
-        F = RNG.standard_normal((7, 2))
-        B0 = F @ F.T
-        E = 1e-6 * random_symmetric(RNG, 7)
-        G = full_rank_factor(B0 + E, 2)
-        assert np.linalg.norm(G @ G.T - B0) <= 2 * np.linalg.norm(E) + 1e-12
-
-
-def test_best_psd_optimality_against_random_feasible():
-    # full_rank_factor's F F^T is Frobenius-nearest among rank-<=r PSD
-    # matrices: no random feasible C beats it
-    trials = 0
-    while trials < 50:
-        n = int(RNG.integers(3, 7))
-        r = int(RNG.integers(1, n - 1))
-        B = random_symmetric(RNG, n)
-        try:
-            F = full_rank_factor(B, r)
-        except RankDeficient:
-            continue  # fewer than r positive eigenvalues
-        trials += 1
-        dist = np.linalg.norm(B - F @ F.T)
-        for _ in range(50):
-            F = RNG.standard_normal((n, r))
-            C = F @ F.T
-            assert dist <= np.linalg.norm(B - C) + 1e-9
-
-
-def test_full_rank_factor_identity():
-    F = full_rank_factor(np.eye(2), 2)
-    assert np.allclose(F @ F.T, np.eye(2), atol=1e-12)
-
-
-def test_full_rank_factor_round_trip_and_orthogonal_columns():
-    P = RNG.random((4, 2))
-    D = edm_of(P)
-    F = full_rank_factor(kappa_pinv(D), 2)
-    assert np.max(np.abs(kappa(F @ F.T) - D)) <= 1e-10
-    off = F.T @ F
-    assert abs(off[0, 1]) <= 1e-10 * max(off[0, 0], off[1, 1])
-
-
-def test_full_rank_factor_rank_deficient():
-    v = RNG.standard_normal(5)
-    with pytest.raises(RankDeficient):
-        full_rank_factor(np.outer(v, v), 2)
 
 
 def test_rank_tolerance_validation():

@@ -216,6 +216,26 @@ def test_seed_whitener_makes_the_face_orthonormal(r):
         assert np.max(np.abs(U.T @ U - np.eye(r + 1))) <= 1e-13
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_seed_face_inverse_whitener_is_the_inverse_bitwise(r):
+    # face_of_parts reads the inverse transpose of the diagonal whitener off
+    # its diagonal: bitwise np.linalg.inv(W).T, signs of zeros included, for
+    # the whiteners of both clique_faces and clique_parts
+    rng = np.random.default_rng(60 + r)
+    P = rng.random((40, r))
+    pedm = complete_pedm(P)
+    cliques = [set(rng.choice(40, size=k, replace=False).tolist()) for k in range(1, 41)]
+    whiteners = [entry[2] for entry in clique_faces(pedm, cliques, r, TOL) if entry is not None]
+    for clique in cliques[r:]:
+        ids = np.array(sorted(clique))
+        whiteners.append(clique_parts(ids, pedm.submatrix(ids), r, TOL)[2])
+    assert len(whiteners) == 2 * (40 - r) + 1
+    for W in whiteners:
+        k = round(W[-1, -1] ** -2)
+        face = face_of_parts(np.arange(k), np.zeros((k, W.shape[0] - 1)), W)
+        assert face._whitener()[1].tobytes() == np.linalg.inv(W).T.tobytes()
+
+
 def test_extending_a_seed_face_never_writes_its_stack():
     # a seed face shares its record's arrays; growing it, by a union that
     # keeps its rows, by one that keeps the partner's, or by appending rows

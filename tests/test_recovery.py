@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from snloc.edm_core import full_rank_factor, kappa_pinv
+from snloc.edm_core import kappa_pinv
 from snloc.errors import DegenerateAnchors, EmptyPositioned, NoRigidSeed, RankDeficient
 from snloc import reducer
 from snloc.faces import Tolerances, intersect_faces_nonrigid
-from snloc.instance import build_partial_edm, generate_instance
+from snloc.instance import PartialEDM, build_partial_edm, generate_instance
 from snloc.recovery import (
     _find_rigid_seed,
     _z_from_rows,
@@ -76,14 +76,70 @@ def centered_rows(face, beta):
     return A - A.mean(axis=0)
 
 
+def pedm_of_distances(D: np.ndarray, r: int) -> PartialEDM:
+    """PartialEDM in r dimensions knowing every entry of the squared-distance
+    matrix D, which need not come from r-dimensional points."""
+    i, j = np.triu_indices(D.shape[0], 1)
+    return PartialEDM(n=D.shape[0], m=0, dim=r, radio_range=10.0, i=i, j=j, d2=D[i, j])
+
+
+def test_seed_factor_round_trip_and_orthogonal_columns():
+    # the seed's factor F reproduces its exact rank-r Gram and distances,
+    # with orthogonal columns
+    P = np.random.default_rng(70).random((4, 2))
+    beta, B, F = _find_rigid_seed(np.arange(4), complete_pedm(P), 2, TOL)
+    assert beta == [0, 1, 2, 3] and F.shape == (4, 2)
+    assert np.max(np.abs(F @ F.T - B)) <= 1e-12
+    assert np.max(np.abs(kappa(F @ F.T) - edm_of(P))) <= 1e-10
+    off = F.T @ F
+    assert abs(off[0, 1]) <= 1e-10 * max(off[0, 0], off[1, 1])
+
+
+def test_seed_factor_perturbation_bound():
+    # F F^T is the best rank-r PSD approximation of the seed's Gram B:
+    # ||F F^T - B0||_F <= 2 ||B - B0||_F for the exact rank-r Gram B0
+    rng = np.random.default_rng(71)
+    for _ in range(20):
+        P = rng.standard_normal((7, 2))
+        noise = 1e-6 * rng.standard_normal((7, 7))
+        noise = np.abs(noise + noise.T)
+        np.fill_diagonal(noise, 0.0)
+        beta, B, F = _find_rigid_seed(np.arange(7), pedm_of_distances(edm_of(P) + noise, 2),
+                                      2, TOL)
+        B0 = kappa_pinv(edm_of(P[beta]))
+        assert np.linalg.norm(F @ F.T - B0) <= 2 * np.linalg.norm(B - B0) + 1e-12
+
+
+def test_seed_factor_is_the_best_rank_r_approximation():
+    # F F^T is Frobenius-nearest to the seed's Gram B among rank-<=r PSD
+    # matrices: no random feasible C beats it; B here comes from points in
+    # n - 1 dimensions, so its rank exceeds r
+    rng = np.random.default_rng(72)
+    for _ in range(50):
+        n = int(rng.integers(3, 7))
+        r = int(rng.integers(1, n - 1))
+        P = rng.standard_normal((n, n - 1))
+        beta, B, F = _find_rigid_seed(np.arange(n), pedm_of_distances(edm_of(P), r), r, TOL)
+        assert beta == list(range(n)) and F.shape == (n, r)
+        dist = np.linalg.norm(B - F @ F.T)
+        for _ in range(50):
+            G = rng.standard_normal((n, r))
+            assert dist <= np.linalg.norm(B - G @ G.T) + 1e-9
+
+
+def test_seed_search_raises_on_a_rank_deficient_gram():
+    # collinear points give every candidate a Gram of rank 1 < r
+    P = np.outer(np.random.default_rng(73).random(6), [1.0, 2.0])
+    with pytest.raises(NoRigidSeed):
+        _find_rigid_seed(np.arange(6), complete_pedm(P), 2, TOL)
+
+
 def test_solve_z_identity():
     P = RNG.random((5, 2))
     face = face_of_points(range(5), P, 2)
     # a clique face's stored rows on all nodes are orthonormal and
-    # centered, so B built from them forces Z = I
-    A = face.stored_rows()
-    B = A @ A.T
-    Z = _z_from_rows(centered_rows(face, range(5)), B, 2, TOL)
+    # centered, so a factor F equal to them forces Z = I
+    Z = _z_from_rows(centered_rows(face, range(5)), face.stored_rows(), TOL)
     assert np.allclose(Z, np.eye(2), atol=1e-10)
 
 
@@ -91,8 +147,9 @@ def test_solve_z_round_trip_full_clique():
     P = RNG.random((6, 2))
     D = edm_of(P)
     face = face_of_points(range(6), P, 2)
-    B = kappa_pinv(D)
-    Z = _z_from_rows(centered_rows(face, range(6)), B, 2, TOL)
+    beta, _, F = _find_rigid_seed(face.nodes, complete_pedm(P), 2, TOL)
+    assert beta == list(range(6))
+    Z = _z_from_rows(centered_rows(face, beta), F, TOL)
     w, V = np.linalg.eigh(Z)
     coords = face.stored_rows() @ (V * np.sqrt(np.clip(w, 0, None))) @ V.T
     assert np.max(np.abs(kappa(coords @ coords.T) - D)) <= 1e-10
@@ -104,8 +161,11 @@ def test_solve_z_factored_path_matches_direct_formula():
     face = face_of_points(range(6), P, 2)
     beta = [1, 2, 4, 5]
     B = kappa_pinv(D[np.ix_(beta, beta)])
+    # the seed of beta's four nodes alone, ids 0-3 in beta's order
+    _, seed_B, F = _find_rigid_seed(np.arange(4), complete_pedm(P[beta]), 2, TOL)
+    assert seed_B.tobytes() == B.tobytes()
     A = centered_rows(face, beta)
-    Z = _z_from_rows(A, B, 2, TOL)
+    Z = _z_from_rows(A, F, TOL)
     Z_direct = np.linalg.pinv(A) @ B @ np.linalg.pinv(A).T
     assert np.linalg.norm(Z - Z_direct) <= 1e-10 * np.linalg.norm(Z_direct)
     # positive definite and unique: A Z A^T reproduces B
@@ -117,7 +177,7 @@ def test_solve_z_rank_deficient_subset():
     P = RNG.random((6, 2))
     face = face_of_points(range(6), P, 2)
     with pytest.raises(RankDeficient):
-        _z_from_rows(centered_rows(face, [0, 1]), np.zeros((2, 2)), 2, TOL)
+        _z_from_rows(centered_rows(face, [0, 1]), np.zeros((2, 2)), TOL)
 
 
 def test_points_from_face_full_completion():
@@ -149,7 +209,7 @@ def test_points_from_face_uses_definitional_formula():
     pedm = complete_pedm(P)
     face = face_of_points(range(5), P, 2)
     comp = points_from_face(face, pedm, TOL)
-    beta, B = _find_rigid_seed(face.nodes, pedm, 2, TOL)
+    beta, B, _ = _find_rigid_seed(face.nodes, pedm, 2, TOL)
     pinv = np.linalg.pinv(centered_rows(face, beta))
     w, V = np.linalg.eigh(pinv @ B @ pinv.T)
     expected = face.stored_rows() @ (V * np.sqrt(np.clip(w, 0, None))) @ V.T
@@ -180,7 +240,7 @@ def basis_points(face, pedm):
     centered rows A of U[:, :r] and its centered Gram B, and the points
     U[:, :r] Z^{1/2}."""
     r = face.width - 1
-    beta, B = _find_rigid_seed(face.nodes, pedm, r, TOL)
+    beta, B, _ = _find_rigid_seed(face.nodes, pedm, r, TOL)
     U = face.basis[:, :r]
     A = U[np.searchsorted(face.nodes, beta)]
     pinv = np.linalg.pinv(A - A.mean(axis=0))
@@ -484,7 +544,8 @@ def test_seed_search_matches_the_all_starts_reference(monkeypatch):
             with pytest.raises(NoRigidSeed):
                 _find_rigid_seed(nodes, pedm, r, tol)
             continue
-        beta, B = _find_rigid_seed(nodes, pedm, r, tol)
+        beta, B, F = _find_rigid_seed(nodes, pedm, r, tol)
         assert beta == want[0]
         assert B.tobytes() == want[1].tobytes()
+        assert F.tobytes() == want[2].tobytes()
     assert set(batches) == {1, 2}

@@ -944,36 +944,45 @@ def test_outside_counts_match_a_brute_force_count(size):
 
 
 @pytest.mark.parametrize(
-    "n, m, R, level, positioned, reuses",
-    [(354, 8, GOLDEN_R, StepLevel.L4, 291, 30), (200, 4, 0.16, StepLevel.L2, 196, 2)],
+    "n, m, R, level, positioned, reuses, recounted",
+    [(354, 8, GOLDEN_R, StepLevel.L4, 291, 30, 3), (200, 4, 0.16, StepLevel.L2, 196, 2, 0)],
     ids=["L4-354", "L2-200"],
 )
 def test_stored_outside_counts_are_current_at_every_turn(n, m, R, level, positioned, reuses,
-                                                         monkeypatch):
+                                                         recounted, monkeypatch):
     # a turn starts from the counts its clique's last turn stored, when the
     # clique still has the size they were stored at; they must then be the
     # clique's counts now, and every turn must leave its counts current.
     # L2-200 ends in one clique, whose later turns (pass 2 and phase 2)
     # reuse its counts; L4-354 keeps 18 cliques that do
     inst = generate_instance(n, m, 2, seed=0, radio_range=R)
-    turn = reducer._exhaust_grower
-    reused = []
+    turn, count = reducer._exhaust_grower, reducer._outside_counts
+    reused, counted = [], []
+
+    def counting(pedm, C):
+        counted[-1] += 1
+        return count(pedm, C)
 
     def checked_turn(family, gid, *args):
         Ci = family.cliques[gid]
         size, counts = family.outside_counts.get(gid, (None, None))
         if size == len(Ci):
-            assert counts == reducer._outside_counts(family.pedm, Ci)
+            assert counts == count(family.pedm, Ci)
             reused.append(gid)
+        counted.append(0)
         changed = turn(family, gid, *args)
-        assert family.outside_counts[gid] == (len(Ci), reducer._outside_counts(family.pedm, Ci))
+        assert family.outside_counts[gid] == (len(Ci), count(family.pedm, Ci))
         check_consistency(family)
         return changed
 
     monkeypatch.setattr(reducer, "_exhaust_grower", checked_turn)
+    monkeypatch.setattr(reducer, "_outside_counts", counting)
     rep = localize(build_partial_edm(inst), inst.anchors, level=level)
     assert len(rep.positioned) == positioned
     assert len(reused) >= reuses
+    # a merge that more than doubles a grower drops its counts, and its next
+    # absorption row counts them again within the same turn
+    assert sum(k > 1 for k in counted) == recounted
 
 
 def test_a_clique_grown_outside_its_turn_is_recounted(monkeypatch):
