@@ -83,6 +83,16 @@ def pedm_of_distances(D: np.ndarray, r: int) -> PartialEDM:
     return PartialEDM(n=D.shape[0], m=0, dim=r, radio_range=10.0, i=i, j=j, d2=D[i, j])
 
 
+def test_seed_factor_identity():
+    # the centered unit square's Gram has both nonzero eigenvalues 1, so its
+    # seed factor has orthonormal columns and reproduces the Gram
+    P = np.array([[0.5, 0.5], [0.5, -0.5], [-0.5, 0.5], [-0.5, -0.5]])
+    beta, B, F = _find_rigid_seed(np.arange(4), complete_pedm(P), 2, TOL)
+    assert beta == [0, 1, 2, 3] and F.shape == (4, 2)
+    assert np.allclose(F.T @ F, np.eye(2), atol=1e-12)
+    assert np.allclose(F @ F.T, P @ P.T, atol=1e-12)
+
+
 def test_seed_factor_round_trip_and_orthogonal_columns():
     # the seed's factor F reproduces its exact rank-r Gram and distances,
     # with orthogonal columns

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "solve_digest.py"
 SMALLEST = ["L2-200", "L4-354"]
@@ -49,24 +50,46 @@ def test_solve_digest_against_itself(tmp_path):
         assert 0 < digest["L4-354.ids"].size <= 354 - 8
 
 
-def test_solve_digest_solves_each_scale_instance_alone(tmp_path):
-    out = tmp_path / "scale.npz"
-    names = ["exact-L2-8004", "noisy-L2-8004"]
-    done = subprocess.run([sys.executable, str(TOOL), "--scale", "--only", *names,
+SCALE_NAMES = ["exact-L2-8004", "noisy-L2-8004"]
+
+
+@pytest.fixture(scope="module")
+def scale_digest(tmp_path_factory):
+    """The ``--scale`` records of the two smallest L2 instances, solved once
+    for the tests that read them."""
+    out = tmp_path_factory.mktemp("scale") / "scale.npz"
+    done = subprocess.run([sys.executable, str(TOOL), "--scale", "--only", *SCALE_NAMES,
                            "--out", str(out)], capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
     with np.load(out) as digest:
-        for name in names:
-            assert {f"{name}.{field}" for field in FIELDS} <= set(digest.files)
-            assert digest[f"{name}.alone"]
-            assert 0 < digest[f"{name}.setup_rss_mb"] <= digest[f"{name}.peak_rss_mb"]
-            assert digest[f"{name}.ids"].size == 8000
-        # in one process the second set-up would read the first solve's peak
-        assert digest["noisy-L2-8004.setup_rss_mb"] < digest["exact-L2-8004.peak_rss_mb"]
+        return dict(digest)
+
+
+def test_solve_digest_solves_each_scale_instance_alone(scale_digest, tmp_path):
+    digest = scale_digest
+    for name in SCALE_NAMES:
+        assert {f"{name}.{field}" for field in FIELDS} <= set(digest)
+        assert digest[f"{name}.alone"]
+        assert 0 < digest[f"{name}.setup_rss_mb"] <= digest[f"{name}.peak_rss_mb"]
+        assert digest[f"{name}.ids"].size == 8000
+    # in one process the second set-up would read the first solve's peak
+    assert digest["noisy-L2-8004.setup_rss_mb"] < digest["exact-L2-8004.peak_rss_mb"]
     # the lists do not mix
     done = subprocess.run([sys.executable, str(TOOL), "--scale", "--only", "L2-200",
-                           "--out", str(out)], capture_output=True, text=True)
+                           "--out", str(tmp_path / "scale.npz")], capture_output=True, text=True)
     assert done.returncode == 2 and "unknown instances: L2-200" in done.stderr
+
+
+def test_solve_digest_sets_up_noisy_scale_distances(scale_digest):
+    # the noisy instance is the exact one's draw with sigma 1e-4 on its
+    # distances: every sensor is still positioned, now off the truth
+    cases = {c[0]: c for c in load_tool().scale_instances()}
+    exact, noisy = cases["exact-L2-8004"], cases["noisy-L2-8004"]
+    assert exact[5] == 0.0 and noisy[5] == 1e-4
+    assert noisy[1:5] + noisy[6:] == exact[1:5] + exact[6:]
+    assert scale_digest["noisy-L2-8004.ids"].size == 8000
+    assert float(scale_digest["exact-L2-8004.rmsd"]) < 1e-9
+    assert 1e-9 < float(scale_digest["noisy-L2-8004.rmsd"]) < 1e-2
 
 
 def test_solve_digest_flags_differences(tmp_path, capsys):
